@@ -31,13 +31,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.special import gammaln
+from numpy.polynomial.polynomial import polyval
+from scipy.special import gammaln, hyp2f1, psi
 
 from .auxode import AuxiliarySolution
 from .errors import (
     CutoffMismatch,
     CutoffOverflow,
     CutoffTooSmall,
+    DivergentSeries,
     DomainError,
     EtaOutOfDisk,
     NormalizationDiverges,
@@ -81,6 +83,7 @@ __all__ = [
 
 _MAX_CUTOFF = 10_000
 _TAIL_LOG = math.log(1e-16)
+_LOG_SERIES_TERMS = 400
 
 
 @dataclass
@@ -118,11 +121,11 @@ class WeightSpec:
 
     The check integrates x^(m + power_offset) * evaluator(x) over
     (0, x_max or inf) and compares with moment_target(m) for admissible
-    m in [m_min, m_max].
+    m in [m_min, m_max], calling the evaluator on an array of x.
     """
 
     family: str
-    evaluator: Callable[[float], float]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     moment_target: Callable[[int], float]
     m_min: int = 0
     m_max: Optional[int] = None
@@ -682,8 +685,10 @@ def _pa_bg_norm(k: float, n_add: int, abs_z: float) -> float:
         term = math.exp(log_term)
         total += term
         if m > 8 and term < 1e-18 * total:
-            break
-    return total**-0.5
+            return total**-0.5
+    raise NormalizationDiverges(
+        f"PA-BG normalization at |z| = {abs_z} not converged in {_MAX_CUTOFF} terms"
+    )
 
 
 def pa_bg_overlap(k: float, n1: int, n2: int, z1: complex, z2: complex) -> complex:
@@ -784,113 +789,52 @@ def _su2_pa_target(two_j: int, p: int) -> Callable[[int], float]:
     return target
 
 
-def _hyp1f1_one(b: int, z: np.ndarray) -> np.ndarray:
-    """1F1(1; b; z) for integer b >= 1, stable for large imaginary z.
-
-    For b == 1 it is exp(z); otherwise (b-1)! z^{1-b} (e^z - sum_{j<b-1}
-    z^j/j!), with the small-|z| region delegated to the direct series.
-    """
-    z = np.asarray(z, dtype=complex)
-    if b == 1:
-        return np.exp(z)
-    out = np.empty(z.shape, dtype=complex)
-    small = np.abs(z) < 0.5
-    if np.any(small):
-        zs = z[small]
-        acc = np.ones_like(zs)
-        term = np.ones_like(zs)
-        for m in range(1, 60):
-            term = term * zs / (b - 1 + m)
-            acc += term
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        poly = np.zeros_like(zb)
-        term = np.ones_like(zb)
-        for jj in range(0, b - 1):
-            poly += term
-            term = term * zb / (jj + 1)
-        out[big] = math.factorial(b - 1) * zb ** (1 - b) * (np.exp(zb) - poly)
-    return out
-
-
-def _char_function(k: float, l: int, y: np.ndarray) -> np.ndarray:
-    """g(y) = sum_m F_l(k,m) (iy)^m / m!, the Fourier transform of the
-    weight density.
-
-    Equals Gamma(2k)/(Gamma(l+1) Gamma(2k+l)) 2F2(1, 1; l+1, 2k+l; iy).
-    Small |y| uses the direct series; beyond the float cancellation range
-    the 2F2 is an Euler integral over the closed-form confluent kernel.
-    """
-    b1 = l + 1
-    b2 = int(round(2 * k)) + l
-    pref = gamma_fn(2 * k) / (gamma_fn(b1) * gamma_fn(b2))
-    out = np.empty(y.shape, dtype=complex)
-    small = np.abs(y) <= 20.0
-    if np.any(small):
-        w = 1j * y[small]
-        acc = np.ones_like(w)
-        term = np.ones_like(w)
-        for m in range(1, 400):
-            term = term * w * (m / ((m + b1 - 1.0) * (m + b2 - 1.0)))
-            acc += term
-            if np.all(np.abs(term) < 1e-17 * np.max(np.abs(acc))):
-                break
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        yb = y[big]
-        if b2 == 1:
-            out[big] = _hyp1f1_one(b1, 1j * yb)
-        else:
-            # 2F2(1,1;b1,b2;iy) = (b2-1) int_0^1 (1-t)^{b2-2} 1F1(1;b1;iyt) dt
-            nodes, weights = np.polynomial.legendre.leggauss(16)
-            y_top = float(np.max(np.abs(yb)))
-            n_panels = max(8, int(y_top / 4.0) + 1)
-            edges = np.linspace(0.0, 1.0, n_panels + 1)
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            halves = 0.5 * np.diff(edges)
-            t_nodes = (mids[:, None] + halves[:, None] * nodes).ravel()
-            t_weights = (halves[:, None] * weights).ravel()
-            base = (1.0 - t_nodes) ** (b2 - 2) * t_weights
-            fvals = np.empty(yb.shape, dtype=complex)
-            chunk = 256
-            for start in range(0, yb.size, chunk):
-                sl = slice(start, min(start + chunk, yb.size))
-                zz = 1j * np.outer(yb[sl], t_nodes)
-                fvals[sl] = (b2 - 1.0) * (_hyp1f1_one(b1, zz) @ base)
-            out[big] = fvals
-    return pref * out
-
-
 def _pa_perelomov_density(k: float, l: int):
-    """Numeric Fourier inversion of the PA-Perelomov weight on [0, 1.35].
+    """Exact PA-Perelomov weight on [0, 1], the Hausdorff density of F_l(k, m).
 
-    The Gaussian regulator smooths the density on a sigma = 2e-3 scale;
-    mass smeared below x = 0 is folded back so the zeroth moment survives
-    the support edge exactly:
-
-        W(x) + W(-x) = (2/pi) int_0^inf Re g(y) exp(-eps y^2) cos(xy) dy.
-
-    The evaluator is the tapered cosine sum itself (smooth in x); moment
-    errors land a few times under the 1e-3 acceptance bar.
+    W(x) = Gamma(2k) (1-x)^(c-1) / Gamma(c) 2F1(a, l; c; 1-x), a = 2k+l-1,
+    c = a+l (Klauder, Penson & Sixdeniers, PRA 64, 013817).  c = a+b is the
+    logarithmic case of 2F1 at 1, where hyp2f1 loses the digits of 1-x
+    (inf as x -> 0), so x < 1/16 uses the log series DLMF 15.8.10 in powers
+    of x.  At k = 1/2, l = 0 the weight is a unit point mass at x = 1.
     """
-    sigma = 2e-3
-    eps = 0.5 * sigma**2
-    y_max = math.sqrt(9.0 / eps)
-    dy = 0.4
-    y = np.arange(0.0, y_max, dy)
-    g = _char_function(k, l, y) * np.exp(-eps * y * y)
-    w_trap = np.full(y.size, dy)
-    w_trap[0] *= 0.5
-    coef = (2.0 / math.pi) * g.real * w_trap
+    if l < 0:
+        raise ValueError("added index l must be nonnegative")
+    if l == 0 and k == 0.5:
+        raise UnsupportedFamily(
+            "perelomov_pa at k = 1/2, l = 0 is a point mass at x = 1, not a density"
+        )
+    a = 2.0 * k + l - 1.0
+    c = a + l
+    pref = math.exp(gammaln(2.0 * k) - gammaln(c))
+    split = 0.0
+    if l:
+        # 2F1 = Gamma(c)/(Gamma(a) Gamma(l)) sum_n (a)_n (l)_n / n!^2
+        #       [2 psi(n+1) - psi(a+n) - psi(l+n) - ln x] x^n
+        split = 1.0 / 16.0
+        n = np.arange(_LOG_SERIES_TERMS, dtype=float)
+        log_coef = (
+            gammaln(a + n) - gammaln(a) + gammaln(l + n) - gammaln(l) - 2.0 * gammaln(n + 1.0)
+        )
+        bound = log_coef + n * math.log(split)
+        below = np.flatnonzero(bound < np.max(bound) + _TAIL_LOG)
+        if not below.size:
+            raise DivergentSeries(f"log series needs more than {_LOG_SERIES_TERMS} terms")
+        n = n[: below[0]]
+        coef = np.exp(gammaln(c) - gammaln(a) - gammaln(l) + log_coef[: below[0]])
+        coef_psi = coef * (2.0 * psi(n + 1.0) - psi(a + n) - psi(l + n))
 
     def evaluator(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = np.clip(np.cos(np.outer(x, y)) @ coef, 0.0, None)
-        vals[(x < 0.0) | (x > 1.35)] = 0.0
-        return vals if vals.size > 1 else float(vals[0])
+        x = np.asarray(x, dtype=float)
+        vals = np.zeros_like(x)
+        near = (x >= split) & (x <= 1.0)
+        vals[near] = hyp2f1(a, l, c, 1.0 - x[near])
+        if l:
+            far = (x > 0.0) & (x < split)
+            xf = x[far]
+            vals[far] = polyval(xf, coef_psi) - np.log(xf) * polyval(xf, coef)
+        vals *= pref * np.clip(1.0 - x, 0.0, None) ** (c - 1.0)
+        return vals if vals.ndim else float(vals)
 
     return evaluator
 
@@ -899,8 +843,9 @@ def weight_spec(family: str, params: Mapping) -> WeightSpec:
     """Weight function and moment targets for a family's identity resolution.
 
     Families: "canonical" (f = 1), "su2_pa" (j, p), "bg_pa" (k, n),
-    "perelomov_pa" (k, l).  Deformations with nonconstant f have no closed
-    density here.
+    "perelomov_pa" (k, l).  su2_pa and bg_pa weights are Meijer G functions
+    on (0, inf); perelomov_pa is the exact Hausdorff density on [0, 1].
+    Deformations with nonconstant f have no closed density here.
     """
     if family == "canonical":
         return WeightSpec(
@@ -970,7 +915,7 @@ def weight_spec(family: str, params: Mapping) -> WeightSpec:
             evaluator=_pa_perelomov_density(k, l),
             moment_target=target,
             m_max=8,
-            x_max=1.35,
+            x_max=1.0,
         )
     raise UnsupportedFamily(f"no weight function for family {family!r}")
 

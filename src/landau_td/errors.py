@@ -131,3 +131,7 @@ class StepUnderflow(NumericalError):
 
 class IntegralNonConvergent(NumericalError):
     """Adaptive integration error estimate exceeds the tolerance."""
+
+
+class InconsistentPhase(NumericalError):
+    """Two derivations of the phase rate disagree beyond roundoff."""

@@ -9,9 +9,8 @@ numerical Mellin-Barnes contour integral, restricted to the two instances
 the weight-function work needs:
 
 * ``G^{2,1}_{2,2}(x | (a1, a2); (0, 0))`` with a power-law tail; evaluated by
-  the vertical-line integral for moderate x and by the convergent right-pole
-  residue series for large x (the line integral loses digits to cancellation
-  once x exceeds a few units).
+  the vertical-line integral for x < 4 and by the convergent right-pole
+  residue series from x = 4 up.
 * ``G^{4,0}_{2,4}(x | a; b)`` which decays like exp(-2 sqrt(x)); the contour
   abscissa is moved right like sqrt(x) so the integrand peak tracks the
   result's scale (steepest-descent scaling, no cancellation blowup).
@@ -24,13 +23,16 @@ Both use the Mellin kernel
 with G(x) = (1/2 pi i) * integral of M(s) x^{-s} ds along Re s = c, the line
 separating the increasing (left) from the decreasing (right) Gamma pole
 families.  The integrand decays like exp(-pi |Im s|) for both instances.
+``meijer_g`` takes a scalar or an array of x and computes the Gamma kernel
+once per binary octave of x.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -248,53 +250,63 @@ class MeijerGSpec:
 
 
 def _mellin_log_kernel(spec: MeijerGSpec, s: np.ndarray) -> np.ndarray:
-    """log M(s) on an array of complex points s."""
-    m, n, p, q = spec.m, spec.n, spec.p, spec.q
+    """log M(s) on an array of complex points s, one loggamma per distinct factor."""
+    # (shift, sign) stands for Gamma(shift + sign * s), counted with its power
+    powers = Counter([(b, 1.0) for b in spec.b[: spec.m]])
+    powers.update([(1.0 - a, -1.0) for a in spec.a[: spec.n]])
+    powers.subtract([(1.0 - b, -1.0) for b in spec.b[spec.m :]])
+    powers.subtract([(a, 1.0) for a in spec.a[spec.n :]])
     out = np.zeros_like(s, dtype=complex)
-    for j in range(m):
-        out += sp.loggamma(spec.b[j] + s)
-    for j in range(n):
-        out += sp.loggamma(1.0 - spec.a[j] - s)
-    for j in range(m, q):
-        out -= sp.loggamma(1.0 - spec.b[j] - s)
-    for j in range(n, p):
-        out -= sp.loggamma(spec.a[j] + s)
+    for (shift, sign), power in powers.items():
+        if power:
+            out += power * sp.loggamma(shift + sign * s)
     return out
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _T_MAX = 30.0
+_RESIDUE_TERMS = 400
 
 
-def _contour_integral(spec: MeijerGSpec, x: float, c: float) -> float:
+def _contour_integral(spec: MeijerGSpec, x, c: float):
     """(1/pi) Re int_0^Tmax M(c+iT) x^{-c-iT} dT on Gauss-Legendre panels.
 
     Valid for real parameters and x > 0 (conjugate symmetry folds the
-    negative-T half onto the real part).  The integrand decays like
-    exp(-pi T) for both accepted instances.
+    negative-T half onto the real part).  ``x`` may be an array of points
+    sharing the abscissa c: the kernel is evaluated once, at the geometric
+    midpoint x_ref, on a T-grid fine enough for the largest |ln x|, and
+    carried to each point by the factor (x/x_ref)^{-c-iT}.
     """
-    lnx = math.log(x)
+    lnx = np.log(np.asarray(x, dtype=float))
+    ln_ref = 0.5 * (float(np.max(lnx)) + float(np.min(lnx)))
     # Panel width resolves the x^{-iT} oscillation (wavelength 2 pi / |ln x|).
-    width = min(0.5, 2.0 * math.pi / (3.0 * (0.5 + abs(lnx))))
-    edges = np.arange(0.0, _T_MAX + width, width)
-    t_nodes = (
-        0.5 * (edges[1:, None] - edges[:-1, None]) * _GL_NODES[None, :]
-        + 0.5 * (edges[1:, None] + edges[:-1, None])
-    ).ravel()
-    t_weights = (
-        0.5 * (edges[1:, None] - edges[:-1, None]) * _GL_WEIGHTS[None, :]
-    ).ravel()
-    s = c + 1j * t_nodes
-    log_vals = _mellin_log_kernel(spec, s) - s * lnx
+    width = min(0.5, 2.0 * math.pi / (3.0 * (0.5 + float(np.max(np.abs(lnx))))))
+    # |M(c+iT)| falls like exp(-T^2/c) below T ~ c, then like exp(-pi T);
+    # the line ends one unit past the last unit-step probe within e^-40 of
+    # the largest, searched up to Tmax or 6 sqrt(c) for a far abscissa (at
+    # most 200: past c ~ 1100 the (4,0,2,4) value exp(-2c) underflows).
+    probe = np.arange(0.0, min(max(_T_MAX, 6.0 * math.sqrt(abs(c))), 200.0) + 1.0)
+    log_mag = np.real(_mellin_log_kernel(spec, c + 1j * probe))
+    within = np.flatnonzero(log_mag > np.max(log_mag) - 40.0)
+    t_max = probe[within[-1] if within.size else -1] + 1.0
+    n_panels = math.ceil(t_max / width)
+    panel_starts = width * np.arange(n_panels)
+    node_offsets = 0.5 * width * (1.0 + _GL_NODES)
+    s = c + 1j * (panel_starts[:, None] + node_offsets).ravel()
+    log_vals = _mellin_log_kernel(spec, s) - s * ln_ref
     # Guard against overflow in exp for extreme parameter choices.
-    log_re = np.real(log_vals)
-    if np.any(log_re > 700.0):
+    if np.any(np.real(log_vals) > 700.0):
         raise ContourFailure("Mellin-Barnes integrand overflows double precision")
-    vals = np.exp(log_vals)
-    return float(np.dot(t_weights, np.real(vals)) / math.pi)
+    vals = (0.5 * width * _GL_WEIGHTS) * np.exp(log_vals).reshape(n_panels, -1)
+    shift = lnx - ln_ref
+    # (x/x_ref)^{-iT} splits into a per-panel and a per-node phase
+    per_node = np.exp(-1j * np.multiply.outer(shift, node_offsets)) @ vals.T
+    per_panel = np.exp(-1j * np.multiply.outer(shift, panel_starts))
+    out = np.exp(-c * shift) * np.real(np.sum(per_panel * per_node, axis=-1)) / math.pi
+    return out if out.ndim else float(out)
 
 
-def _g2122_residue_series(spec: MeijerGSpec, x: float) -> float:
+def _g2122_residue_series(spec: MeijerGSpec, x):
     """Right-pole residue series of G^{2,1}_{2,2}, convergent for x > 1.
 
     Closing the contour to the right picks up the simple poles of
@@ -302,52 +314,85 @@ def _g2122_residue_series(spec: MeijerGSpec, x: float) -> float:
 
         G(x) = sum_k (-1)^k / k! * Gamma(b1+s_k) Gamma(b2+s_k) / Gamma(a2+s_k)
                * x^{-s_k}
+
+    Summed for an array of x at once; each point stops at its first term
+    (past the third) below 1e-17 of the running sum, and DivergentSeries is
+    raised when one needs more than 400 terms (x too close to 1).
     """
     a1, a2 = spec.a
     b1, b2 = spec.b
-    s0 = 1.0 - a1
-    total = 0.0
-    log_x = math.log(x)
-    for k in range(0, 400):
-        s_k = s0 + k
-        log_term = (
-            sp.gammaln(b1 + s_k)
-            + sp.gammaln(b2 + s_k)
-            - sp.gammaln(a2 + s_k)
-            - sp.gammaln(k + 1.0)
-            - s_k * log_x
+    k = np.arange(_RESIDUE_TERMS, dtype=float)
+    s_k = 1.0 - a1 + k
+    log_coef = (
+        sp.gammaln(b1 + s_k) + sp.gammaln(b2 + s_k) - sp.gammaln(a2 + s_k) - sp.gammaln(k + 1.0)
+    )
+    log_x = np.log(np.asarray(x, dtype=float))
+    terms = (-1.0) ** k * np.exp(log_coef - np.multiply.outer(log_x, s_k))
+    totals = np.cumsum(terms, axis=-1)
+    done = (np.abs(terms) < 1e-17 * np.maximum(np.abs(totals), 1e-300)) & (k > 2)
+    if not np.all(np.any(done, axis=-1)):
+        worst = float(np.exp(np.min(log_x)))
+        raise DivergentSeries(
+            f"residue series needs over {_RESIDUE_TERMS} terms at x = {worst:.6g}"
         )
-        term = (-1.0) ** k * math.exp(log_term)
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1e-300) and k > 2:
-            return total
-    return total
+    out = np.take_along_axis(totals, np.argmax(done, axis=-1)[..., None], axis=-1)[..., 0]
+    return out if out.ndim else float(out)
 
 
-def meijer_g(spec: MeijerGSpec, x: float) -> float:
-    """Evaluate the Meijer G instance at x > 0.
+def _abscissa(ln_x: float, c_left: float, offset: float, c_right: Optional[float]) -> float:
+    """Contour abscissa at ln x, offset right of the left pole family.
 
-    Raises ContourFailure when no vertical line separates the two pole
-    families (for (2,1,2,2): needs max(-b_j) < 1 - a1).
+    The integrand carries x^{-c}, so a fixed offset costs x^{-offset} in
+    cancellation for x < 1: there the line moves to 2/|ln x| of the left
+    poles (caps the loss at e^2 for poles of order up to four), and for
+    x > 1 to 1/ln x of the first right pole, if any.
     """
-    if x <= 0:
-        raise DomainError(f"meijer_g needs x > 0, got {x}")
-    x = float(x)
+    if ln_x < 0.0:
+        return c_left + min(offset, -2.0 / ln_x)
+    if c_right is not None and ln_x > 0.0:
+        return max(c_left + offset, c_right - 1.0 / ln_x)
+    return c_left + offset
 
+
+def meijer_g(spec: MeijerGSpec, x):
+    """Evaluate the Meijer G instance at x > 0 (a scalar or an array).
+
+    Array points are grouped by binary octave [2^(e-1), 2^e); the points of
+    one octave share one contour abscissa and one T-grid, so the Gamma
+    kernel is evaluated once per octave, not once per point.  Raises
+    ContourFailure when no vertical line separates the two pole families
+    (for (2,1,2,2): needs max(-b_j) < 1 - a1).
+    """
+    xa = np.asarray(x, dtype=float)
+    if not np.all(xa > 0):
+        raise DomainError(f"meijer_g needs x > 0, got {np.min(xa)}")
+    flat = xa.ravel()
+    out = np.empty_like(flat)
+    c_left = max(-b for b in spec.b)
     if (spec.m, spec.n, spec.p, spec.q) == (2, 1, 2, 2):
-        c_left = max(-b for b in spec.b)
         c_right = 1.0 - spec.a[0]
         if not c_left < c_right:
             raise ContourFailure(
                 f"pole families overlap: left boundary {c_left} >= right {c_right}"
             )
-        if x > 4.0:
-            return _g2122_residue_series(spec, x)
-        c = c_left + 0.5 * min(2.0, c_right - c_left)
-        return _contour_integral(spec, x, c)
-
-    # (4,0,2,4): no right poles; push the abscissa right like sqrt(x) so the
-    # line integral tracks the exp(-2 sqrt(x)) decay without cancellation.
-    c_left = max(-b for b in spec.b)
-    c = c_left + 1.0 + math.sqrt(x)
-    return _contour_integral(spec, x, c)
+        offset = 0.5 * min(2.0, c_right - c_left)
+    else:
+        c_right, offset = None, 1.0
+    expo = np.frexp(flat)[1]
+    for e in np.unique(expo):
+        octave = np.flatnonzero(expo == e)
+        # at most 64 points share a contour, which bounds the phase matrices
+        for idx in np.array_split(octave, -(-octave.size // 64)):
+            if c_right is not None and flat[idx[0]] >= 4.0:
+                # the right-pole residue series converges fast from x = 4 up
+                out[idx] = _g2122_residue_series(spec, flat[idx])
+                continue
+            ln_mid = 0.5 * (math.log(np.min(flat[idx])) + math.log(np.max(flat[idx])))
+            c = _abscissa(ln_mid, c_left, offset, c_right)
+            if c_right is None:
+                # (4,0,2,4): no right poles; push the abscissa right like
+                # sqrt(x) so the line integral tracks the exp(-2 sqrt(x))
+                # decay without cancellation.
+                c += math.exp(0.5 * ln_mid)
+            out[idx] = _contour_integral(spec, flat[idx], c)
+    return out.reshape(xa.shape) if xa.ndim else float(out[0])

@@ -30,7 +30,7 @@ from scipy import sparse
 from scipy.integrate import cumulative_trapezoid
 
 from .auxode import AuxiliarySolution
-from .errors import CutoffTooSmall
+from .errors import CutoffTooSmall, InconsistentPhase
 from .profiles import ParameterProfile
 from .specfun import gamma_fn, hermite, laguerre
 
@@ -221,7 +221,7 @@ def phase_gamma(
     )
     defining = _i_dt_expectation(q, profile, aux, t) - h_expect
     if np.max(np.abs(defining - integrand)) > 1e-9 * max(1.0, float(np.max(np.abs(integrand)))):
-        raise AssertionError("phase integrand disagrees with <i d/dt> - <H>")
+        raise InconsistentPhase("phase integrand disagrees with <i d/dt> - <H>")
 
     gamma = np.concatenate(([0.0], cumulative_trapezoid(integrand, t)))
     alt = 0.5 * radial_rate + 0.5 * omega_c * ell_z + drive

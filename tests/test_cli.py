@@ -179,6 +179,30 @@ class TestSpectrum:
         assert rows[-1, 3] == pytest.approx(-10.0, abs=1e-8)
         assert rows[-1, 4] == pytest.approx(-5.0, abs=1e-8)
 
+    def test_inconsistent_phase_exits_2(self, capsys, static_profile_file, monkeypatch):
+        # phase_gamma cross-checks its integrand against <i d/dt> - <H>; a
+        # disagreement is a typed numerical failure, not an AssertionError
+        from landau_td import auxode, spectrum
+        from landau_td.errors import InconsistentPhase
+        from landau_td.profiles import profile_from_json
+
+        true_energy = spectrum.hamiltonian_expectation
+        monkeypatch.setattr(
+            spectrum, "hamiltonian_expectation", lambda *args: true_energy(*args) + 1.0
+        )
+        with open(static_profile_file) as fh:
+            prof = profile_from_json(fh.read())
+        grid = np.linspace(0.0, 1.0, 11)
+        aux = auxode.stationary_solution(prof, grid)
+        with pytest.raises(InconsistentPhase):
+            spectrum.phase_gamma(spectrum.HelicityQuanta(0, 0), prof, aux, grid)
+        code, out, err = run_cli(
+            capsys, ["spectrum", "--profile", static_profile_file, "--samples", "11"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "numerical failure" in err
+
 
 class TestWavefunction:
     def test_polar_samples(self, capsys, static_profile_file):

@@ -394,6 +394,14 @@ class TestSu11PhotonAddedBG:
             complex(ch.overlap(e, d)), abs=1e-10
         )
 
+    def test_unconverged_norm_raises(self, monkeypatch):
+        # the normalization sum at |z| = 5 converges after 26 terms; a
+        # 20-term cap must not return the partial sum
+        assert ch.pa_bg_overlap(1.0, 1, 1, 5.0, 5.0) == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(ch, "_MAX_CUTOFF", 20)
+        with pytest.raises(NormalizationDiverges):
+            ch.pa_bg_overlap(1.0, 1, 1, 5.0, 5.0)
+
 
 class TestSingleModeWavefunction:
     @staticmethod
@@ -505,33 +513,37 @@ class TestWeightSpecs:
             assert val == pytest.approx(ws.moment_target(m), rel=1e-8)
 
     @staticmethod
-    def _quiet_moment(ws, m):
-        # the tapered cosine-sum evaluator carries harmless micro-ripple
-        # that trips quad's roundoff heuristics; the values are converged
-        import warnings
-        from scipy.integrate import IntegrationWarning
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, _ = quad(lambda x: x**m * ws.evaluator(x), 0, ws.x_max, limit=80)
+    def _moment(ws, m):
+        val, _ = quad(
+            lambda x: x**m * ws.evaluator(x), 0, ws.x_max, epsabs=0.0, epsrel=1e-13
+        )
         return val
 
     def test_perelomov_pa_uniform_density(self):
         # k = 1, l = 0: moments 1/(m+1), i.e. the uniform density on (0, 1)
         ws = ch.weight_spec("perelomov_pa", {"k": 1.0, "l": 0})
         assert ws.moment_target(3) == pytest.approx(0.25)
-        assert float(np.asarray(ws.evaluator(0.5))) == pytest.approx(1.0, abs=5e-3)
+        assert ws.x_max == 1.0
+        assert ws.evaluator(0.5) == pytest.approx(1.0, abs=1e-15)
         for m in range(7):
-            assert self._quiet_moment(ws, m) == pytest.approx(
-                ws.moment_target(m), rel=1e-3
-            )
+            assert self._moment(ws, m) == pytest.approx(ws.moment_target(m), rel=1e-10)
 
     def test_perelomov_pa_shifted_family(self):
         ws = ch.weight_spec("perelomov_pa", {"k": 1.0, "l": 1})
         for m in (0, 3, 6):
-            assert self._quiet_moment(ws, m) == pytest.approx(
-                ws.moment_target(m), rel=1e-3
-            )
+            assert self._moment(ws, m) == pytest.approx(ws.moment_target(m), rel=1e-10)
+
+    def test_perelomov_pa_branches_agree(self):
+        # hyp2f1 above x = 1/16, the DLMF 15.8.10 log series below; at
+        # k = 1/2, l = 1 the density is -ln x exactly
+        ws = ch.weight_spec("perelomov_pa", {"k": 0.5, "l": 1})
+        x = np.array([1e-14, 1e-6, 0.0624, 0.0625, 0.0626, 0.5, 0.99])
+        assert ws.evaluator(x) == pytest.approx(-np.log(x), rel=1e-13)
+
+    def test_perelomov_pa_point_mass_rejected(self):
+        # k = 1/2, l = 0: every moment is 1, a unit point mass at x = 1
+        with pytest.raises(UnsupportedFamily):
+            ch.weight_spec("perelomov_pa", {"k": 0.5, "l": 0})
 
     def test_unknown_family(self):
         with pytest.raises(UnsupportedFamily):

@@ -302,6 +302,19 @@ def test_g2122_branch_agreement_at_switch():
         assert abs(line - series) < 1e-10 * abs(series)
 
 
+def test_g2122_residue_series_diverges_near_one():
+    # the series converges like x^-k, too slowly just above x = 1 to meet
+    # the term criterion in 400 terms; the partial sum must not be returned
+    from landau_td.specfun import _g2122_residue_series
+
+    spec = MeijerGSpec(2, 1, 2, 2, (-5.0, 0.0), (0.0, 0.0))
+    with pytest.raises(DivergentSeries):
+        _g2122_residue_series(spec, 1.01)
+    assert _g2122_residue_series(spec, 12.0) == pytest.approx(
+        _mpmath_g2122(spec.a, spec.b, 12.0), rel=1e-13
+    )
+
+
 def test_g2122_mellin_moment_property():
     # int_0^inf G dx = Gamma-ratio at s = 1: Gamma(1)^2 Gamma(2j+1-p)/Gamma(p+1)
     j, p = 1.0, 1.0
@@ -332,6 +345,29 @@ def test_g4024_large_x_decay():
     vals = [meijer_g(spec, float(x)) for x in xs]
     assert all(v > 0 for v in vals)
     assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MeijerGSpec(2, 1, 2, 2, (-3.0, 1.0), (0.0, 0.0)),
+        MeijerGSpec(2, 1, 2, 2, (-5.0, 2.0), (0.0, 0.0)),
+        MeijerGSpec(4, 0, 2, 4, (0.0, 1.0), (-1.0, -1.0, 0.0, 0.0)),
+        MeijerGSpec(4, 0, 2, 4, (0.0, 2.0), (-2.0, -2.0, 0.0, 0.0)),
+    ],
+)
+def test_meijer_array_matches_scalar(spec):
+    # points of one octave share a contour; the result must not depend on
+    # which other points are evaluated with it
+    octaves = (1e-9, 1e-3, 0.3, 1.5, 5.0, 20.0)
+    x = np.concatenate([np.linspace(lo, 2.0 * lo, 5)[:-1] for lo in octaves])
+    arr = meijer_g(spec, x.reshape(4, -1))
+    assert arr.shape == (4, x.size // 4)
+    scalar = np.array([meijer_g(spec, float(v)) for v in x])
+    assert arr.ravel() == pytest.approx(scalar, rel=1e-13, abs=0.0)
+    oracle = _mpmath_g2122 if spec.m == 2 else _mpmath_g4024
+    for v, got in zip(x[::3], arr.ravel()[::3]):
+        assert got == pytest.approx(oracle(spec.a, spec.b, v), rel=1e-12)
 
 
 def test_meijer_domain():

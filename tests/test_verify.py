@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from landau_td import verify
 from landau_td.auxode import (
@@ -370,6 +372,40 @@ class TestMomentProblem:
         )
         with pytest.raises(IntegralNonConvergent):
             verify.moment_problem_check(noisy, m_max=2, tol=1e-6)
+
+    @settings(max_examples=19, deadline=None)
+    @given(
+        k=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+        l=st.integers(min_value=0, max_value=4),
+    )
+    def test_perelomov_pa_property(self, k, l):
+        assume(not (k == 0.5 and l == 0))  # a point mass, rejected by weight_spec
+        rep = verify.moment_problem_check(
+            weight_spec("perelomov_pa", {"k": k, "l": l}), m_max=8, tol=1e-10
+        )
+        assert rep.passed
+        assert [row["order"] for row in rep.details] == list(range(9))
+
+    @settings(max_examples=10, deadline=None)
+    @given(two_j=st.integers(min_value=1, max_value=8), data=st.data())
+    def test_su2_pa_property(self, two_j, data):
+        p = data.draw(st.integers(min_value=0, max_value=two_j))
+        rep = verify.moment_problem_check(
+            weight_spec("su2_pa", {"j": two_j / 2.0, "p": p}), m_max=8, tol=1e-10
+        )
+        assert rep.passed
+        assert len(rep.details) == two_j - p + 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        k=st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5]),
+        n=st.integers(min_value=0, max_value=3),
+    )
+    def test_bg_pa_property(self, k, n):
+        rep = verify.moment_problem_check(
+            weight_spec("bg_pa", {"k": k, "n": n}), m_max=6, tol=1e-10
+        )
+        assert rep.passed
 
     def test_empty_order_window(self):
         with pytest.raises(ValueError):
