@@ -1,8 +1,9 @@
 """Coherent-state families on the truncated two-mode helicity lattice.
 
-Every state is a coefficient table over (n_plus, n_minus), built by one of
-the constructors below; closed-form overlaps, photon distributions and
-weight functions serve as verification targets against the tables.
+Every state is stored on its support, the lattice points (n_plus, n_minus)
+it occupies and their amplitudes; the dense table is derived on demand.
+Closed-form overlaps, photon distributions and weight functions serve as
+verification targets against the states.
 
 Families and supports:
 
@@ -32,7 +33,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import gammaln, hyp2f1, psi
+from scipy.special import gammaln, hyp2f1, psi, xlogy
 
 from .auxode import AuxiliarySolution
 from .errors import (
@@ -42,6 +43,7 @@ from .errors import (
     DivergentSeries,
     DomainError,
     EtaOutOfDisk,
+    InvalidState,
     NormalizationDiverges,
     PTooLarge,
     UnsupportedFamily,
@@ -88,18 +90,82 @@ _LOG_SERIES_TERMS = 400
 
 @dataclass
 class StateVector:
-    """Truncated coefficient table of a coherent-state family."""
+    """Truncated coherent state stored on its support.
+
+    Amplitude amps[i] sits at lattice point (n_plus[i], n_minus[i]); the
+    entries are kept in row-major order of (n_plus, n_minus), each point once.
+    """
 
     cutoff: int
-    coeffs: np.ndarray  # complex, shape (cutoff+1, cutoff+1), index [n+, n-]
+    n_plus: np.ndarray  # intp
+    n_minus: np.ndarray  # intp
+    amps: np.ndarray  # complex
     family: str
     params: dict = field(repr=False)
     norm_deficit: float = 0.0
 
     def __post_init__(self):
-        total = float(np.sum(np.abs(self.coeffs) ** 2))
+        self.n_plus = np.asarray(self.n_plus, dtype=np.intp)
+        self.n_minus = np.asarray(self.n_minus, dtype=np.intp)
+        self.amps = np.asarray(self.amps, dtype=complex)
+        if not self.n_plus.shape == self.n_minus.shape == self.amps.shape == (self.amps.size,):
+            raise InvalidState("support indices and amplitudes must be 1-D of one length")
+        if np.any(np.minimum(self.n_plus, self.n_minus) < 0) or np.any(
+            np.maximum(self.n_plus, self.n_minus) > self.cutoff
+        ):
+            raise InvalidState(f"support index outside [0, {self.cutoff}]")
+        if not np.all(np.isfinite(self.amps)):
+            raise InvalidState("non-finite amplitude")
+        _, order = np.unique(_flat_index(self), return_index=True)
+        if order.size < self.amps.size:
+            raise InvalidState("lattice point listed twice")
+        self.n_plus, self.n_minus, self.amps = self.n_plus[order], self.n_minus[order], self.amps[order]
+        total = float(np.sum(np.abs(self.amps) ** 2))
         if total > 1.0 + 1e-12:
-            raise ValueError(f"coefficient table over-normalized: {total}")
+            raise InvalidState(f"state over-normalized: {total}")
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Read-only dense table, shape (cutoff+1, cutoff+1), index [n+, n-]."""
+        table = np.zeros((self.cutoff + 1, self.cutoff + 1), dtype=complex)
+        table[self.n_plus, self.n_minus] = self.amps
+        table.flags.writeable = False
+        return table
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp per entry, whose last bit numpy's vector exp does not always match."""
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
+def _flat_index(s: StateVector) -> np.ndarray:
+    """Row-major position of each support entry in the dense table."""
+    return s.n_plus * (s.cutoff + 1) + s.n_minus
+
+
+def _table_state(table, family, params, deficit=0.0) -> StateVector:
+    """State on the nonzero entries of a product-family table."""
+    n_plus, n_minus = np.nonzero(table)
+    return StateVector(
+        table.shape[0] - 1, n_plus, n_minus, table[n_plus, n_minus], family, params, deficit
+    )
+
+
+def _first_index(log_term: Callable, m0: int, small: Callable, what: str) -> int:
+    """First m >= m0 at which small(log_term(m), running peak, m) holds.
+
+    log_term is evaluated on blocks of 256 indices, up to _MAX_CUTOFF.
+    """
+    best = -math.inf
+    for start in range(m0, _MAX_CUTOFF, 256):
+        m = np.arange(start, min(start + 256, _MAX_CUTOFF))
+        terms = log_term(m)
+        peak = np.maximum.accumulate(np.maximum(terms, best))
+        hit = np.flatnonzero(small(terms, peak, m))
+        if hit.size:
+            return int(m[hit[0]])
+        best = peak[-1]
+    raise CutoffOverflow(f"{what} needs a cutoff beyond {_MAX_CUTOFF}")
 
 
 @dataclass(frozen=True)
@@ -138,13 +204,15 @@ class WeightSpec:
 # ---------------------------------------------------------------------------
 
 def _poisson_cutoff(abs_z: float) -> int:
-    for n in range(8, _MAX_CUTOFF):
-        if abs_z == 0.0:
-            return 8
-        log_term = -abs_z**2 + 2 * n * math.log(abs_z) - gammaln(n + 1)
-        if log_term < _TAIL_LOG:
-            return n
-    raise CutoffOverflow(f"|z| = {abs_z} needs a cutoff beyond {_MAX_CUTOFF}")
+    """First n past the Poisson peak n ~ |z|^2 whose term is below 1e-16."""
+    if abs_z == 0.0:
+        return 8
+    return _first_index(
+        lambda n: -abs_z**2 + 2 * n * math.log(abs_z) - gammaln(n + 1),
+        8,
+        lambda term, peak, n: (n > abs_z**2) & (term < _TAIL_LOG),
+        f"|z| = {abs_z}",
+    )
 
 
 def _canonical_mode(z: complex, cutoff: int) -> np.ndarray:
@@ -169,22 +237,23 @@ def canonical_state(
     if cutoff is not None and cutoff > _MAX_CUTOFF:
         raise CutoffOverflow(f"cutoff {cutoff} beyond supported {_MAX_CUTOFF}")
     n_cut = max(cutoff or 0, needed)
-    coeffs = np.outer(_canonical_mode(z_plus, n_cut), _canonical_mode(z_minus, n_cut))
-    deficit = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
-    return StateVector(
-        cutoff=n_cut,
-        coeffs=coeffs,
-        family="canonical",
-        params={"z_plus": complex(z_plus), "z_minus": complex(z_minus)},
-        norm_deficit=deficit,
+    table = np.outer(_canonical_mode(z_plus, n_cut), _canonical_mode(z_minus, n_cut))
+    return _table_state(
+        table,
+        "canonical",
+        {"z_plus": complex(z_plus), "z_minus": complex(z_minus)},
+        1.0 - float(np.sum(np.abs(table) ** 2)),
     )
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b> of two coefficient tables."""
+    """Inner product <a|b>, summed over the lattice points both states hold."""
     if a.cutoff != b.cutoff:
         raise CutoffMismatch(f"cutoffs differ: {a.cutoff} vs {b.cutoff}")
-    return complex(np.vdot(a.coeffs, b.coeffs))
+    _, ia, ib = np.intersect1d(
+        _flat_index(a), _flat_index(b), assume_unique=True, return_indices=True
+    )
+    return complex(np.vdot(a.amps[ia], b.amps[ib]))
 
 
 def distribution(s: StateVector) -> np.ndarray:
@@ -212,7 +281,7 @@ def evolve_canonical(s: StateVector, params: EvolutionParams, tau: float) -> Sta
     z_m = s.params["z_minus"] * np.exp(-1j * (params.T1 - params.T2) * tau)
     out = canonical_state(z_p, z_m, cutoff=s.cutoff)
     phase = np.exp(-1j * (params.T1 - params.lam) * tau)
-    out.coeffs = out.coeffs * phase
+    out.amps = out.amps * phase
     out.params["global_phase"] = complex(phase)
     return out
 
@@ -257,14 +326,12 @@ def nonlinear_state(
     w_m = _deformed_mode(alpha_minus, f_minus, cutoff)
     _check_mode_tail(w_p, "plus mode")
     _check_mode_tail(w_m, "minus mode")
-    coeffs = np.outer(w_p, w_m)
-    coeffs /= math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
-    return StateVector(
-        cutoff=cutoff,
-        coeffs=coeffs,
-        family="nonlinear",
-        params={"alpha_plus": complex(alpha_plus), "alpha_minus": complex(alpha_minus)},
-        norm_deficit=0.0,
+    table = np.outer(w_p, w_m)
+    table /= math.sqrt(float(np.sum(np.abs(table) ** 2)))
+    return _table_state(
+        table,
+        "nonlinear",
+        {"alpha_plus": complex(alpha_plus), "alpha_minus": complex(alpha_minus)},
     )
 
 
@@ -302,19 +369,17 @@ def photon_added_state(
     w_m = _added_mode(alpha_minus, m_minus, cutoff)
     _check_mode_tail(w_p, "plus mode")
     _check_mode_tail(w_m, "minus mode")
-    coeffs = np.outer(w_p, w_m)
-    coeffs /= math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
-    return StateVector(
-        cutoff=cutoff,
-        coeffs=coeffs,
-        family="photon_added",
-        params={
+    table = np.outer(w_p, w_m)
+    table /= math.sqrt(float(np.sum(np.abs(table) ** 2)))
+    return _table_state(
+        table,
+        "photon_added",
+        {
             "alpha_plus": complex(alpha_plus),
             "alpha_minus": complex(alpha_minus),
             "m_plus": m_plus,
             "m_minus": m_minus,
         },
-        norm_deficit=0.0,
     )
 
 
@@ -344,20 +409,17 @@ def su2_state(j: float, zeta: complex, cutoff: Optional[int] = None) -> StateVec
     n_cut = two_j if cutoff is None else cutoff
     if n_cut < two_j:
         raise CutoffTooSmall(f"cutoff {n_cut} < 2j = {two_j}")
-    coeffs = np.zeros((n_cut + 1, n_cut + 1), dtype=complex)
+    amps = np.empty(two_j + 1, dtype=complex)
     pref = (1.0 + abs(zeta) ** 2) ** (-j)
     for m in range(two_j + 1):
         log_binom = 0.5 * (
             gammaln(two_j + 1) - gammaln(m + 1) - gammaln(two_j - m + 1)
         )
-        coeffs[m, two_j - m] = pref * math.exp(log_binom) * zeta**m
-    deficit = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
+        amps[m] = pref * math.exp(log_binom) * zeta**m
+    m = np.arange(two_j + 1)
     return StateVector(
-        cutoff=n_cut,
-        coeffs=coeffs,
-        family="su2",
-        params={"j": j, "zeta": complex(zeta)},
-        norm_deficit=deficit,
+        n_cut, m, two_j - m, amps, "su2", {"j": j, "zeta": complex(zeta)},
+        1.0 - float(np.sum(np.abs(amps) ** 2)),
     )
 
 
@@ -384,20 +446,17 @@ def su2_pa_state(
         / gamma_fn(1 + two_j - p)
         * float(hypergeometric([1 + p, p - two_j], [1.0], -abs(zeta) ** 2).real)
     )
-    coeffs = np.zeros((n_cut + 1, n_cut + 1), dtype=complex)
+    amps = np.empty(two_j - p + 1, dtype=complex)
     for m in range(two_j - p + 1):
         log_mag = 0.5 * (gammaln(two_j + 1) + gammaln(m + p + 1)) - gammaln(
             m + 1
         ) - 0.5 * gammaln(two_j - m - p + 1)
-        coeffs[m + p, two_j - m - p] = math.exp(log_mag) * zeta**m
-    coeffs /= math.sqrt(norm_sq)
-    deficit = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
+        amps[m] = math.exp(log_mag) * zeta**m
+    amps /= math.sqrt(norm_sq)
+    n_plus = np.arange(p, two_j + 1)
     return StateVector(
-        cutoff=n_cut,
-        coeffs=coeffs,
-        family="su2_pa",
-        params={"j": j, "zeta": complex(zeta), "p": p},
-        norm_deficit=deficit,
+        n_cut, n_plus, two_j - n_plus, amps, "su2_pa", {"j": j, "zeta": complex(zeta), "p": p},
+        1.0 - float(np.sum(np.abs(amps) ** 2)),
     )
 
 
@@ -430,13 +489,12 @@ def _lattice_ell(k_mode) -> tuple:
 def _bg_cutoff(abs_z: float, two_k: float) -> int:
     if abs_z == 0.0:
         return 8
-    best = -math.inf
-    for m in range(8, _MAX_CUTOFF):
-        log_term = 2 * m * math.log(abs_z) - gammaln(m + 1) - gammaln(m + two_k)
-        best = max(best, log_term)
-        if log_term < best - 40.0:
-            return m
-    raise CutoffOverflow(f"|z| = {abs_z} needs a cutoff beyond {_MAX_CUTOFF}")
+    return _first_index(
+        lambda m: 2 * m * math.log(abs_z) - gammaln(m + 1) - gammaln(m + two_k),
+        8,
+        lambda term, peak, m: term < peak - 40.0,
+        f"|z| = {abs_z}",
+    )
 
 
 def su11_bg_state(k_mode, z: complex, cutoff: Optional[int] = None) -> StateVector:
@@ -451,29 +509,20 @@ def su11_bg_state(k_mode, z: complex, cutoff: Optional[int] = None) -> StateVect
     if n_cut > _MAX_CUTOFF:
         raise CutoffOverflow(f"cutoff {n_cut} beyond supported {_MAX_CUTOFF}")
     nu = two_k - 1.0
-    if z == 0:
-        log_norm = 0.5 * gammaln(two_k)  # limit |z|^nu / I_nu(2|z|) -> Gamma(2k)
+    i_nu = float(bessel("I", nu, 2 * abs(z)))
+    if z == 0 or not i_nu > 0.0:
+        # limit |z|^nu / I_nu(2|z|) -> Gamma(2k), reached in double precision
+        # long before scipy's iv returns 0 or NaN (|z| below about 1e-77)
+        log_norm = 0.5 * gammaln(two_k)
     else:
-        log_norm = 0.5 * (
-            nu * math.log(abs(z)) - math.log(float(bessel("I", nu, 2 * abs(z))))
-        )
-    coeffs = np.zeros((n_cut + 1, n_cut + 1), dtype=complex)
-    for m in range(n_cut - ell + 1):
-        if z == 0 and m > 0:
-            break
-        log_mag = (
-            log_norm
-            + (m * math.log(abs(z)) if z != 0 else 0.0)
-            - 0.5 * (gammaln(m + 1) + gammaln(m + two_k))
-        )
-        coeffs[m + ell, m] = math.exp(log_mag) * np.exp(1j * m * np.angle(z))
-    deficit = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
+        log_norm = 0.5 * (nu * math.log(abs(z)) - math.log(i_nu))
+    m = np.arange(n_cut - ell + 1 if z != 0 else 1)
+    log_z = math.log(abs(z)) if z != 0 else 0.0
+    log_mag = log_norm + m * log_z - 0.5 * (gammaln(m + 1) + gammaln(m + two_k))
+    amps = _exp(log_mag) * np.exp(1j * m * np.angle(z))
     return StateVector(
-        cutoff=n_cut,
-        coeffs=coeffs,
-        family="su11_bg",
-        params={"k": k, "ell": ell, "z": complex(z)},
-        norm_deficit=deficit,
+        n_cut, m + ell, m, amps, "su11_bg", {"k": k, "ell": ell, "z": complex(z)},
+        1.0 - float(np.sum(np.abs(amps) ** 2)),
     )
 
 
@@ -491,34 +540,22 @@ def su11_perelomov_state(k_mode, eta: complex, cutoff: Optional[int] = None) -> 
     m_needed = 8
     if eta != 0:
         log_eta_sq = 2.0 * math.log(abs(eta))
-        best = -math.inf
-        for m in range(8, _MAX_CUTOFF):
-            log_term = (
-                gammaln(two_k + m) - gammaln(m + 1) - gammaln(two_k) + m * log_eta_sq
-            )
-            best = max(best, log_term)
-            if log_term < best + math.log1p(-abs(eta) ** 2) - 34.0:
-                m_needed = m
-                break
-        else:
-            raise CutoffOverflow(f"|eta| = {abs(eta)} too close to the disk edge")
+        m_needed = _first_index(
+            lambda m: gammaln(two_k + m) - gammaln(m + 1) - gammaln(two_k) + m * log_eta_sq,
+            8,
+            lambda term, peak, m: term < peak + math.log1p(-abs(eta) ** 2) - 34.0,
+            f"|eta| = {abs(eta)}",
+        )
     n_cut = max((cutoff or 0), m_needed + ell)
-    coeffs = np.zeros((n_cut + 1, n_cut + 1), dtype=complex)
-    pref = (1.0 - abs(eta) ** 2) ** k
-    for m in range(n_cut - ell + 1):
-        if eta == 0 and m > 0:
-            break
-        log_mag = 0.5 * (gammaln(two_k + m) - gammaln(m + 1) - gammaln(two_k))
-        coeffs[m + ell, m] = pref * math.exp(
-            log_mag + (m * math.log(abs(eta)) if eta != 0 else 0.0)
-        ) * np.exp(1j * m * np.angle(eta))
-    deficit = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
+    m = np.arange(n_cut - ell + 1 if eta != 0 else 1)
+    log_eta = math.log(abs(eta)) if eta != 0 else 0.0
+    log_mag = 0.5 * (gammaln(two_k + m) - gammaln(m + 1) - gammaln(two_k))
+    amps = (1.0 - abs(eta) ** 2) ** k * _exp(log_mag + m * log_eta) * np.exp(
+        1j * m * np.angle(eta)
+    )
     return StateVector(
-        cutoff=n_cut,
-        coeffs=coeffs,
-        family="su11_perelomov",
-        params={"k": k, "ell": ell, "eta": complex(eta)},
-        norm_deficit=deficit,
+        n_cut, m + ell, m, amps, "su11_perelomov", {"k": k, "ell": ell, "eta": complex(eta)},
+        1.0 - float(np.sum(np.abs(amps) ** 2)),
     )
 
 
@@ -530,6 +567,16 @@ def _pa_weight_f(k: float, l: int, m: np.ndarray) -> np.ndarray:
         - gammaln(m + l + 1)
         - gammaln(m + 2.0 * k + l)
     )
+
+
+def _series_amps(w: complex, m: np.ndarray, log_weight: Callable) -> np.ndarray:
+    """w^m exp(-log_weight() / 2), normalized by its own truncated sum; w = 0
+    gives m = 0 alone without evaluating the weights."""
+    if w == 0:
+        return (m == 0).astype(complex)
+    log_mag = m * math.log(abs(w)) - 0.5 * log_weight()
+    amps = np.exp(log_mag - np.max(log_mag)) * np.exp(1j * m * np.angle(w))
+    return amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
 
 
 def su11_pa_perelomov_state(
@@ -548,45 +595,32 @@ def su11_pa_perelomov_state(
     # term ratio -> |eta|^2 for large m; stop well past the series peak
     m_needed = 12
     if eta != 0:
-        best = -math.inf
-        for m in range(12, _MAX_CUTOFF):
-            log_term = (
-                2 * m * math.log(abs(eta))
-                - float(np.log(_pa_weight_f(k, l, np.array([m])))[0])
-            )
-            best = max(best, log_term)
-            if log_term < best + math.log1p(-abs(eta) ** 2) - 34.0:
-                m_needed = m
-                break
-        else:
-            raise CutoffOverflow(f"|eta| = {abs(eta)} too close to the disk edge")
+        m_needed = _first_index(
+            lambda m: 2 * m * math.log(abs(eta)) - np.log(_pa_weight_f(k, l, m)),
+            12,
+            lambda term, peak, m: term < peak + math.log1p(-abs(eta) ** 2) - 34.0,
+            f"|eta| = {abs(eta)}",
+        )
     n_cut = max((cutoff or 0), m_needed + shift)
-    m_arr = np.arange(n_cut - shift + 1)
-    if eta == 0:
-        amps = np.zeros(m_arr.size, dtype=complex)
-        amps[0] = 1.0
-    else:
-        log_mag = m_arr * math.log(abs(eta)) - 0.5 * np.log(_pa_weight_f(k, l, m_arr))
-        amps = np.exp(log_mag - np.max(log_mag)) * np.exp(1j * m_arr * np.angle(eta))
-    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-    coeffs = np.zeros((n_cut + 1, n_cut + 1), dtype=complex)
-    coeffs[m_arr + shift, m_arr + l] = amps
+    m = np.arange(n_cut - shift + 1)
+    amps = _series_amps(eta, m, lambda: np.log(_pa_weight_f(k, l, m)))
     return StateVector(
-        cutoff=n_cut,
-        coeffs=coeffs,
-        family="su11_pa_perelomov",
-        params={"k": k, "eta": complex(eta), "l": l},
-        norm_deficit=0.0,
+        n_cut, m + shift, m + l, amps, "su11_pa_perelomov", {"k": k, "eta": complex(eta), "l": l}
     )
 
 
-def _pa_bg_weight(k: float, n_add: int, m: np.ndarray) -> np.ndarray:
-    """rho_n(k, m) = [Gamma(m+1) Gamma(m+2k)]^2 / (Gamma(m+n+1) Gamma(m+n+2k))."""
-    return np.exp(
+def _pa_bg_log_weight(k: float, n_add: int, m: np.ndarray) -> np.ndarray:
+    """log rho_n(k, m), rho_n = [Gamma(m+1) Gamma(m+2k)]^2 / (Gamma(m+n+1) Gamma(m+n+2k))."""
+    return (
         2.0 * (gammaln(m + 1) + gammaln(m + 2.0 * k))
         - gammaln(m + n_add + 1)
         - gammaln(m + n_add + 2.0 * k)
     )
+
+
+def _pa_bg_weight(k: float, n_add: int, m: np.ndarray) -> np.ndarray:
+    """rho_n(k, m), the PA-BG moment sequence."""
+    return np.exp(_pa_bg_log_weight(k, n_add, m))
 
 
 def su11_pa_bg_state(
@@ -605,22 +639,10 @@ def su11_pa_bg_state(
     n_cut = max((cutoff or 0), m_needed + shift)
     if n_cut > _MAX_CUTOFF:
         raise CutoffOverflow(f"cutoff {n_cut} beyond supported {_MAX_CUTOFF}")
-    m_arr = np.arange(n_cut - shift + 1)
-    if z == 0:
-        amps = np.zeros(m_arr.size, dtype=complex)
-        amps[0] = 1.0
-    else:
-        log_mag = m_arr * math.log(abs(z)) - 0.5 * np.log(_pa_bg_weight(k, n_add, m_arr))
-        amps = np.exp(log_mag - np.max(log_mag)) * np.exp(1j * m_arr * np.angle(z))
-    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-    coeffs = np.zeros((n_cut + 1, n_cut + 1), dtype=complex)
-    coeffs[m_arr + shift, m_arr + n_add] = amps
+    m = np.arange(n_cut - shift + 1)
+    amps = _series_amps(z, m, lambda: np.log(_pa_bg_weight(k, n_add, m)))
     return StateVector(
-        cutoff=n_cut,
-        coeffs=coeffs,
-        family="su11_pa_bg",
-        params={"k": k, "z": complex(z), "n_add": n_add},
-        norm_deficit=0.0,
+        n_cut, m + shift, m + n_add, amps, "su11_pa_bg", {"k": k, "z": complex(z), "n_add": n_add}
     )
 
 
@@ -675,20 +697,31 @@ def perelomov_overlap(ell: int, eta1: complex, eta2: complex) -> complex:
     )
 
 
-def _pa_bg_norm(k: float, n_add: int, abs_z: float) -> float:
-    """Truncated-series normalization constant of a PA-BG state."""
-    total = 0.0
-    for m in range(_MAX_CUTOFF):
-        log_term = (
-            2 * m * math.log(abs_z) if abs_z > 0 else (0.0 if m == 0 else -math.inf)
-        ) - math.log(float(_pa_bg_weight(k, n_add, np.array([m]))[0]))
-        term = math.exp(log_term)
-        total += term
-        if m > 8 and term < 1e-18 * total:
-            return total**-0.5
-    raise NormalizationDiverges(
-        f"PA-BG normalization at |z| = {abs_z} not converged in {_MAX_CUTOFF} terms"
+def _pa_bg_terms(log_term: Callable, scale: float, n_add: int, error: type, what: str):
+    """(m, peak, exp(log_term(m) - peak)) of a PA-BG sum, capped at _MAX_CUTOFF.
+
+    Once m >= n_add the term ratio is at most 4 scale^2 / (m+1)^2, so 64
+    terms past 4 scale + n_add end far below 1e-18 of the peak; error is
+    raised unless the last term is.
+    """
+    m = np.arange(min(_MAX_CUTOFF, int(4 * scale) + n_add + 64))
+    terms = log_term(m)
+    peak = float(np.max(terms))
+    if terms[-1] > peak + math.log(1e-18):
+        raise error(f"{what} not converged in {m.size} terms")
+    return m, peak, np.exp(terms - peak)
+
+
+def _pa_bg_log_norm(k: float, n_add: int, abs_z: float) -> float:
+    """Log of the truncated-series normalization constant of a PA-BG state."""
+    _, peak, terms = _pa_bg_terms(
+        lambda m: xlogy(2 * m, abs_z) - _pa_bg_log_weight(k, n_add, m),
+        abs_z,
+        n_add,
+        NormalizationDiverges,
+        f"PA-BG normalization at |z| = {abs_z}",
     )
+    return -0.5 * (peak + math.log(np.sum(terms)))
 
 
 def pa_bg_overlap(k: float, n1: int, n2: int, z1: complex, z2: complex) -> complex:
@@ -696,19 +729,32 @@ def pa_bg_overlap(k: float, n1: int, n2: int, z1: complex, z2: complex) -> compl
 
     M2 M1 conj(z2)^d Gamma(n1+1) Gamma(n1+2k) / (Gamma(2k) Gamma(d+1)
     Gamma(d+2k)) 2F3(n1+1, n1+2k; d+1, d+2k, 2k; conj(z2) z1), d = n1 - n2.
+    The constants and the series terms are summed in logs, so nothing
+    overflows at large |z|; the modulus of each term is that of a lattice
+    product |c1 c2|, so the absolute error stays at roundoff.
     """
     if n1 < n2:
         return complex(np.conj(pa_bg_overlap(k, n2, n1, z2, z1)))
     d = n1 - n2
-    norm1 = _pa_bg_norm(k, n1, abs(z1))
-    norm2 = _pa_bg_norm(k, n2, abs(z2))
-    pref = gamma_fn(n1 + 1) * gamma_fn(n1 + 2 * k) / (
-        gamma_fn(2 * k) * gamma_fn(d + 1) * gamma_fn(d + 2 * k)
+    log_scale = (
+        _pa_bg_log_norm(k, n1, abs(z1)) + _pa_bg_log_norm(k, n2, abs(z2)) + xlogy(d, abs(z2))
     )
-    series = hypergeometric(
-        [n1 + 1, n1 + 2 * k], [d + 1, d + 2 * k, 2 * k], np.conj(z2) * z1
+    x = complex(np.conj(z2) * z1)
+    m, peak, terms = _pa_bg_terms(
+        lambda m: xlogy(m, abs(x))
+        + gammaln(m + n1 + 1)
+        + gammaln(m + n1 + 2.0 * k)
+        - gammaln(m + d + 1)
+        - gammaln(m + d + 2.0 * k)
+        - gammaln(m + 2.0 * k)
+        - gammaln(m + 1),
+        math.sqrt(abs(x)),
+        n1,
+        DivergentSeries,
+        f"PA-BG 2F3 series at |x| = {abs(x)}",
     )
-    return norm1 * norm2 * np.conj(z2) ** d * pref * series
+    series = np.sum(terms * np.exp(1j * m * np.angle(x)))
+    return complex(math.exp(log_scale + peak) * series * np.exp(-1j * d * np.angle(z2)))
 
 
 # ---------------------------------------------------------------------------
@@ -931,37 +977,40 @@ def _param_value_to_json(v):
 
 
 def state_to_json(s: StateVector) -> str:
-    """Dump a state as {"family", "params", "cutoff", "coeffs"} JSON."""
-    rows = []
-    nz = np.argwhere(np.abs(s.coeffs) > 0)
-    for n_p, n_m in nz:
-        c = s.coeffs[n_p, n_m]
-        rows.append([int(n_p), int(n_m), float(c.real), float(c.imag)])
+    """Dump a state as {"family", "params", "cutoff", "norm_deficit", "coeffs"}.
+
+    The text is exactly json.dumps(doc, indent=2, sort_keys=True), with one
+    [n_plus, n_minus, re, im] row per nonzero amplitude in row-major order.
+    "coeffs" sorts first, so its rows are formatted in one pass over the
+    support and put in front of the dump of the other keys.
+    """
     doc = {
         "family": s.family,
         "params": {k: _param_value_to_json(v) for k, v in s.params.items()},
         "cutoff": s.cutoff,
         "norm_deficit": s.norm_deficit,
-        "coeffs": rows,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    rest = json.dumps(doc, indent=2, sort_keys=True)
+    nz = np.flatnonzero(s.amps)
+    amps = s.amps[nz]
+    columns = [map(repr, c.tolist()) for c in (s.n_plus[nz], s.n_minus[nz], amps.real, amps.imag)]
+    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*columns)))
+    coeffs = f"[\n    [\n      {rows}\n    ]\n  ]" if nz.size else "[]"
+    return '{\n  "coeffs": ' + coeffs + "," + rest[1:]
 
 
 def state_from_json(text: str) -> StateVector:
     """Inverse of state_to_json."""
     doc = json.loads(text)
-    cutoff = int(doc["cutoff"])
-    coeffs = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for n_p, n_m, re, im in doc["coeffs"]:
-        coeffs[int(n_p), int(n_m)] = re + 1j * im
+    rows = np.asarray(doc["coeffs"] or np.empty((0, 4)), dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise InvalidState("each coeffs row must be [n_plus, n_minus, re, im]")
+    amps = np.empty(len(rows), dtype=complex)
+    amps.real, amps.imag = rows[:, 2], rows[:, 3]
     params = {
         k: (complex(v["re"], v["im"]) if isinstance(v, dict) and set(v) == {"re", "im"} else v)
         for k, v in doc.get("params", {}).items()
     }
-    return StateVector(
-        cutoff=cutoff,
-        coeffs=coeffs,
-        family=doc["family"],
-        params=params,
-        norm_deficit=float(doc.get("norm_deficit", 1.0 - np.sum(np.abs(coeffs) ** 2))),
-    )
+    deficit = float(doc.get("norm_deficit", 1.0 - np.sum(np.abs(amps) ** 2)))
+    n_plus, n_minus = rows[:, :2].T.astype(np.intp)
+    return StateVector(int(doc["cutoff"]), n_plus, n_minus, amps, doc["family"], params, deficit)

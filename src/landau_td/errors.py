@@ -101,6 +101,10 @@ class UnsupportedFamily(ValidationError):
     """Unknown coherent-state family tag (or parameters off the lattice)."""
 
 
+class InvalidState(ValidationError):
+    """State support off the lattice, repeated, non-finite or over-normalized."""
+
+
 # ---------------------------------------------------------------------------
 # numerical failures
 # ---------------------------------------------------------------------------

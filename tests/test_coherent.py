@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +21,7 @@ from landau_td.errors import (
     CutoffTooSmall,
     DomainError,
     EtaOutOfDisk,
+    InvalidState,
     NormalizationDiverges,
     PTooLarge,
     UnsupportedFamily,
@@ -66,6 +68,21 @@ class TestCanonical:
         got = abs(ch.overlap(s1, s2))
         want = ch.canonical_overlap_modulus(1.0, 0.5 + 0.2j, 0.3, 0.1)
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_cutoff_past_poisson_peak(self):
+        # past |z| = 7.67 the first term below 1e-16 lies before the Poisson
+        # peak n ~ |z|^2; below that the cutoff is that first small term
+        def first_small(a):
+            n = 8
+            while a and -a * a + 2 * n * math.log(a) - gammaln(n + 1) >= math.log(1e-16):
+                n += 1
+            return n
+
+        for a in np.linspace(0.0, 7.67, 200):
+            assert ch._poisson_cutoff(a) == first_small(a)
+        s = ch.canonical_state(8.0, 0.0)
+        assert s.cutoff == 140
+        assert abs(s.norm_deficit) <= 1e-12
 
     def test_cutoff_mismatch(self):
         s1 = ch.canonical_state(1.0, 0.0, cutoff=20)
@@ -402,6 +419,47 @@ class TestSu11PhotonAddedBG:
         with pytest.raises(NormalizationDiverges):
             ch.pa_bg_overlap(1.0, 1, 1, 5.0, 5.0)
 
+    @staticmethod
+    @mp.workdps(40)
+    def _mp_overlap(k, n1, n2, z1, z2):
+        # 2F3 closed form with its normalizations, N_n = Gamma(n+1) Gamma(n+2k)
+        # / Gamma(2k)^2 2F3(n+1, n+2k; 1, 2k, 2k; |z|^2), in 40 digits
+        d = n1 - n2
+        x = mp.conj(mp.mpc(z2)) * mp.mpc(z1)
+
+        def norm(n, z):
+            return (
+                mp.gamma(n + 1) * mp.gamma(n + 2 * k) / mp.gamma(2 * k) ** 2
+                * mp.hyper([n + 1, n + 2 * k], [1, 2 * k, 2 * k], abs(mp.mpc(z)) ** 2)
+            )
+
+        series = (
+            mp.gamma(n1 + 1) * mp.gamma(n1 + 2 * k)
+            / (mp.gamma(d + 1) * mp.gamma(d + 2 * k) * mp.gamma(2 * k))
+            * mp.hyper([n1 + 1, n1 + 2 * k], [d + 1, d + 2 * k, 2 * k], x)
+        )
+        return complex(mp.conj(mp.mpc(z2)) ** d * series / mp.sqrt(norm(n1, z1) * norm(n2, z2)))
+
+    @pytest.mark.parametrize(
+        "k, n1, n2, z1, z2",
+        [
+            (1.0, 1, 1, 30.0, 30.0),
+            (1.0, 1, 1, 300.0, 300.0),
+            (1.0, 1, 1, 400.0, 400.0),
+            (1.5, 2, 1, 300.0, 299.0 + 12j),
+            (1.0, 2, 0, 280.0 + 96j, 300.0),
+        ],
+    )
+    def test_overlap_at_large_z(self, k, n1, n2, z1, z2):
+        # the constants and the 2F3 terms overflow double precision past
+        # |z| ~ 170 unless they are summed in logs
+        got = ch.pa_bg_overlap(k, n1, n2, z1, z2)
+        assert abs(got - self._mp_overlap(k, n1, n2, z1, z2)) < 1e-12
+
+    def test_overlap_beyond_term_cap_raises(self):
+        with pytest.raises(NormalizationDiverges):
+            ch.pa_bg_overlap(1.0, 1, 1, 1e4, 1e4)
+
 
 class TestSingleModeWavefunction:
     @staticmethod
@@ -568,3 +626,176 @@ class TestSerialization:
         assert set(doc) >= {"family", "params", "cutoff", "coeffs"}
         n_p, n_m, re, im = doc["coeffs"][0]
         assert isinstance(n_p, int) and isinstance(re, float)
+
+
+# ---------------------------------------------------------------------------
+# support storage, JSON codec and validation
+# ---------------------------------------------------------------------------
+
+SU11_K = (0.5, 1.0, 1.5, 2.0)
+
+
+def _disk(r_max):
+    """Complex numbers of modulus <= r_max, drawn as modulus and phase."""
+    return st.builds(
+        lambda r, phi: complex(r * math.cos(phi), r * math.sin(phi)),
+        st.floats(0.0, r_max),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+
+
+@st.composite
+def _builders(draw, family):
+    """A builder cutoff -> state of the family, cutoff None meaning automatic."""
+    if family == "canonical":
+        zp, zm = draw(_disk(4.0)), draw(_disk(4.0))
+        return lambda cut: ch.canonical_state(zp, zm, cut)
+    if family == "nonlinear":
+        ap, am, c = draw(_disk(1.5)), draw(_disk(1.5)), draw(st.floats(0.0, 0.3))
+        f = lambda n: 1.0 + c * n  # noqa: E731
+        return lambda cut: ch.nonlinear_state(ap, am, f, f, cut or 30)
+    if family == "photon_added":
+        ap, am = draw(_disk(2.0)), draw(_disk(2.0))
+        mp, mm = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        return lambda cut: ch.photon_added_state(ap, am, mp, mm, cut or 40)
+    if family in ("su2", "su2_pa"):
+        two_j, zeta = draw(st.integers(0, 40)), draw(_disk(3.0))
+        if family == "su2":
+            return lambda cut: ch.su2_state(two_j / 2.0, zeta, cut)
+        p = draw(st.integers(0, two_j))
+        return lambda cut: ch.su2_pa_state(two_j / 2.0, zeta, p, cut)
+    k = draw(st.sampled_from(SU11_K))
+    if family == "su11_bg":
+        z = draw(_disk(4.0))
+        return lambda cut: ch.su11_bg_state(("two_mode", k), z, cut)
+    if family == "su11_pa_bg":
+        z, n = draw(_disk(3.0)), draw(st.integers(0, 3))
+        return lambda cut: ch.su11_pa_bg_state(k, z, n, cut)
+    eta = draw(_disk(0.9))
+    if family == "su11_perelomov":
+        return lambda cut: ch.su11_perelomov_state(("two_mode", k), eta, cut)
+    l_add = draw(st.integers(0, 3))
+    return lambda cut: ch.su11_pa_perelomov_state(k, eta, l_add, cut)
+
+
+FAMILIES = (
+    "canonical",
+    "nonlinear",
+    "photon_added",
+    "su2",
+    "su2_pa",
+    "su11_bg",
+    "su11_perelomov",
+    "su11_pa_bg",
+    "su11_pa_perelomov",
+)
+_states = st.sampled_from(FAMILIES).flatmap(_builders).map(lambda build: build(None))
+
+
+def _reference_json(s):
+    """The dense-table dump: one row per nonzero entry, in row-major order."""
+    table = s.coeffs
+    rows = [
+        [int(n_p), int(n_m), float(table[n_p, n_m].real), float(table[n_p, n_m].imag)]
+        for n_p, n_m in np.argwhere(np.abs(table) > 0)
+    ]
+    doc = {
+        "family": s.family,
+        "params": {
+            k: ({"re": v.real, "im": v.imag} if isinstance(v, complex) else v)
+            for k, v in s.params.items()
+        },
+        "cutoff": s.cutoff,
+        "norm_deficit": s.norm_deficit,
+        "coeffs": rows,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+class TestSupport:
+    @given(s=_states)
+    @settings(max_examples=60, deadline=None)
+    def test_json_bytes_match_dense_dump(self, s):
+        assert ch.state_to_json(s) == _reference_json(s)
+
+    @given(s=_states)
+    @settings(max_examples=60, deadline=None)
+    def test_json_round_trip_exact(self, s):
+        text = ch.state_to_json(s)
+        assert ch.state_to_json(ch.state_from_json(text)) == text
+
+    @given(data=st.data(), family=st.sampled_from(FAMILIES))
+    @settings(max_examples=60, deadline=None)
+    def test_overlap_matches_dense_vdot(self, data, family):
+        build_a, build_b = data.draw(_builders(family)), data.draw(_builders(family))
+        cut = max(build_a(None).cutoff, build_b(None).cutoff)
+        a, b = build_a(cut), build_b(cut)
+        want = np.vdot(a.coeffs, b.coeffs)
+        assert abs(ch.overlap(a, b) - want) <= 1e-14
+
+    @given(data=st.data(), family=st.sampled_from(["canonical", "su2", "su2_pa", "bg", "perelomov"]))
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_norm_deficit(self, data, family):
+        # families normalised by an exact constant lose only the truncated tail
+        if family == "canonical":
+            s = ch.canonical_state(data.draw(_disk(12.0)), data.draw(_disk(12.0)))
+        elif family in ("su2", "su2_pa"):
+            two_j = data.draw(st.integers(0, 80))
+            zeta = data.draw(_disk(5.0))
+            if family == "su2":
+                s = ch.su2_state(two_j / 2.0, zeta)
+            else:
+                s = ch.su2_pa_state(two_j / 2.0, zeta, data.draw(st.integers(0, two_j)))
+        elif family == "bg":
+            k = data.draw(st.sampled_from(SU11_K))
+            s = ch.su11_bg_state(("two_mode", k), data.draw(_disk(12.0)))
+        else:
+            k = data.draw(st.sampled_from(SU11_K))
+            s = ch.su11_perelomov_state(("two_mode", k), data.draw(_disk(0.99)))
+        assert abs(s.norm_deficit) <= 1e-12
+
+    def test_dense_table_read_only(self):
+        s = ch.su2_state(1.0, 0.5)
+        with pytest.raises(ValueError):
+            s.coeffs[0, 2] = 0.0
+        assert s.coeffs[0, 2] != 0.0
+
+    def test_rows_in_any_order_read_back_row_major(self):
+        text = ch.state_to_json(ch.su2_state(1.5, 0.4 - 0.2j))
+        doc = json.loads(text)
+        doc["coeffs"].reverse()
+        assert ch.state_to_json(ch.state_from_json(json.dumps(doc))) == text
+
+    @staticmethod
+    def _edited(edit):
+        doc = json.loads(ch.state_to_json(ch.su2_state(1.0, 0.5)))
+        edit(doc["coeffs"])
+        return json.dumps(doc)
+
+    def test_negative_index_rejected(self):
+        def edit(rows):
+            rows[0][0] = -1
+
+        with pytest.raises(InvalidState, match="outside"):
+            ch.state_from_json(self._edited(edit))
+
+    def test_index_past_cutoff_rejected(self):
+        def edit(rows):
+            rows[0][1] = 3
+
+        with pytest.raises(InvalidState, match="outside"):
+            ch.state_from_json(self._edited(edit))
+
+    def test_duplicate_row_rejected(self):
+        def edit(rows):
+            rows.append([rows[0][0], rows[0][1], 0.0, 0.0])
+
+        with pytest.raises(InvalidState, match="twice"):
+            ch.state_from_json(self._edited(edit))
+
+    def test_nan_amplitude_rejected(self):
+        def edit(rows):
+            rows[1][2] = float("nan")
+
+        with pytest.raises(InvalidState, match="non-finite"):
+            ch.state_from_json(self._edited(edit))
