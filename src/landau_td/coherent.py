@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
-from scipy.special import gammaln, hyp2f1, psi, xlogy
+from scipy.special import gammaln, hyp0f1, xlogy
 
 from .auxode import AuxiliarySolution
 from .errors import (
@@ -51,7 +50,7 @@ from .errors import (
     ZeroF,
 )
 from .profiles import ParameterProfile
-from .specfun import MeijerGSpec, bessel, gamma_fn, hypergeometric, meijer_g
+from .specfun import MeijerGSpec, bessel, gamma_fn, hyp2f1_logarithmic, hypergeometric, meijer_g
 from .spectrum import _drive_energy, _radial_energy
 
 __all__ = [
@@ -85,7 +84,6 @@ __all__ = [
 
 _MAX_CUTOFF = 10_000
 _TAIL_LOG = math.log(1e-16)
-_LOG_SERIES_TERMS = 400
 
 
 @dataclass
@@ -618,11 +616,6 @@ def _pa_bg_log_weight(k: float, n_add: int, m: np.ndarray) -> np.ndarray:
     )
 
 
-def _pa_bg_weight(k: float, n_add: int, m: np.ndarray) -> np.ndarray:
-    """rho_n(k, m), the PA-BG moment sequence."""
-    return np.exp(_pa_bg_log_weight(k, n_add, m))
-
-
 def su11_pa_bg_state(
     k: float, z: complex, n_add: int, cutoff: Optional[int] = None
 ) -> StateVector:
@@ -640,7 +633,7 @@ def su11_pa_bg_state(
     if n_cut > _MAX_CUTOFF:
         raise CutoffOverflow(f"cutoff {n_cut} beyond supported {_MAX_CUTOFF}")
     m = np.arange(n_cut - shift + 1)
-    amps = _series_amps(z, m, lambda: np.log(_pa_bg_weight(k, n_add, m)))
+    amps = _series_amps(z, m, lambda: _pa_bg_log_weight(k, n_add, m))
     return StateVector(
         n_cut, m + shift, m + n_add, amps, "su11_pa_bg", {"k": k, "z": complex(z), "n_add": n_add}
     )
@@ -670,10 +663,15 @@ def su2_overlap(j: float, zeta1: complex, zeta2: complex) -> complex:
 
 
 def _bg_series(nu: float, w: float) -> float:
-    """sum_m w^m / (m! Gamma(m+nu+1)) = I_nu(2 sqrt(w)) / w^{nu/2}."""
-    if w == 0.0:
-        return 1.0 / gamma_fn(nu + 1.0)
-    return float(bessel("I", nu, 2.0 * math.sqrt(w))) / w ** (nu / 2.0)
+    """sum_m w^m / (m! Gamma(m+nu+1)) = I_nu(2 sqrt(w)) / w^{nu/2}.
+
+    scipy's iv returns 0 or NaN for arguments below about 1e-77, and
+    w^{nu/2} underflows; there the series is 0F1(; nu+1; w) / Gamma(nu+1).
+    """
+    bess, scale = float(bessel("I", nu, 2.0 * math.sqrt(w))), w ** (nu / 2.0)
+    if bess > 0.0 and scale > 0.0:
+        return bess / scale
+    return float(hyp0f1(nu + 1.0, w)) / gamma_fn(nu + 1.0)
 
 
 def bg_overlap(ell: int, z1: float, z2: float) -> float:
@@ -835,14 +833,35 @@ def _su2_pa_target(two_j: int, p: int) -> Callable[[int], float]:
     return target
 
 
+def _su2_pa_weight(two_j: int, p: int):
+    """Exact su2_pa weight G^{2,1}_{2,2}(x | p-2j-1, p; 0, 0) / Gamma(2j+1) on
+    (0, inf); by the Mellin convolution theorem (DLMF 1.14(iv)) it is
+
+    W(x) = Gamma(N)^2 / (Gamma(N+p) Gamma(2j+1)) (1+x)^-N 2F1(N, p; N+p; 1-w),
+
+    with N = 2j+2-p and w = x/(1+x).
+    """
+    big_n = two_j + 2.0 - p
+    # in logs: at large p the prefactor alone underflows (1e-303 at 2j = 100,
+    # p = 90) where the weight does not
+    log_pref = 2.0 * gammaln(big_n) - gammaln(big_n + p) - gammaln(two_j + 1.0)
+    f = hyp2f1_logarithmic(big_n, float(p))
+
+    def evaluator(x):
+        x = np.asarray(x, dtype=float)
+        if not np.all(x > 0.0):
+            raise DomainError(f"su2_pa weight needs x > 0, got {np.min(x)}")
+        return np.exp(log_pref - big_n * np.log1p(x) + np.log(f(x / (1.0 + x))))
+
+    return evaluator
+
+
 def _pa_perelomov_density(k: float, l: int):
     """Exact PA-Perelomov weight on [0, 1], the Hausdorff density of F_l(k, m).
 
     W(x) = Gamma(2k) (1-x)^(c-1) / Gamma(c) 2F1(a, l; c; 1-x), a = 2k+l-1,
-    c = a+l (Klauder, Penson & Sixdeniers, PRA 64, 013817).  c = a+b is the
-    logarithmic case of 2F1 at 1, where hyp2f1 loses the digits of 1-x
-    (inf as x -> 0), so x < 1/16 uses the log series DLMF 15.8.10 in powers
-    of x.  At k = 1/2, l = 0 the weight is a unit point mass at x = 1.
+    c = a+l (Klauder, Penson & Sixdeniers, PRA 64, 013817).  At k = 1/2,
+    l = 0 the weight is a unit point mass at x = 1.
     """
     if l < 0:
         raise ValueError("added index l must be nonnegative")
@@ -853,33 +872,13 @@ def _pa_perelomov_density(k: float, l: int):
     a = 2.0 * k + l - 1.0
     c = a + l
     pref = math.exp(gammaln(2.0 * k) - gammaln(c))
-    split = 0.0
-    if l:
-        # 2F1 = Gamma(c)/(Gamma(a) Gamma(l)) sum_n (a)_n (l)_n / n!^2
-        #       [2 psi(n+1) - psi(a+n) - psi(l+n) - ln x] x^n
-        split = 1.0 / 16.0
-        n = np.arange(_LOG_SERIES_TERMS, dtype=float)
-        log_coef = (
-            gammaln(a + n) - gammaln(a) + gammaln(l + n) - gammaln(l) - 2.0 * gammaln(n + 1.0)
-        )
-        bound = log_coef + n * math.log(split)
-        below = np.flatnonzero(bound < np.max(bound) + _TAIL_LOG)
-        if not below.size:
-            raise DivergentSeries(f"log series needs more than {_LOG_SERIES_TERMS} terms")
-        n = n[: below[0]]
-        coef = np.exp(gammaln(c) - gammaln(a) - gammaln(l) + log_coef[: below[0]])
-        coef_psi = coef * (2.0 * psi(n + 1.0) - psi(a + n) - psi(l + n))
+    f = hyp2f1_logarithmic(a, float(l))
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
         vals = np.zeros_like(x)
-        near = (x >= split) & (x <= 1.0)
-        vals[near] = hyp2f1(a, l, c, 1.0 - x[near])
-        if l:
-            far = (x > 0.0) & (x < split)
-            xf = x[far]
-            vals[far] = polyval(xf, coef_psi) - np.log(xf) * polyval(xf, coef)
-        vals *= pref * np.clip(1.0 - x, 0.0, None) ** (c - 1.0)
+        inside = (x > 0.0) & (x <= 1.0)
+        vals[inside] = pref * f(x[inside]) * (1.0 - x[inside]) ** (c - 1.0)
         return vals if vals.ndim else float(vals)
 
     return evaluator
@@ -889,9 +888,11 @@ def weight_spec(family: str, params: Mapping) -> WeightSpec:
     """Weight function and moment targets for a family's identity resolution.
 
     Families: "canonical" (f = 1), "su2_pa" (j, p), "bg_pa" (k, n),
-    "perelomov_pa" (k, l).  su2_pa and bg_pa weights are Meijer G functions
-    on (0, inf); perelomov_pa is the exact Hausdorff density on [0, 1].
-    Deformations with nonconstant f have no closed density here.
+    "perelomov_pa" (k, l).  su2_pa is the exact 2F1 closed form on (0, inf)
+    and perelomov_pa the exact Hausdorff density on [0, 1], both through
+    ``specfun.hyp2f1_logarithmic``; bg_pa is the Meijer G^{4,0}_{2,4}
+    function on (0, inf).  Deformations with nonconstant f have no closed
+    density here.
     """
     if family == "canonical":
         return WeightSpec(
@@ -906,47 +907,23 @@ def weight_spec(family: str, params: Mapping) -> WeightSpec:
             raise UnsupportedFamily(
                 f"p = {p} > 2j = {two_j}: no admissible moments remain"
             )
-        g_spec = MeijerGSpec(
-            m=2, n=1, p=2, q=2, a=(p - two_j - 1.0, float(p)), b=(0.0, 0.0)
-        )
-        norm = gamma_fn(two_j + 1)
-
-        def evaluator(x):
-            return meijer_g(g_spec, x) / norm
-
         return WeightSpec(
             family=family,
-            evaluator=evaluator,
+            evaluator=_su2_pa_weight(two_j, p),
             moment_target=_su2_pa_target(two_j, p),
             m_max=two_j - p,
         )
     if family == "bg_pa":
         k, n_add = float(params["k"]), int(params["n"])
         _lattice_ell(("two_mode", k))
+        ell = 2.0 * k - 1.0
         g_spec = MeijerGSpec(
-            m=4,
-            n=0,
-            p=2,
-            q=4,
-            a=(0.0, 2.0 * k - 1.0),
-            b=(
-                -float(n_add),
-                -float(n_add),
-                2.0 * k - 1.0 - n_add,
-                2.0 * k - 1.0 - n_add,
-            ),
+            4, 0, 2, 4, (0.0, ell), (-float(n_add), -float(n_add), ell - n_add, ell - n_add)
         )
-
-        def evaluator(x):
-            return meijer_g(g_spec, x)
-
-        def target(m: int) -> float:
-            return float(_pa_bg_weight(k, n_add, np.array([m]))[0])
-
         return WeightSpec(
             family=family,
-            evaluator=evaluator,
-            moment_target=target,
+            evaluator=lambda x: meijer_g(g_spec, x),
+            moment_target=lambda m: math.exp(_pa_bg_log_weight(k, n_add, m)),
             power_offset=n_add,
         )
     if family == "perelomov_pa":

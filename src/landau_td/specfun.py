@@ -4,27 +4,25 @@ Polynomials (generalized Laguerre, Hermite) are evaluated by their stable
 three-term recurrences, never by factorial-ratio closed forms (overflow for
 n of a few tens).  Bessel functions delegate to scipy.special behind a
 domain-checked wrapper.  The generalized hypergeometric pFq is a partial-sum
-evaluation with a term-ratio stopping rule.  Meijer G is evaluated by a
-numerical Mellin-Barnes contour integral, restricted to the two instances
-the weight-function work needs:
+evaluation with a term-ratio stopping rule.
 
-* ``G^{2,1}_{2,2}(x | (a1, a2); (0, 0))`` with a power-law tail; evaluated by
-  the vertical-line integral for x < 4 and by the convergent right-pole
-  residue series from x = 4 up.
-* ``G^{4,0}_{2,4}(x | a; b)`` which decays like exp(-2 sqrt(x)); the contour
-  abscissa is moved right like sqrt(x) so the integrand peak tracks the
-  result's scale (steepest-descent scaling, no cancellation blowup).
+``hyp2f1_logarithmic(a, b)`` evaluates 2F1(a, b; a+b; 1-w) on w in (0, 1],
+the logarithmic case c = a+b that the su2_pa and perelomov_pa weights need:
+a nonnegative power series in 1-w away from w = 0 and the DLMF 15.8.10 log
+series in w near it, both with coefficients fixed once per (a, b).
 
-Both use the Mellin kernel
+Meijer G is evaluated by a numerical Mellin-Barnes contour integral for the
+one instance the bg_pa weight needs, ``G^{4,0}_{2,4}(x | a; b)``, which
+decays like exp(-2 sqrt(x)).  With the Mellin kernel
 
-    M(s) = prod_{j<=m} Gamma(b_j+s) prod_{j<=n} Gamma(1-a_j-s)
-           / [prod_{j>m} Gamma(1-b_j-s) prod_{j>n} Gamma(a_j+s)]
+    M(s) = prod_{j<=4} Gamma(b_j+s) / prod_{j<=2} Gamma(a_j+s)
 
-with G(x) = (1/2 pi i) * integral of M(s) x^{-s} ds along Re s = c, the line
-separating the increasing (left) from the decreasing (right) Gamma pole
-families.  The integrand decays like exp(-pi |Im s|) for both instances.
-``meijer_g`` takes a scalar or an array of x and computes the Gamma kernel
-once per binary octave of x.
+G(x) = (1/2 pi i) * integral of M(s) x^{-s} ds along Re s = c, right of
+every pole; the integrand decays like exp(-pi |Im s|).  The abscissa is
+moved right like sqrt(x) so the integrand peak tracks the result's scale
+(steepest-descent scaling, no cancellation blowup).  ``meijer_g`` takes a
+scalar or an array of x and computes the Gamma kernel once per binary
+octave of x.
 """
 
 from __future__ import annotations
@@ -32,10 +30,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 from scipy import special as sp
 
 from .errors import (
@@ -53,6 +52,7 @@ __all__ = [
     "gamma_fn",
     "bessel",
     "hypergeometric",
+    "hyp2f1_logarithmic",
     "MeijerGSpec",
     "meijer_g",
 ]
@@ -213,19 +213,98 @@ def hypergeometric(a_list: Sequence[float], b_list: Sequence[float], z) -> compl
     return total
 
 
+_HYP2F1_MAX_TERMS = 1 << 16
+
+
+def _series_length(log_bound: np.ndarray, allowed, log_peak: float) -> int:
+    """First index past the peak of log_bound (and allowed) where the tail
+    bound is 1e-17 below log_peak: the number of terms to keep."""
+    n = np.arange(log_bound.size)
+    ok = allowed & (n > np.argmax(log_bound)) & (log_bound < log_peak + math.log(1e-17))
+    if not np.any(ok):
+        raise DivergentSeries(f"2F1 series not converged in {n.size} terms")
+    return int(np.argmax(ok))
+
+
+def hyp2f1_logarithmic(a: float, b: float) -> Callable:
+    """Evaluator of 2F1(a, b; a+b; 1-w) on w in (0, 1], for a > 0, b >= 0.
+
+    c = a+b is the logarithmic case, ~ -ln w as w -> 0, where scipy's hyp2f1
+    loses the digits of 1-w and is not uniform in (a, b).  Below w_s =
+    min(1/16, 4/g), g = max(a, 1) max(b, 1), the DLMF 15.8.10 log series
+
+        sum_n (a)_n (b)_n / (B(a, b) n!^2) [2 psi(n+1) - psi(a+n) - psi(b+n) - ln w] w^n
+
+    is summed, and from w_s up the power series sum_n (a)_n (b)_n /
+    ((a+b)_n n!) (1-w)^n of nonnegative terms.  The log-series terms grow
+    by a factor of up to g w per term before they cancel, which costs about
+    1e-13 of the result at g w = 4 and 1e-10 at g w = 20.  Both series are cut once per (a, b) where their tail bound
+    at w_s, the worst point of either branch, is 1e-17 of their largest
+    term; DivergentSeries when that takes over 65536 terms.  b = 0 gives 1.
+    """
+    if not (a > 0.0 and b >= 0.0):
+        raise DomainError(f"hyp2f1_logarithmic needs a > 0, b >= 0; got a = {a}, b = {b}")
+    if b == 0.0:
+        return lambda w: np.ones_like(np.asarray(w, dtype=float)) if np.ndim(w) else 1.0
+    w_s = min(1.0 / 16.0, 4.0 / (max(a, 1.0) * max(b, 1.0)))
+    # the power-series coefficients grow until n = ab - a - b, then the
+    # terms fall by (1 - w_s)^n: 64 / w_s more bring them below 1e-17 w_s
+    size = math.ceil(a * b + 64.0 / w_s)
+    if size > _HYP2F1_MAX_TERMS:
+        raise DivergentSeries(f"2F1({a}, {b}; {a + b}; 1-w) needs about {size} terms")
+    n = np.arange(size, dtype=float)
+    # coefficients are running products of their term ratios, each within a
+    # few ulps (Gamma-function logs near a+n lose up to 1e-12 of them)
+    step_pos = (a + n) * (b + n) / ((a + b + n) * (n + 1.0))
+    step_log = (a + n) * (b + n) / (n + 1.0) ** 2 * w_s
+    terms_pos = np.concatenate(([0.0], np.cumsum(np.log(step_pos[:-1])))) + n * math.log1p(-w_s)
+    # past its peak the tail of the power series is at most a term over w
+    n_pos = _series_length(
+        terms_pos - math.log(w_s), n >= a * b - a - b, float(np.max(terms_pos))
+    )
+    # log series in u = w/w_s: u^n (|psi part| - ln w) grows with w below
+    # w_s, so the term bound at w_s holds for every w below it
+    psi_part = 2.0 * sp.psi(n + 1.0) - sp.psi(a + n) - sp.psi(b + n)
+    terms_log = np.concatenate(([0.0], np.cumsum(np.log(step_log[:-1])))) + np.log(
+        np.abs(psi_part) - math.log(w_s)
+    )
+    n_log = _series_length(terms_log, True, float(np.max(terms_log)))
+    coef_pos = np.cumprod(np.concatenate(([1.0], step_pos[: n_pos - 1])))
+    coef_log = np.cumprod(np.concatenate(([1.0 / sp.beta(a, b)], step_log[: n_log - 1])))
+    log_series = list(zip(coef_log, psi_part[:n_log]))[::-1]
+
+    def evaluator(w):
+        w = np.asarray(w, dtype=float)
+        if not np.all((w > 0.0) & (w <= 1.0)):
+            raise DomainError("hyp2f1_logarithmic needs 0 < w <= 1")
+        out = np.empty_like(w)
+        near = w >= w_s
+        out[near] = polyval(1.0 - w[near], coef_pos)
+        # Horner in u = w/w_s on whole log-series terms: the psi and ln w
+        # sums apart would each be up to 1e4 times the result
+        wf = w[~near]
+        u, ln_w = wf / w_s, np.log(wf)
+        acc = np.zeros_like(wf)
+        for coef, psi_n in log_series:
+            acc = acc * u + coef * (psi_n - ln_w)
+        out[~near] = acc
+        return out if out.ndim else float(out)
+
+    return evaluator
+
+
 # ---------------------------------------------------------------------------
 # Meijer G
 # ---------------------------------------------------------------------------
 
-_ACCEPTED_ORDERS = {(2, 1, 2, 2), (4, 0, 2, 4)}
+_ACCEPTED_ORDERS = {(4, 0, 2, 4)}
 
 
 @dataclass(frozen=True)
 class MeijerGSpec:
     """Order tuple and parameter lists of a Meijer G instance.
 
-    Only (m,n,p,q) = (2,1,2,2) and (4,0,2,4) are accepted; these are the two
-    layouts the weight-function moment problems need.
+    Only (m,n,p,q) = (4,0,2,4) is accepted, the layout of the bg_pa weight.
     """
 
     m: int
@@ -251,21 +330,18 @@ class MeijerGSpec:
 
 def _mellin_log_kernel(spec: MeijerGSpec, s: np.ndarray) -> np.ndarray:
     """log M(s) on an array of complex points s, one loggamma per distinct factor."""
-    # (shift, sign) stands for Gamma(shift + sign * s), counted with its power
-    powers = Counter([(b, 1.0) for b in spec.b[: spec.m]])
-    powers.update([(1.0 - a, -1.0) for a in spec.a[: spec.n]])
-    powers.subtract([(1.0 - b, -1.0) for b in spec.b[spec.m :]])
-    powers.subtract([(a, 1.0) for a in spec.a[spec.n :]])
+    # shift stands for Gamma(shift + s), counted with its power
+    powers = Counter(spec.b)
+    powers.subtract(spec.a)
     out = np.zeros_like(s, dtype=complex)
-    for (shift, sign), power in powers.items():
+    for shift, power in powers.items():
         if power:
-            out += power * sp.loggamma(shift + sign * s)
+            out += power * sp.loggamma(shift + s)
     return out
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _T_MAX = 30.0
-_RESIDUE_TERMS = 400
 
 
 def _contour_integral(spec: MeijerGSpec, x, c: float):
@@ -306,62 +382,12 @@ def _contour_integral(spec: MeijerGSpec, x, c: float):
     return out if out.ndim else float(out)
 
 
-def _g2122_residue_series(spec: MeijerGSpec, x):
-    """Right-pole residue series of G^{2,1}_{2,2}, convergent for x > 1.
-
-    Closing the contour to the right picks up the simple poles of
-    Gamma(1-a1-s) at s_k = 1-a1+k:
-
-        G(x) = sum_k (-1)^k / k! * Gamma(b1+s_k) Gamma(b2+s_k) / Gamma(a2+s_k)
-               * x^{-s_k}
-
-    Summed for an array of x at once; each point stops at its first term
-    (past the third) below 1e-17 of the running sum, and DivergentSeries is
-    raised when one needs more than 400 terms (x too close to 1).
-    """
-    a1, a2 = spec.a
-    b1, b2 = spec.b
-    k = np.arange(_RESIDUE_TERMS, dtype=float)
-    s_k = 1.0 - a1 + k
-    log_coef = (
-        sp.gammaln(b1 + s_k) + sp.gammaln(b2 + s_k) - sp.gammaln(a2 + s_k) - sp.gammaln(k + 1.0)
-    )
-    log_x = np.log(np.asarray(x, dtype=float))
-    terms = (-1.0) ** k * np.exp(log_coef - np.multiply.outer(log_x, s_k))
-    totals = np.cumsum(terms, axis=-1)
-    done = (np.abs(terms) < 1e-17 * np.maximum(np.abs(totals), 1e-300)) & (k > 2)
-    if not np.all(np.any(done, axis=-1)):
-        worst = float(np.exp(np.min(log_x)))
-        raise DivergentSeries(
-            f"residue series needs over {_RESIDUE_TERMS} terms at x = {worst:.6g}"
-        )
-    out = np.take_along_axis(totals, np.argmax(done, axis=-1)[..., None], axis=-1)[..., 0]
-    return out if out.ndim else float(out)
-
-
-def _abscissa(ln_x: float, c_left: float, offset: float, c_right: Optional[float]) -> float:
-    """Contour abscissa at ln x, offset right of the left pole family.
-
-    The integrand carries x^{-c}, so a fixed offset costs x^{-offset} in
-    cancellation for x < 1: there the line moves to 2/|ln x| of the left
-    poles (caps the loss at e^2 for poles of order up to four), and for
-    x > 1 to 1/ln x of the first right pole, if any.
-    """
-    if ln_x < 0.0:
-        return c_left + min(offset, -2.0 / ln_x)
-    if c_right is not None and ln_x > 0.0:
-        return max(c_left + offset, c_right - 1.0 / ln_x)
-    return c_left + offset
-
-
 def meijer_g(spec: MeijerGSpec, x):
     """Evaluate the Meijer G instance at x > 0 (a scalar or an array).
 
     Array points are grouped by binary octave [2^(e-1), 2^e); the points of
     one octave share one contour abscissa and one T-grid, so the Gamma
-    kernel is evaluated once per octave, not once per point.  Raises
-    ContourFailure when no vertical line separates the two pole families
-    (for (2,1,2,2): needs max(-b_j) < 1 - a1).
+    kernel is evaluated once per octave, not once per point.
     """
     xa = np.asarray(x, dtype=float)
     if not np.all(xa > 0):
@@ -369,30 +395,18 @@ def meijer_g(spec: MeijerGSpec, x):
     flat = xa.ravel()
     out = np.empty_like(flat)
     c_left = max(-b for b in spec.b)
-    if (spec.m, spec.n, spec.p, spec.q) == (2, 1, 2, 2):
-        c_right = 1.0 - spec.a[0]
-        if not c_left < c_right:
-            raise ContourFailure(
-                f"pole families overlap: left boundary {c_left} >= right {c_right}"
-            )
-        offset = 0.5 * min(2.0, c_right - c_left)
-    else:
-        c_right, offset = None, 1.0
     expo = np.frexp(flat)[1]
     for e in np.unique(expo):
         octave = np.flatnonzero(expo == e)
         # at most 64 points share a contour, which bounds the phase matrices
         for idx in np.array_split(octave, -(-octave.size // 64)):
-            if c_right is not None and flat[idx[0]] >= 4.0:
-                # the right-pole residue series converges fast from x = 4 up
-                out[idx] = _g2122_residue_series(spec, flat[idx])
-                continue
             ln_mid = 0.5 * (math.log(np.min(flat[idx])) + math.log(np.max(flat[idx])))
-            c = _abscissa(ln_mid, c_left, offset, c_right)
-            if c_right is None:
-                # (4,0,2,4): no right poles; push the abscissa right like
-                # sqrt(x) so the line integral tracks the exp(-2 sqrt(x))
-                # decay without cancellation.
-                c += math.exp(0.5 * ln_mid)
+            # the integrand carries x^{-c}, so a unit offset from the poles
+            # costs x^{-1} in cancellation for x < 1: there the line moves to
+            # 2/|ln x| of them (caps the loss at e^2 for poles of order up to
+            # four).  Past that it moves right like sqrt(x), so the line
+            # integral tracks the exp(-2 sqrt(x)) decay without cancellation.
+            c = c_left + (min(1.0, -2.0 / ln_mid) if ln_mid < 0.0 else 1.0)
+            c += math.exp(0.5 * ln_mid)
             out[idx] = _contour_integral(spec, flat[idx], c)
     return out.reshape(xa.shape) if xa.ndim else float(out[0])

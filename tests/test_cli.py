@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -398,3 +401,25 @@ class TestEnvironment:
         code, out, _ = run_cli(capsys, ["--version"])
         assert code == 0
         assert out == f"landau-td, version {__version__}\n"
+
+
+def test_package_never_imports_mpmath():
+    # mpmath is a test oracle only: importing every module of the package
+    # in a fresh interpreter must not pull it in
+    import landau_td
+
+    src = os.path.dirname(os.path.dirname(landau_td.__file__))
+    code = (
+        "import importlib, pkgutil, sys, landau_td\n"
+        "names = [m.name for m in pkgutil.iter_modules(landau_td.__path__, 'landau_td.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "assert 'landau_td.coherent' in names and 'landau_td.cli' in names, names\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -31,6 +31,8 @@ from landau_td.errors import (
 from landau_td.profiles import make_profile
 from landau_td.spectrum import HelicityQuanta
 
+SU11_K = (0.5, 1.0, 1.5, 2.0)
+
 
 def _moving_setup(q=1.0, B=0.6, kappa=2.0):
     prof = make_profile(
@@ -460,6 +462,15 @@ class TestSu11PhotonAddedBG:
         with pytest.raises(NormalizationDiverges):
             ch.pa_bg_overlap(1.0, 1, 1, 1e4, 1e4)
 
+    def test_state_at_large_z(self):
+        # the weights rho_n(k, m) overflow past m ~ 170 unless the amplitudes
+        # are built from their logs: the state must peak near m = |z|
+        a = ch.su11_pa_bg_state(1.0, 300.0, 1, cutoff=430)
+        b = ch.su11_pa_bg_state(1.0, 299.0, 1, cutoff=430)
+        peak_m = a.n_minus[np.argmax(np.abs(a.amps))] - 1
+        assert abs(peak_m - 300) <= 2
+        assert abs(ch.overlap(b, a) - ch.pa_bg_overlap(1.0, 1, 1, 300.0, 299.0)) < 1e-10
+
 
 class TestSingleModeWavefunction:
     @staticmethod
@@ -592,11 +603,61 @@ class TestWeightSpecs:
             assert self._moment(ws, m) == pytest.approx(ws.moment_target(m), rel=1e-10)
 
     def test_perelomov_pa_branches_agree(self):
-        # hyp2f1 above x = 1/16, the DLMF 15.8.10 log series below; at
-        # k = 1/2, l = 1 the density is -ln x exactly
+        # the power series in 1-x from x = 1/16 up, the DLMF 15.8.10 log
+        # series below; at k = 1/2, l = 1 the density is -ln x exactly
         ws = ch.weight_spec("perelomov_pa", {"k": 0.5, "l": 1})
         x = np.array([1e-14, 1e-6, 0.0624, 0.0625, 0.0626, 0.5, 0.99])
         assert ws.evaluator(x) == pytest.approx(-np.log(x), rel=1e-13)
+
+    @staticmethod
+    @mp.workdps(40)
+    def _mp_su2_pa_weight(two_j, p, x):
+        # the 2F1 closed form in 40 digits (mpmath's meijerg of the same
+        # G^{2,1}_{2,2} takes up to a second per point; tests/test_specfun.py
+        # pins the closed form to it at fixed points)
+        n, x = two_j + 2 - p, mp.mpf(x)
+        return float(
+            mp.gamma(n) ** 2 / (mp.gamma(n + p) * mp.gamma(two_j + 1))
+            * (1 + x) ** -n * mp.hyp2f1(n, p, n + p, 1 / (1 + x))
+        )
+
+    @given(
+        two_j=st.integers(1, 100),
+        data=st.data(),
+        log_x=st.floats(math.log(1e-8), math.log(1e4)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_su2_pa_weight_vs_mpmath(self, two_j, data, log_x):
+        p = data.draw(st.integers(0, min(two_j, 6)))
+        x = math.exp(log_x)
+        want = self._mp_su2_pa_weight(two_j, p, x)
+        got = ch.weight_spec("su2_pa", {"j": two_j / 2.0, "p": p}).evaluator(x)
+        if want > 1e-300:
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @staticmethod
+    @mp.workdps(40)
+    def _mp_perelomov_density(k, l, x):
+        a = 2 * k + l - 1
+        x = mp.mpf(x)
+        return float(
+            mp.gamma(2 * k) / mp.gamma(a + l) * (1 - x) ** (a + l - 1)
+            * mp.hyp2f1(a, l, a + l, 1 - x)
+        )
+
+    @given(
+        k=st.sampled_from(SU11_K),
+        l=st.integers(0, 4),
+        log_x=st.floats(math.log(1e-12), 0.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_perelomov_pa_density_vs_mpmath(self, k, l, log_x):
+        if k == 0.5 and l == 0:
+            return  # a point mass, rejected by weight_spec
+        x = math.exp(log_x)
+        got = ch.weight_spec("perelomov_pa", {"k": k, "l": l}).evaluator(x)
+        want = self._mp_perelomov_density(k, l, x)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_perelomov_pa_point_mass_rejected(self):
         # k = 1/2, l = 0: every moment is 1, a unit point mass at x = 1
@@ -632,7 +693,6 @@ class TestSerialization:
 # support storage, JSON codec and validation
 # ---------------------------------------------------------------------------
 
-SU11_K = (0.5, 1.0, 1.5, 2.0)
 
 
 def _disk(r_max):
@@ -799,3 +859,53 @@ class TestSupport:
 
         with pytest.raises(InvalidState, match="non-finite"):
             ch.state_from_json(self._edited(edit))
+
+
+class TestClosedFormOverlaps:
+    """Each closed-form overlap against the lattice overlap of its two
+    states, both built at the larger of their automatic cutoffs."""
+
+    @staticmethod
+    def _pair(build, p1, p2):
+        cut = max(build(p1, None).cutoff, build(p2, None).cutoff)
+        return build(p1, cut), build(p2, cut)
+
+    @given(two_j=st.integers(0, 80), zeta1=_disk(5.0), zeta2=_disk(5.0))
+    @settings(max_examples=60, deadline=None)
+    def test_su2(self, two_j, zeta1, zeta2):
+        j = two_j / 2.0
+        a, b = self._pair(lambda z, cut: ch.su2_state(j, z, cut), zeta1, zeta2)
+        assert abs(ch.overlap(a, b) - ch.su2_overlap(j, zeta1, zeta2)) < 1e-12
+
+    @given(ell=st.integers(0, 6), z1=st.floats(0.0, 12.0), z2=st.floats(0.0, 12.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bg(self, ell, z1, z2):
+        a, b = self._pair(
+            lambda z, cut: ch.su11_bg_state(("single_mode", ell), z, cut), z1, z2
+        )
+        assert abs(ch.overlap(a, b) - ch.bg_overlap(ell, z1, z2)) < 1e-12
+
+    @given(ell=st.integers(0, 6), eta1=_disk(0.99), eta2=_disk(0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_perelomov(self, ell, eta1, eta2):
+        a, b = self._pair(
+            lambda eta, cut: ch.su11_perelomov_state(("single_mode", ell), eta, cut),
+            eta1,
+            eta2,
+        )
+        assert abs(ch.overlap(a, b) - ch.perelomov_overlap(ell, eta1, eta2)) < 1e-12
+
+    @given(
+        k=st.sampled_from(SU11_K),
+        n1=st.integers(0, 3),
+        n2=st.integers(0, 3),
+        z1=_disk(300.0),
+        z2=_disk(300.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pa_bg(self, k, n1, n2, z1, z2):
+        def build(label, cut):
+            return ch.su11_pa_bg_state(k, label[1], label[0], cut)
+
+        a, b = self._pair(build, (n1, z1), (n2, z2))
+        assert abs(ch.overlap(b, a) - ch.pa_bg_overlap(k, n1, n2, z1, z2)) < 1e-10

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import roots_genlaguerre
 
+from landau_td.coherent import weight_spec
 from landau_td.errors import (
-    ContourFailure,
     DivergentSeries,
     DomainError,
     PoleError,
@@ -27,6 +27,7 @@ from landau_td.specfun import (
     bessel,
     gamma_fn,
     hermite,
+    hyp2f1_logarithmic,
     hypergeometric,
     laguerre,
     laguerre_all,
@@ -255,7 +256,50 @@ def test_pfq_vs_mpmath():
 
 
 # ---------------------------------------------------------------------------
-# Meijer G
+# 2F1 in the logarithmic case c = a+b
+# ---------------------------------------------------------------------------
+
+@mpmath.workdps(60)
+def _mpmath_2f1_log(a, b, w):
+    return float(mpmath.hyp2f1(a, b, a + b, 1 - mpmath.mpf(w)))
+
+
+def test_hyp2f1_logarithmic_vs_mpmath():
+    # both branches and both sides of the split w_s = min(1/16, 4/(ab)) (for
+    # a, b >= 1); at (42, 40) a split at 1/(a+b) left the log series 4e-10
+    # off below it, and at (1000, 0.1) a split at 4/(ab) left it 7e-11 off
+    for a, b in [(0.5, 0.5), (1.0, 1.0), (2.5, 3.0), (7.0, 4.0), (96.0, 6.0), (0.3, 40.0), (42.0, 40.0), (1000.0, 0.1)]:
+        f = hyp2f1_logarithmic(a, b)
+        w_s = min(1.0 / 16.0, 4.0 / (max(a, 1.0) * max(b, 1.0)))
+        w = np.array([1e-30, 1e-12, 1e-4, 0.999 * w_s, w_s, 1.001 * w_s, 0.999 / (a + b), 0.02, 0.06, 0.3, 1.0])
+        want = np.array([_mpmath_2f1_log(a, b, v) for v in w])
+        assert f(w) == pytest.approx(want, rel=1e-12, abs=0.0), (a, b)
+
+
+def test_hyp2f1_logarithmic_scalar_and_b_zero():
+    f = hyp2f1_logarithmic(1.0, 1.0)
+    # 2F1(1, 1; 2; 1-w) = -ln(w) / (1-w)
+    assert isinstance(f(0.5), float)
+    assert f(0.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+    assert hyp2f1_logarithmic(3.0, 0.0)(0.25) == 1.0
+    assert np.all(hyp2f1_logarithmic(3.0, 0.0)(np.array([1e-9, 1.0])) == 1.0)
+
+
+def test_hyp2f1_logarithmic_domain_and_term_cap():
+    f = hyp2f1_logarithmic(2.0, 1.0)
+    for w in (0.0, -0.5, 1.5, np.nan):
+        with pytest.raises(DomainError):
+            f(np.array([0.5, w]))
+    with pytest.raises(DomainError):
+        hyp2f1_logarithmic(0.0, 1.0)
+    # the power series needs about ab terms before its coefficients fall
+    with pytest.raises(DivergentSeries):
+        hyp2f1_logarithmic(2000.0, 2000.0)
+
+
+# ---------------------------------------------------------------------------
+# Meijer G: G^{2,1}_{2,2} is the su2_pa weight times Gamma(2j+1), evaluated
+# by its 2F1 closed form; G^{4,0}_{2,4} is the bg_pa weight
 # ---------------------------------------------------------------------------
 
 def _mpmath_g2122(a, b, x):
@@ -266,16 +310,18 @@ def _mpmath_g4024(a, b, x):
     return float(mpmath.meijerg([[], list(a)], [list(b), []], x))
 
 
+def _g2122_su2_pa(two_j, p):
+    """G^{2,1}_{2,2}(x | p-2j-1, p; 0, 0) through the su2_pa weight."""
+    weight = weight_spec("su2_pa", {"j": two_j / 2.0, "p": p}).evaluator
+    return lambda x: weight(x) * math.gamma(two_j + 1.0)
+
+
 def test_meijer_unsupported_instance():
     with pytest.raises(UnsupportedInstance):
         MeijerGSpec(1, 1, 1, 1, (0.5,), (0.0,))
-
-
-def test_meijer_contour_failure():
-    # right boundary 1 - a1 = -0.5 below the left boundary 0
-    spec = MeijerGSpec(2, 1, 2, 2, (1.5, 0.0), (0.0, 0.0))
-    with pytest.raises(ContourFailure):
-        meijer_g(spec, 1.0)
+    # the su2_pa layout is served by its 2F1 closed form
+    with pytest.raises(UnsupportedInstance):
+        MeijerGSpec(2, 1, 2, 2, (-2.0, 1.0), (0.0, 0.0))
 
 
 def test_g2122_vs_mpmath():
@@ -283,46 +329,21 @@ def test_g2122_vs_mpmath():
     for (j, p) in [(1.0, 0), (1.0, 1), (2.0, 2), (1.5, 1)]:
         a = (p - 2 * j - 1.0, float(p))
         b = (0.0, 0.0)
-        spec = MeijerGSpec(2, 1, 2, 2, a, b)
+        g = _g2122_su2_pa(int(2 * j), p)
         for x in (1e-3, 0.1, 1.0, 3.0, 5.0, 12.0, 20.0):
-            mine = meijer_g(spec, x)
+            mine = g(x)
             ref = _mpmath_g2122(a, b, x)
-            assert mine == pytest.approx(ref, rel=1e-8, abs=1e-300), (j, p, x)
-
-
-def test_g2122_branch_agreement_at_switch():
-    # the line-integral branch and the residue series must agree where both
-    # are valid; compare them at the same abscissa around the x = 4 switch
-    from landau_td.specfun import _contour_integral, _g2122_residue_series
-
-    spec = MeijerGSpec(2, 1, 2, 2, (-2.0, 1.0), (0.0, 0.0))
-    for x in (2.0, 4.0, 6.0):
-        line = _contour_integral(spec, x, 1.0)
-        series = _g2122_residue_series(spec, x)
-        assert abs(line - series) < 1e-10 * abs(series)
-
-
-def test_g2122_residue_series_diverges_near_one():
-    # the series converges like x^-k, too slowly just above x = 1 to meet
-    # the term criterion in 400 terms; the partial sum must not be returned
-    from landau_td.specfun import _g2122_residue_series
-
-    spec = MeijerGSpec(2, 1, 2, 2, (-5.0, 0.0), (0.0, 0.0))
-    with pytest.raises(DivergentSeries):
-        _g2122_residue_series(spec, 1.01)
-    assert _g2122_residue_series(spec, 12.0) == pytest.approx(
-        _mpmath_g2122(spec.a, spec.b, 12.0), rel=1e-13
-    )
+            assert mine == pytest.approx(ref, rel=1e-12, abs=1e-300), (j, p, x)
 
 
 def test_g2122_mellin_moment_property():
     # int_0^inf G dx = Gamma-ratio at s = 1: Gamma(1)^2 Gamma(2j+1-p)/Gamma(p+1)
-    j, p = 1.0, 1.0
-    spec = MeijerGSpec(2, 1, 2, 2, (p - 2 * j - 1.0, p), (0.0, 0.0))
-    val, err = integrate.quad(lambda x: meijer_g(spec, x), 0.0, np.inf, limit=200)
+    j, p = 1.0, 1
+    g = _g2122_su2_pa(int(2 * j), p)
+    val, err = integrate.quad(g, 0.0, np.inf, limit=200)
     expect = math.gamma(2 * j + 1.0 - p) / math.gamma(p + 1.0)
     assert err < 1e-8
-    assert val == pytest.approx(expect, rel=1e-6)
+    assert val == pytest.approx(expect, rel=1e-10)
 
 
 def test_g4024_vs_mpmath():
@@ -350,8 +371,9 @@ def test_g4024_large_x_decay():
 @pytest.mark.parametrize(
     "spec",
     [
-        MeijerGSpec(2, 1, 2, 2, (-3.0, 1.0), (0.0, 0.0)),
-        MeijerGSpec(2, 1, 2, 2, (-5.0, 2.0), (0.0, 0.0)),
+        # (2j, p) of the G^{2,1}_{2,2} layouts (-3, 1; 0, 0) and (-5, 2; 0, 0)
+        (3, 1),
+        (6, 2),
         MeijerGSpec(4, 0, 2, 4, (0.0, 1.0), (-1.0, -1.0, 0.0, 0.0)),
         MeijerGSpec(4, 0, 2, 4, (0.0, 2.0), (-2.0, -2.0, 0.0, 0.0)),
     ],
@@ -359,19 +381,25 @@ def test_g4024_large_x_decay():
 def test_meijer_array_matches_scalar(spec):
     # points of one octave share a contour; the result must not depend on
     # which other points are evaluated with it
+    if isinstance(spec, MeijerGSpec):
+        g = lambda x: meijer_g(spec, x)  # noqa: E731
+        oracle = lambda x: _mpmath_g4024(spec.a, spec.b, x)  # noqa: E731
+    else:
+        two_j, p = spec
+        g = _g2122_su2_pa(two_j, p)
+        oracle = lambda x: _mpmath_g2122((p - two_j - 1.0, float(p)), (0.0, 0.0), x)  # noqa: E731
     octaves = (1e-9, 1e-3, 0.3, 1.5, 5.0, 20.0)
     x = np.concatenate([np.linspace(lo, 2.0 * lo, 5)[:-1] for lo in octaves])
-    arr = meijer_g(spec, x.reshape(4, -1))
+    arr = g(x.reshape(4, -1))
     assert arr.shape == (4, x.size // 4)
-    scalar = np.array([meijer_g(spec, float(v)) for v in x])
+    scalar = np.array([g(float(v)) for v in x])
     assert arr.ravel() == pytest.approx(scalar, rel=1e-13, abs=0.0)
-    oracle = _mpmath_g2122 if spec.m == 2 else _mpmath_g4024
     for v, got in zip(x[::3], arr.ravel()[::3]):
-        assert got == pytest.approx(oracle(spec.a, spec.b, v), rel=1e-12)
+        assert got == pytest.approx(oracle(v), rel=1e-12)
 
 
 def test_meijer_domain():
-    spec = MeijerGSpec(2, 1, 2, 2, (-2.0, 1.0), (0.0, 0.0))
+    spec = MeijerGSpec(4, 0, 2, 4, (0.0, 1.0), (-1.0, -1.0, 0.0, 0.0))
     with pytest.raises(DomainError):
         meijer_g(spec, 0.0)
 
