@@ -21,10 +21,19 @@ three closed-form families are provided:
     y^2 = kappa s^2/d1 + (s^2/d2)(d2 + d1 I)^2 with s = e1 sin(alpha t) +
     e2 cos(alpha t), I(t) = integral_0^t ds/s^2 and d2 = d1/kappa (the free
     constants must satisfy this for the displayed combination to solve the
-    equation; see the Pinney-coefficient identity in the tests).
+    equation; see the Pinney-coefficient identity in the tests).  With
+    A = hypot(e1, e2) and phi = atan2(e2, e1), s = A sin(alpha t + phi) and
+    I(t) = (cot phi - cot(alpha t + phi)) / (alpha A^2).
 
 The formulas are valid between consecutive roots of the oscillatory factor
 (v's never vanishing jointly; s(t) != 0), guarded by SingularParameter.
+
+Every solution also carries the phase theta(t) = integral kappa/(M rho^2) dt
+from the start of its grid.  With u1, u2 solving (M u')' + M Omega^2 u = 0
+and rho^2 = u1^2 + c^2 u2^2, theta is the continuous arg(u1 + i c u2)
+(Pinney, Proc. AMS 1, 681 (1950)), so the closed forms give it exactly:
+arg(v1 + i (nu/W) v2), arg(A1 J_0 + i sqrt(C) Y_0) and arctan(d2 + d1 I).
+The numeric route integrates its dense output on Gauss panels.
 """
 
 from __future__ import annotations
@@ -34,12 +43,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     BlowUp,
     GridTooShort,
+    IntegralNonConvergent,
+    OutOfDomain,
     SingularParameter,
     UnsupportedKind,
     ZeroFrequency,
@@ -61,9 +73,73 @@ __all__ = [
     "classical_residual_pointwise",
     "gauge_map",
     "gauge_map_inverse",
+    "running_integral",
 ]
 
 CLOSED_FORM_KINDS = ("pinney_constant", "bessel_exponential", "yermakov_dissipative")
+
+# Gauss-Legendre rules of the panel quadrature; the lower order certifies
+# the higher one, and both share one evaluation of the integrand
+(_X_LO, _W_LO), (_X_HI, _W_HI) = leggauss(10), leggauss(20)
+_PANEL_NODES = np.concatenate([_X_LO, _X_HI])
+# a panel passes when its two orders agree to this fraction of the integral
+# of |f| over it
+_PANEL_TOL = 1e-12
+
+
+def _panel_integrals(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integrals of f over the panels [a_k, b_k] at the higher Gauss order.
+
+    Raises IntegralNonConvergent where the two orders disagree.
+    """
+    half = 0.5 * (b - a)
+    t = 0.5 * (b + a)[:, None] + half[:, None] * _PANEL_NODES
+    vals = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
+    lo, hi = vals[:, : _X_LO.size], vals[:, _X_LO.size :]
+    low = (lo * _W_LO).sum(axis=1) * half
+    high = (hi * _W_HI).sum(axis=1) * half
+    bar = _PANEL_TOL * (np.abs(hi) * _W_HI).sum(axis=1) * np.abs(half)
+    bad = ~(np.abs(high - low) <= bar)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise IntegralNonConvergent(
+            f"Gauss orders disagree by {abs(high[k] - low[k]):.3e} on the panel "
+            f"[{a[k]!r}, {b[k]!r}], above the bar {bar[k]:.3e}"
+        )
+    return high
+
+
+def running_integral(f: Callable, edges) -> Callable:
+    """F(t) = integral of f from edges[0] to t, certified panel by panel.
+
+    ``f`` maps a 1-D array of times to values; ``edges`` are strictly
+    increasing panel ends between which f is smooth.  Whole panels are
+    summed once; F(t) adds the partial panel up to t.  Every panel, whole or
+    partial, is integrated at two Gauss-Legendre orders, and
+    IntegralNonConvergent is raised where they disagree.  So F(t) does not
+    depend on which other times it is asked at.  Times outside
+    [edges[0], edges[-1]] raise OutOfDomain.
+    """
+    edges = np.asarray(edges, dtype=float)
+    cumulative = np.concatenate(([0.0], np.cumsum(_panel_integrals(f, edges[:-1], edges[1:]))))
+    tol = 1e-12 * max(1.0, abs(edges[0]), abs(edges[-1]))
+
+    def F(t):
+        t = np.asarray(t, dtype=float)
+        if not np.all((t >= edges[0] - tol) & (t <= edges[-1] + tol)):
+            raise OutOfDomain(f"t={t!r} outside the panels [{edges[0]}, {edges[-1]}]")
+        flat = t.ravel()
+        k = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, edges.size - 2)
+        return (cumulative[k] + _panel_integrals(f, edges[k], flat)).reshape(t.shape)
+
+    return F
+
+
+def _panel_edges(base, profile: ParameterProfile) -> np.ndarray:
+    """Panel ends: ``base`` plus the profile's knots inside its span."""
+    base = np.asarray(base, dtype=float)
+    knots = profile.knots
+    return np.union1d(base, knots[(knots > base[0]) & (knots < base[-1])])
 
 
 @dataclass
@@ -72,8 +148,12 @@ class AuxiliarySolution:
 
     ``rho_fn``/``rho_dot_fn`` evaluate off-grid (ODE dense output or the
     closed form); when absent, monotone cubic interpolation of the samples
-    is used.  ``kappa`` is carried along because the invariant eigensystem
-    is built from (rho, rho_dot, kappa) alone.
+    is used.  ``theta_fn`` gives theta(t) = integral of kappa/(M rho^2) from
+    grid[0] to t; it needs M, so a solution built from samples alone has
+    none.  ``panels`` are the ends of the intervals on which the evaluators
+    are smooth (solver steps and profile knots, or the grid), for Gauss
+    quadrature along the solution.  ``kappa`` is carried along because the
+    invariant eigensystem is built from (rho, rho_dot, kappa) alone.
     """
 
     grid: np.ndarray
@@ -84,6 +164,8 @@ class AuxiliarySolution:
     kappa: float
     rho_fn: Optional[Callable] = field(default=None, repr=False)
     rho_dot_fn: Optional[Callable] = field(default=None, repr=False)
+    theta_fn: Optional[Callable] = field(default=None, repr=False)
+    panels: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -96,12 +178,19 @@ class AuxiliarySolution:
             ipd = PchipInterpolator(self.grid, self.rho_dot)
             self.rho_fn = lambda t: ip(np.asarray(t, dtype=float))
             self.rho_dot_fn = lambda t: ipd(np.asarray(t, dtype=float))
+        self.panels = np.asarray(self.grid if self.panels is None else self.panels, dtype=float)
 
     def rho_at(self, t):
         return self.rho_fn(t)
 
     def rho_dot_at(self, t):
         return self.rho_dot_fn(t)
+
+    def theta_at(self, t):
+        """theta(t) = integral of kappa/(M rho^2) from grid[0] to t."""
+        if self.theta_fn is None:
+            raise ValueError("this auxiliary solution carries no phase evaluator")
+        return self.theta_fn(t)
 
 
 @dataclass
@@ -147,7 +236,9 @@ def solve_ep_numeric(
 
     Raises BlowUp when the solution escapes toward 0 or infinity (detected
     by events at 1e-6 x and 1e6 x the initial amplitude, or by solver step
-    collapse).
+    collapse).  theta is integrated on the dense output over panels at the
+    solver steps and the profile knots; IntegralNonConvergent is raised if
+    the panel rule cannot certify it.
     """
     if rho0 <= 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
@@ -182,15 +273,21 @@ def solve_ep_numeric(
         raise BlowUp(f"auxiliary integration stopped early: {sol.message}")
 
     samples = sol.sol(grid)
+    kappa = profile.kappa
+    panels = _panel_edges(sol.t, profile)
     out = AuxiliarySolution(
         grid=grid,
         rho=samples[0],
         rho_dot=samples[1],
         provenance="numeric",
         max_residual=math.nan,
-        kappa=profile.kappa,
+        kappa=kappa,
         rho_fn=lambda t: sol.sol(np.asarray(t, dtype=float))[0],
         rho_dot_fn=lambda t: sol.sol(np.asarray(t, dtype=float))[1],
+        theta_fn=running_integral(
+            lambda t: kappa / (profile.mass(t) * sol.sol(t)[0] ** 2), panels
+        ),
+        panels=panels,
     )
     if grid.size >= 5 and _is_uniform(grid):
         out.max_residual = ep_residual(out, profile)
@@ -221,10 +318,18 @@ def _pinney_constant(params: Mapping, t: np.ndarray):
     coeff = nu * nu / (wronskian * wronskian)
     rho = np.sqrt(v1 * v1 + coeff * v2 * v2)
     rho_dot = (v1 * v1d + coeff * v2 * v2d) / rho
-    return rho, rho_dot
+    # v1 + i (nu/W) v2 = P e^{i omega t} + Q e^{-i omega t}; factoring out the
+    # larger term leaves arg(1 + w) with |w| < 1, continuous without unwrapping
+    a = c1 + 1j * (nu / wronskian) * c2
+    b = s1 + 1j * (nu / wronskian) * s2
+    big, small, phase = 0.5 * (a - 1j * b), 0.5 * (a + 1j * b), omega * t
+    if abs(big) < abs(small):
+        big, small, phase = small, big, -phase
+    theta = phase + np.angle(1.0 + (small / big) * np.exp(-2j * phase))
+    return rho, rho_dot, theta
 
 
-def _bessel_exponential_rho(params: Mapping, t: np.ndarray) -> np.ndarray:
+def _bessel_exponential(params: Mapping, t: np.ndarray):
     from .specfun import bessel
 
     tau = float(params["tau"])
@@ -238,13 +343,23 @@ def _bessel_exponential_rho(params: Mapping, t: np.ndarray) -> np.ndarray:
             "bessel_exponential needs alpha != 0 with tau/alpha > 0"
         )
     x = (tau / alpha) * np.exp(alpha * t)
-    j0 = bessel("J", 0.0, x)
-    y0 = bessel("Y", 0.0, x)
-    coeff = (math.pi * kappa / (2.0 * alpha * a1)) ** 2
+    j0, j1 = bessel("J", 0.0, x), bessel("J", 1.0, x)
+    y0, y1 = bessel("Y", 0.0, x), bessel("Y", 1.0, x)
+    y_coeff = math.pi * kappa / (2.0 * alpha * a1)
+    coeff = y_coeff**2
     rho_sq = a1 * a1 * j0 * j0 + coeff * y0 * y0
     if np.any(rho_sq <= 0.0):
         raise SingularParameter("rho^2 not positive on the requested times")
-    return np.sqrt(rho_sq)
+    rho = np.sqrt(rho_sq)
+    rho_dot = -alpha * x * (a1 * a1 * j0 * j1 + coeff * y0 * y1) / rho
+    # arctan(sqrt(C) Y0 / (A1 J0)) drops by pi where J0 vanishes, and theta
+    # rises, so each zero of J0 that x(t) has crossed adds sign(alpha) pi.
+    # The m-th zero lies in ((m - 1/4) pi, (m - 1/4) pi + 1/8), so x has
+    # passed it iff J0(x) already has the sign (-1)^m.
+    m = np.floor(x / math.pi + 0.25)
+    passed = m - (np.where(m % 2 == 0, j0, -j0) < 0.0)
+    theta = np.arctan(y_coeff * y0 / (a1 * j0)) + math.copysign(math.pi, alpha) * passed
+    return rho, rho_dot, theta
 
 
 def _yermakov_envelope(params: Mapping):
@@ -273,8 +388,8 @@ def _yermakov_check_window(params: Mapping, t_max: float) -> None:
         raise SingularParameter("s(0) = 0: the inner integral diverges at t = 0")
 
 
-def _yermakov_rho(params: Mapping, t: np.ndarray) -> np.ndarray:
-    alpha, e1, e2, _, _ = _yermakov_envelope(params)
+def _yermakov_dissipative(params: Mapping, t: np.ndarray):
+    alpha, e1, e2, amp, phase = _yermakov_envelope(params)
     kappa = float(params.get("kappa", 1.0))
     d1 = float(params.get("d1", 1.0))
     if d1 == 0.0:
@@ -285,51 +400,41 @@ def _yermakov_rho(params: Mapping, t: np.ndarray) -> np.ndarray:
             "the displayed combination solves the auxiliary equation only for "
             f"d2 = d1/kappa = {d1 / kappa!r}; got d2 = {d2!r}"
         )
-
-    def s(u):
-        return e1 * np.sin(alpha * u) + e2 * np.cos(alpha * u)
-
-    t = np.atleast_1d(t)
     _yermakov_check_window(params, float(np.max(t)))
 
-    # cumulative adaptive quadrature of 1/s^2 over consecutive segments
-    order = np.argsort(t)
-    inner = np.empty_like(t)
-    acc = 0.0
-    prev = 0.0
-    for idx in order:
-        ti = float(t[idx])
-        seg, _ = quad(lambda u: 1.0 / s(u) ** 2, prev, ti, limit=200)
-        acc += seg
-        inner[idx] = acc
-        prev = ti
-
-    s_t = s(t)
-    y_sq = kappa * s_t**2 / d1 + (s_t**2 / d2) * (d2 + d1 * inner) ** 2
+    s_t = e1 * np.sin(alpha * t) + e2 * np.cos(alpha * t)
+    s_dot = alpha * (e1 * np.cos(alpha * t) - e2 * np.sin(alpha * t))
+    inner = (1.0 / math.tan(phase) - 1.0 / np.tan(alpha * t + phase)) / (alpha * amp * amp)
+    w = d2 + d1 * inner
+    y_sq = kappa * s_t**2 / d1 + (s_t**2 / d2) * w**2
     if np.any(y_sq <= 0.0):
         raise SingularParameter("y^2 not positive on the requested times")
-    return np.exp(0.5 * alpha * t) * np.sqrt(y_sq)
+    y = np.sqrt(y_sq)
+    # (y^2)' = 2 s s' (kappa/d1 + w^2/d2) + 2 w d1/d2, since w' = d1/s^2
+    y_dot = (s_t * s_dot * (kappa / d1 + w**2 / d2) + w * d1 / d2) / y
+    growth = np.exp(0.5 * alpha * t)
+    return growth * y, growth * (0.5 * alpha * y + y_dot), np.arctan(w)
 
 
-def ep_closed_form(kind: str, params: Mapping, t):
-    """Closed-form (rho, rho_dot) for one of the three families at time(s) t.
+_CLOSED_FORMS = {
+    "pinney_constant": _pinney_constant,
+    "bessel_exponential": _bessel_exponential,
+    "yermakov_dissipative": _yermakov_dissipative,
+}
 
-    rho_dot is analytic for pinney_constant and a central finite difference
-    (step 1e-6 of the window) for the Bessel and Yermakov families.
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if kind == "pinney_constant":
-        rho, rho_dot = _pinney_constant(params, t_arr)
-    elif kind in ("bessel_exponential", "yermakov_dissipative"):
-        rho_of = _bessel_exponential_rho if kind == "bessel_exponential" else _yermakov_rho
-        window = params.get("window", (0.0, 10.0))
-        h = 1e-6 * (float(window[1]) - float(window[0]))
-        rho = rho_of(params, t_arr)
-        rho_dot = (rho_of(params, t_arr + h) - rho_of(params, t_arr - h)) / (2.0 * h)
-    else:
+
+def _closed_form(kind: str, params: Mapping, t):
+    """(rho, rho_dot, theta + const) of a closed-form family, all analytic."""
+    if kind not in _CLOSED_FORMS:
         raise UnsupportedKind(
             f"closed-form kind {kind!r} not one of {', '.join(CLOSED_FORM_KINDS)}"
         )
+    return _CLOSED_FORMS[kind](params, np.atleast_1d(np.asarray(t, dtype=float)))
+
+
+def ep_closed_form(kind: str, params: Mapping, t):
+    """Closed-form (rho, rho_dot) for one of the three families at time(s) t."""
+    rho, rho_dot, _ = _closed_form(kind, params, t)
     if np.ndim(t) == 0:
         return float(rho[0]), float(rho_dot[0])
     return rho, rho_dot
@@ -343,7 +448,7 @@ def closed_form_solution(
 ) -> AuxiliarySolution:
     """Package a closed-form family as an AuxiliarySolution on a grid."""
     grid = np.asarray(grid, dtype=float)
-    rho, rho_dot = ep_closed_form(kind, params, grid)
+    rho, rho_dot, theta = _closed_form(kind, params, grid)
     if kind == "pinney_constant":
         tau = float(params.get("tau", 1.0))
         kappa = float(params["kappa"]) if "kappa" in params else float(params["nu"]) * tau
@@ -358,6 +463,7 @@ def closed_form_solution(
         kappa=kappa,
         rho_fn=lambda t: ep_closed_form(kind, params, t)[0],
         rho_dot_fn=lambda t: ep_closed_form(kind, params, t)[1],
+        theta_fn=lambda t: np.reshape(_closed_form(kind, params, t)[2] - theta[0], np.shape(t)),
     )
     if profile is not None and grid.size >= 5 and _is_uniform(grid):
         out.max_residual = ep_residual(out, profile)
@@ -368,6 +474,7 @@ def stationary_solution(profile: ParameterProfile, grid) -> AuxiliarySolution:
     """Constant rho = sqrt(kappa/(M Omega)) for a static profile."""
     grid = np.asarray(grid, dtype=float)
     rho0, _ = default_initial_conditions(profile)
+    rate = profile.kappa / (float(profile.mass(profile.t0)) * rho0 * rho0)
     return AuxiliarySolution(
         grid=grid,
         rho=np.full_like(grid, rho0),
@@ -377,6 +484,7 @@ def stationary_solution(profile: ParameterProfile, grid) -> AuxiliarySolution:
         kappa=profile.kappa,
         rho_fn=lambda t: np.full_like(np.asarray(t, dtype=float), rho0),
         rho_dot_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        theta_fn=lambda t: rate * (np.asarray(t, dtype=float) - grid[0]),
     )
 
 

@@ -220,7 +220,7 @@ def spectrum_cmd(profile_path, t0, t1, samples, rho0, rho_dot0, n_plus, n_minus,
     sol = _solve_aux(profile, rho0, rho_dot0, samples)
     q = HelicityQuanta(n_plus, n_minus)
     trace = phase_gamma(q, profile, sol, sol.grid)
-    energy = [hamiltonian_expectation(q, profile, sol, float(t)) for t in sol.grid]
+    energy = hamiltonian_expectation(q, profile, sol, sol.grid)
     rows = zip(sol.grid, sol.rho, energy, trace.gamma, trace.gamma_closed_form)
     _emit_csv(["t", "rho", "energy", "gamma", "gamma_closed_form"], rows, out)
 
@@ -265,11 +265,7 @@ def wavefunction_cmd(
         raise MissingParameter("need --r-points >= 2 and --theta-points >= 1")
     sol = _solve_aux(profile, rho0, rho_dot0, 401)
     q = HelicityQuanta(n_plus, n_minus)
-    phase_grid = np.linspace(profile.t0, t_eval, 801)
-    if t_eval == profile.t0:
-        gamma_t = 0.0
-    else:
-        gamma_t = float(phase_gamma(q, profile, sol, phase_grid).gamma[-1])
+    gamma_t = float(phase_gamma(q, profile, sol, [profile.t0, t_eval]).gamma[-1])
     rho_t = float(sol.rho_at(t_eval))
     if r_max is None:
         r_max = 4.0 * rho_t / math.sqrt(profile.kappa)

@@ -97,11 +97,30 @@ class ParameterProfile:
     def span(self) -> float:
         return self.t1 - self.t0
 
+    @property
+    def knots(self) -> np.ndarray:
+        """Tabulated sample times strictly inside (t0, t1); empty for the
+        analytic kinds.  The interpolants are only piecewise smooth, so
+        quadrature panels end there."""
+        if self.kind != "tabulated":
+            return np.empty(0)
+        t = np.asarray(self.params.get("t", ()), dtype=float)
+        return t[(t > self.t0) & (t < self.t1)]
+
     def check_time(self, t) -> None:
-        """Raise OutOfDomain unless t (scalar or array) lies in [t0, t1]."""
-        t = np.asarray(t, dtype=float)
+        """Raise OutOfDomain unless t (scalar or array) lies in [t0, t1].
+
+        NaN and infinite times are outside.  A scalar is checked with plain
+        float comparisons: this runs in every ODE right-hand side.
+        """
         tol = 1e-12 * max(1.0, abs(self.t0), abs(self.t1))
-        if np.any(t < self.t0 - tol) or np.any(t > self.t1 + tol):
+        lo, hi = self.t0 - tol, self.t1 + tol
+        if isinstance(t, (float, int)):
+            inside = lo <= t <= hi
+        else:
+            t = np.asarray(t, dtype=float)
+            inside = bool(np.all((t >= lo) & (t <= hi)))
+        if not inside:
             raise OutOfDomain(
                 f"t={t!r} outside profile window [{self.t0}, {self.t1}]"
             )

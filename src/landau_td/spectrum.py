@@ -27,9 +27,8 @@ from typing import Dict, Mapping
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import cumulative_trapezoid
 
-from .auxode import AuxiliarySolution
+from .auxode import AuxiliarySolution, _panel_edges, running_integral
 from .errors import CutoffTooSmall, InconsistentPhase
 from .profiles import ParameterProfile
 from .specfun import gamma_fn, hermite, laguerre
@@ -89,11 +88,16 @@ class HelicityQuanta:
 
 @dataclass
 class PhaseTrace:
-    """Cumulative phase gamma(t) along a grid, both conventions.
+    """Accumulated phase gamma(t) along a grid, from grid[0], both conventions.
 
-    ``gamma`` integrates d(gamma)/dt = <i d/dt> - <H>; ``gamma_closed_form``
-    is the alternative closed form whose first term carries kappa/2 instead
-    of kappa (kept for comparison, see the static-oscillator check).
+    ``gamma`` is the integral of d(gamma)/dt = <i d/dt> - <H>, which is
+    -(n+ + n- + 1) theta(t) plus the integral of the omega_c and drive terms,
+    with theta taken from the auxiliary solution (exact for the closed forms,
+    certified Gauss panels for the numeric route), so gamma(t) does not
+    depend on the grid.  ``integrand`` is that rate on the grid.
+    ``gamma_closed_form`` is the alternative closed form whose first term
+    carries kappa/2 instead of kappa (kept for comparison, see the
+    static-oscillator check).
     """
 
     grid: np.ndarray
@@ -137,36 +141,38 @@ def lz_eigenvalue(q: HelicityQuanta) -> int:
     return q.n_minus - q.n_plus
 
 
-def _radial_energy(profile: ParameterProfile, aux: AuxiliarySolution, t: float) -> float:
-    """(1/2 kappa)(M rho'^2 + kappa^2/(M rho^2) + M Omega^2 rho^2)."""
-    rho = float(aux.rho_at(t))
-    rho_dot = float(aux.rho_dot_at(t))
-    M = float(profile.mass(t))
-    Om = float(profile.Omega(t))
+def _radial_energy(profile: ParameterProfile, aux: AuxiliarySolution, t):
+    """(1/2 kappa)(M rho'^2 + kappa^2/(M rho^2) + M Omega^2 rho^2), over t."""
+    rho = aux.rho_at(t)
+    rho_dot = aux.rho_dot_at(t)
+    M = profile.mass(t)
+    Om = profile.Omega(t)
     kap = profile.kappa
-    return (M * rho_dot**2 + kap**2 / (M * rho**2) + M * Om**2 * rho**2) / (2.0 * kap)
+    # float_power squares through pow(), as ** does on a float, where numpy's
+    # array ** 2 multiplies: a time's energy has the same bits in an array
+    rho_sq = np.float_power(rho, 2)
+    return (
+        M * np.float_power(rho_dot, 2)
+        + kap**2 / (M * rho_sq)
+        + M * np.float_power(Om, 2) * rho_sq
+    ) / (2.0 * kap)
 
 
-def _drive_energy(profile: ParameterProfile, t: float) -> float:
-    """q^2 E^2 / (2 M omega), the c-number drive term of H."""
+def _drive_energy(profile: ParameterProfile, t):
+    """q^2 E^2 / (2 M omega), the c-number drive term of H, over t."""
     if profile.q == 0.0:
         return 0.0
-    return (
-        profile.q**2
-        * float(profile.efield_sq(t))
-        / (2.0 * float(profile.mass(t)) * float(profile.omega(t)))
-    )
+    return profile.q**2 * profile.efield_sq(t) / (2.0 * profile.mass(t) * profile.omega(t))
 
 
 def hamiltonian_expectation(
-    q: HelicityQuanta, profile: ParameterProfile, aux: AuxiliarySolution, t: float
-) -> float:
-    """<H(t)> on the invariant eigenstate labelled by q."""
+    q: HelicityQuanta, profile: ParameterProfile, aux: AuxiliarySolution, t
+):
+    """<H(t)> on the invariant eigenstate labelled by q; t scalar or array."""
     profile.check_time(t)
-    omega_c = float(profile.omega_c(t))
     return (
         _radial_energy(profile, aux, t) * (q.total + 1)
-        - 0.5 * omega_c * lz_eigenvalue(q)
+        - 0.5 * profile.omega_c(t) * lz_eigenvalue(q)
         - _drive_energy(profile, t)
     )
 
@@ -192,41 +198,50 @@ def _i_dt_expectation(
 def phase_gamma(
     q: HelicityQuanta, profile: ParameterProfile, aux: AuxiliarySolution, grid
 ) -> PhaseTrace:
-    """Accumulated phase of the eigenstate along the grid.
+    """Accumulated phase of the eigenstate along the grid, from grid[0].
 
     The authoritative gamma integrates <i d/dt> - <H>; after the analytic
     cancellation the integrand is
 
         -kappa (n+ + n- + 1) / (M rho^2) + (omega_c/2)(n- - n+)
-        + q^2 E^2 / (2 M omega).
+        + q^2 E^2 / (2 M omega),
 
-    ``gamma_closed_form`` halves the first term (the alternative display);
-    the Schroedinger-residual check adjudicates between the two.
+    so gamma = -(n+ + n- + 1) theta + the integral of the last two terms.
+    theta comes from ``aux.theta_at``; the profile terms are integrated on
+    the solution's panels plus the profile knots, with the same certified
+    Gauss rule.  The integrand is checked once on the grid against
+    <i d/dt> - <H> (InconsistentPhase).  ``gamma_closed_form`` halves the
+    first term (the alternative display); the Schroedinger-residual check
+    adjudicates between the two.
     """
     grid = np.asarray(grid, dtype=float)
     profile.check_time(grid)
-    t = grid
-    rho = np.asarray(aux.rho_at(t), dtype=float)
-    M = np.asarray(profile.mass(t), dtype=float)
-    omega_c = np.asarray(profile.omega_c(t), dtype=float)
-    drive = np.array([_drive_energy(profile, float(ti)) for ti in t])
     ell_z = lz_eigenvalue(q)
-    kap = profile.kappa
+    n_sum = q.total + 1
 
-    radial_rate = -kap * (q.total + 1) / (M * rho**2)
-    integrand = radial_rate + 0.5 * omega_c * ell_z + drive
-    # consistency with the defining rate d(gamma)/dt = <i d_t> - <H>
-    h_expect = np.array(
-        [hamiltonian_expectation(q, profile, aux, float(ti)) for ti in t]
+    def field_rate(t):
+        return 0.5 * ell_z * profile.omega_c(t) + _drive_energy(profile, t)
+
+    integrand = (
+        -profile.kappa * n_sum / (profile.mass(grid) * aux.rho_at(grid) ** 2)
+        + field_rate(grid)
     )
-    defining = _i_dt_expectation(q, profile, aux, t) - h_expect
+    defining = _i_dt_expectation(q, profile, aux, grid) - hamiltonian_expectation(
+        q, profile, aux, grid
+    )
     if np.max(np.abs(defining - integrand)) > 1e-9 * max(1.0, float(np.max(np.abs(integrand)))):
         raise InconsistentPhase("phase integrand disagrees with <i d/dt> - <H>")
 
-    gamma = np.concatenate(([0.0], cumulative_trapezoid(integrand, t)))
-    alt = 0.5 * radial_rate + 0.5 * omega_c * ell_z + drive
-    gamma_alt = np.concatenate(([0.0], cumulative_trapezoid(alt, t)))
-    return PhaseTrace(grid=grid, gamma=gamma, integrand=integrand, gamma_closed_form=gamma_alt)
+    theta = aux.theta_at(grid)
+    field = running_integral(field_rate, _panel_edges(aux.panels, profile))(grid)
+    radial = n_sum * (theta - theta[0])
+    field = field - field[0]
+    return PhaseTrace(
+        grid=grid,
+        gamma=field - radial,
+        integrand=integrand,
+        gamma_closed_form=field - 0.5 * radial,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -389,7 +389,7 @@ def lr_invariant_check(
     rel = res_norm / inv_norm
 
     recon = block(invariant_at(t) - inv)
-    recon_dev = float(np.max(np.abs(recon.toarray()))) if recon.nnz else 0.0
+    recon_dev = float(np.max(np.abs(recon.data))) if recon.nnz else 0.0
     lz_comm = block(inv @ lz - lz @ inv)
     lz_dev = float(np.max(np.abs(lz_comm.data))) if lz_comm.nnz else 0.0
 

@@ -124,7 +124,6 @@ def test_criterion_01_closed_form_families():
             "alpha": alpha,
             "A1": math.sqrt(math.pi * kappa / (2.0 * alpha)),
             "kappa": kappa,
-            "window": (0.0, horizon),
         },
         grid,
         profile=prof,
@@ -142,8 +141,7 @@ def test_criterion_01_closed_form_families():
     grid = np.linspace(0.0, 2.0, 400)
     sol = closed_form_solution(
         "yermakov_dissipative",
-        {"alpha": 1.0, "kappa": 1.3, "d1": 1.0, "e1": 1.0, "e2": 1.0,
-         "window": (0.0, 2.0)},
+        {"alpha": 1.0, "kappa": 1.3, "d1": 1.0, "e1": 1.0, "e2": 1.0},
         grid,
         profile=prof,
     )

@@ -11,6 +11,8 @@ from landau_td import auxode
 from landau_td.errors import (
     BlowUp,
     GridTooShort,
+    IntegralNonConvergent,
+    OutOfDomain,
     SingularParameter,
     UnsupportedKind,
     ZeroFrequency,
@@ -128,7 +130,7 @@ class TestClosedForms:
         grid = np.linspace(0.0, T, 400)
         sol = auxode.closed_form_solution(
             "bessel_exponential",
-            {"tau": tau, "alpha": alpha, "A1": a1, "kappa": kappa, "window": (0.0, T)},
+            {"tau": tau, "alpha": alpha, "A1": a1, "kappa": kappa},
             grid, profile=prof,
         )
         assert sol.max_residual < 1e-8
@@ -142,7 +144,7 @@ class TestClosedForms:
         grid = np.linspace(0.0, 8.0, 300)
         sol = auxode.closed_form_solution(
             "bessel_exponential",
-            {"tau": tau, "alpha": alpha, "A1": 1.0, "kappa": 1.0, "window": (0.0, 8.0)},
+            {"tau": tau, "alpha": alpha, "A1": 1.0, "kappa": 1.0},
             grid, profile=prof,
         )
         numeric = auxode.solve_ep_numeric(prof, sol.rho[0], sol.rho_dot[0], grid)
@@ -162,8 +164,7 @@ class TestClosedForms:
         # independent route: integral_0^t du / s(u)^2 with
         # s = R sin(alpha u + phi) has antiderivative -cot(alpha u + phi)/(alpha R^2)
         al, kap, d1, e1, e2 = 1.0, 1.3, 0.7, 1.0, 0.5
-        params = {"alpha": al, "kappa": kap, "d1": d1, "e1": e1, "e2": e2,
-                  "window": (0.0, 2.3)}
+        params = {"alpha": al, "kappa": kap, "d1": d1, "e1": e1, "e2": e2}
         phase = math.atan2(e2, e1)
         r_sq = e1 * e1 + e2 * e2
         t = np.linspace(0.05, 2.3, 37)
@@ -177,8 +178,7 @@ class TestClosedForms:
 
     def test_yermakov_residual_and_numeric(self):
         al, kap = 1.0, 1.3
-        params = {"alpha": al, "kappa": kap, "d1": 1.0, "e1": 1.0, "e2": 1.0,
-                  "window": (0.0, 2.0)}
+        params = {"alpha": al, "kappa": kap, "d1": 1.0, "e1": 1.0, "e2": 1.0}
         prof = make_profile(
             "exponential-mass", {"alpha": al, "omega": math.sqrt(5) / 2 * al},
             kappa=kap, t0=0.0, t1=2.1,
@@ -227,6 +227,90 @@ class TestClosedForms:
         v_dot = -omega * np.sin(omega * t + phase)
         inv = (v * rho_dot - v_dot * rho) ** 2 + nu**2 * (v / rho) ** 2
         assert np.max(inv) - np.min(inv) < 1e-9 * np.max(inv)
+
+
+# (kind, params, M(t)) for the closed-form phase and derivative checks
+_CLOSED_CASES = [
+    ("pinney_constant", {"omega": 1.3, "nu": 2.0, "kappa": 2.0, "c2": 0.35}, lambda t: 1.0 + 0 * t),
+    # negative Wronskian: the e^{-i omega t} term of v1 + i (nu/W) v2 dominates
+    ("pinney_constant",
+     {"omega": 1.0, "tau": 2.0, "kappa": 1.4, "c1": 0.3, "s1": 1.0, "c2": 1.0, "s2": 0.2},
+     lambda t: 2.0 + 0 * t),
+    ("bessel_exponential", {"tau": 1.0, "alpha": 0.3, "A1": 1.0, "kappa": 1.0},
+     lambda t: 1.0 + 0 * t),
+    # alpha < 0: x(t) falls, the zeros of J0 are crossed downwards
+    ("bessel_exponential", {"tau": -3.0, "alpha": -0.2, "A1": 0.7, "kappa": 1.3},
+     lambda t: 1.0 + 0 * t),
+    ("yermakov_dissipative", {"alpha": 1.0, "kappa": 1.3, "d1": 0.7, "e1": 1.0, "e2": 0.5},
+     lambda t: np.exp(-t)),
+]
+
+
+def _composite_gauss_theta(kind, params, mass, t):
+    """integral of kappa/(M rho^2) from t[0] by 64-node Gauss-Legendre on
+    each grid interval, independent of the panel rule in auxode."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    a, b = t[:-1, None], t[1:, None]
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
+    rho, _ = auxode.ep_closed_form(kind, params, nodes.ravel())
+    f = params["kappa"] / (mass(nodes) * rho.reshape(nodes.shape) ** 2)
+    return np.concatenate(([0.0], np.cumsum(0.5 * (b - a)[:, 0] * (f @ w))))
+
+
+class TestPhase:
+    @pytest.mark.parametrize("kind, params, mass", _CLOSED_CASES)
+    def test_closed_form_theta_matches_gauss(self, kind, params, mass):
+        t_end = 2.0 if kind == "yermakov_dissipative" else 10.0
+        t = np.linspace(0.0, t_end, 321)
+        sol = auxode.closed_form_solution(kind, params, t)
+        ref = _composite_gauss_theta(kind, params, mass, t)
+        assert np.max(np.abs(sol.theta_at(t) - ref)) < 1e-12 * max(1.0, ref[-1])
+        # theta is taken from grid[0], whatever the times asked at
+        assert sol.theta_at(t[0]) == 0.0
+        np.testing.assert_array_equal(sol.theta_at(t[::37]), sol.theta_at(t)[::37])
+
+    @pytest.mark.parametrize("kind, params, mass", _CLOSED_CASES)
+    def test_closed_form_rho_dot_is_the_derivative(self, kind, params, mass):
+        # 4th-order central difference: truncation ~h^4, roundoff ~1e-16/h
+        t = np.linspace(0.1, 1.9 if kind == "yermakov_dissipative" else 9.9, 37)
+        h = 1e-4
+        rho_of = lambda u: auxode.ep_closed_form(kind, params, u)[0]  # noqa: E731
+        fd = (
+            8.0 * (rho_of(t + h) - rho_of(t - h)) - (rho_of(t + 2 * h) - rho_of(t - 2 * h))
+        ) / (12.0 * h)
+        _, rho_dot = auxode.ep_closed_form(kind, params, t)
+        assert np.max(np.abs(rho_dot - fd)) < 1e-9 * np.max(np.abs(rho_of(t)))
+
+    def test_numeric_theta_matches_closed_form(self):
+        prof = _const_profile(omega=1.3, kappa=2.0)
+        grid = np.linspace(0.0, 10.0, 401)
+        closed = auxode.closed_form_solution(
+            "pinney_constant", {"omega": 1.3, "nu": 2.0, "c2": 0.35}, grid
+        )
+        numeric = auxode.solve_ep_numeric(prof, closed.rho[0], closed.rho_dot[0], grid)
+        assert np.max(np.abs(numeric.theta_at(grid) - closed.theta_at(grid))) < 1e-9
+        # whole panels are summed once, so a time's theta does not depend on
+        # the other times asked at
+        t = np.array([0.0, 3.3, 7.77, 10.0])
+        np.testing.assert_array_equal(numeric.theta_at(t)[1:3], numeric.theta_at(t[1:3]))
+        with pytest.raises(OutOfDomain):
+            numeric.theta_at(10.5)
+
+    def test_panel_rule_refuses_a_kink(self):
+        f = lambda t: np.abs(t - 0.3)  # noqa: E731
+        with pytest.raises(IntegralNonConvergent):
+            auxode.running_integral(f, [0.0, 1.0])
+        F = auxode.running_integral(f, [0.0, 0.3, 1.0])
+        assert F(1.0) == pytest.approx(0.045 + 0.245, rel=1e-14)
+
+    def test_samples_only_solution_has_no_phase(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        sol = auxode.AuxiliarySolution(
+            grid=grid, rho=np.ones(5), rho_dot=np.zeros(5), provenance="numeric",
+            max_residual=math.nan, kappa=1.0,
+        )
+        with pytest.raises(ValueError):
+            sol.theta_at(0.5)
 
 
 class TestResidual:

@@ -1,7 +1,11 @@
 """Parameter-profile tests: derived frequencies, positivity, serialization."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from landau_td.errors import (
     GridTooShort,
@@ -94,6 +98,44 @@ def test_out_of_domain():
         eval_derived(prof, 2.5)
     with pytest.raises(OutOfDomain):
         prof.omega_c(-0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_rejected(bad):
+    prof = make_profile("constant", {"M": 1.0, "omega": 1.0}, t0=0.0, t1=2.0)
+    for t in (bad, np.float64(bad), np.array(bad), np.array([1.0, bad])):
+        with pytest.raises(OutOfDomain):
+            prof.check_time(t)
+    with pytest.raises(OutOfDomain):
+        prof.Omega(bad)
+
+
+@given(t=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-5, 5)))
+def test_scalar_and_array_time_checks_agree(t):
+    # the scalar path uses float comparisons, the array path numpy's; the
+    # window edges carry the same 1e-12 tolerance in both
+    prof = make_profile("constant", {"M": 1.0, "omega": 1.0}, t0=-1.0, t1=2.5)
+
+    def rejects(value) -> bool:
+        try:
+            prof.check_time(value)
+        except OutOfDomain:
+            return True
+        return False
+
+    scalar = rejects(t)
+    assert rejects(np.array([t], dtype=float)) == scalar
+    assert rejects(np.array(t, dtype=float)) == scalar
+    assert scalar == (not -1.0 - 2.5e-12 <= t <= 2.5 + 2.5e-12)
+
+
+def test_knots_are_interior_samples():
+    t = np.linspace(0.0, 6.0, 13)
+    prof = make_profile(
+        "tabulated", {"t": t, "M": 1.0 + 0.0 * t, "omega": 1.0 + 0.0 * t}, t0=1.2, t1=4.0
+    )
+    assert np.array_equal(prof.knots, [1.5, 2.0, 2.5, 3.0, 3.5])
+    assert make_profile("constant", {"M": 1.0, "omega": 1.0}).knots.size == 0
 
 
 def test_tabulated_grid_too_short():

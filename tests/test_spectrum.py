@@ -1,12 +1,14 @@
 """Tests for spectra, wavefunctions, phases and operator matrices."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from landau_td import auxode, spectrum
-from landau_td.errors import CutoffTooSmall
+from landau_td.errors import CutoffTooSmall, IntegralNonConvergent
 from landau_td.profiles import make_profile
 from landau_td.spectrum import HelicityQuanta
 
@@ -18,6 +20,52 @@ def _static_setup(M=1.0, omega=1.0, q=0.0, B=0.0, kappa=1.0, E1=0.0, E2=0.0):
     )
     aux = auxode.stationary_solution(prof, np.linspace(0.0, 10.0, 21))
     return prof, aux
+
+
+_FIELD = {"E1": 0.2, "E2": -0.1}
+_KNOTS = np.linspace(0.0, 12.0, 25)
+# one profile of each kind on [0, 12], scaled like the README demo
+_KIND_PARAMS = {
+    "constant": {"M": 1.0, "omega": 1.2, **_FIELD},
+    "exponential-mass": {"M0": 1.2, "alpha": 0.05, "omega": 1.1, **_FIELD},
+    "exponential-frequency": {"M": 1.0, "tau": 1.0, "alpha": 0.05, **_FIELD},
+    "sinusoidal": {"M": 1.0, "omega0": 1.2, "depth": 0.3, "rate": 0.7, **_FIELD},
+    "tabulated": {
+        "t": _KNOTS,
+        "M": 1.0 + 0.2 * np.sin(0.5 * _KNOTS),
+        "omega": 1.1 + 0.2 * np.cos(0.5 * _KNOTS),
+        **_FIELD,
+    },
+}
+
+
+def _kind_profile(kind):
+    return make_profile(kind, _KIND_PARAMS[kind], q=1.0, B=0.9, kappa=1.0, t0=0.0, t1=12.0)
+
+
+def _reference_gamma(prof, q, grid):
+    """gamma by DOP853 at rtol 1e-13, carried as a third component next to
+    (rho, rho_dot) and restarted at the tabulated knots."""
+    kap, n_sum, ell_z = prof.kappa, q.total + 1, spectrum.lz_eigenvalue(q)
+
+    def rhs(t, y):
+        M, Om = float(prof.mass(t)), float(prof.Omega(t))
+        drive = prof.q**2 * float(prof.efield_sq(t)) / (2.0 * M * float(prof.omega(t)))
+        return [
+            y[1],
+            -(float(prof.mass_rate(t)) / M) * y[1] - Om * Om * y[0] + kap**2 / (M * M * y[0] ** 3),
+            -kap * n_sum / (M * y[0] ** 2) + 0.5 * ell_z * float(prof.omega_c(t)) + drive,
+        ]
+
+    breaks = _KNOTS if prof.kind == "tabulated" else grid[[0, -1]]
+    y = [*auxode.default_initial_conditions(prof), 0.0]
+    pieces = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+        pieces.append(sol.sol)
+        y = sol.y[:, -1]
+    idx = np.clip(np.searchsorted(breaks, grid, side="right") - 1, 0, len(pieces) - 1)
+    return np.array([pieces[k](t)[2] for k, t in zip(idx, grid)])
 
 
 def _moving_setup():
@@ -98,6 +146,42 @@ class TestPhase:
         k = 120
         trace_a = spectrum.phase_gamma(HelicityQuanta(1, 1), prof, aux, grid[: k + 1])
         assert trace_a.gamma[-1] == pytest.approx(trace.gamma[k], rel=1e-12)
+
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_PARAMS))
+    def test_gamma_matches_tight_reference(self, kind):
+        prof = _kind_profile(kind)
+        grid = np.linspace(0.0, 12.0, 401)
+        aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
+        q = HelicityQuanta(2, 1)
+        trace = spectrum.phase_gamma(q, prof, aux, grid)
+        assert np.max(np.abs(trace.gamma - _reference_gamma(prof, q, grid))) < 1e-9
+
+    def test_gamma_does_not_depend_on_the_grid(self):
+        prof = _kind_profile("sinusoidal")
+        aux = auxode.solve_ep_numeric(
+            prof, *auxode.default_initial_conditions(prof), np.linspace(0.0, 12.0, 401)
+        )
+        q = HelicityQuanta(1, 0)
+        ends = [
+            spectrum.phase_gamma(q, prof, aux, np.linspace(0.0, 12.0, n)).gamma[-1]
+            for n in (2, 401, 801)
+        ]
+        assert ends[0] == ends[1] == ends[2]
+        coarse = spectrum.phase_gamma(q, prof, aux, np.linspace(0.0, 12.0, 401)).gamma
+        fine = spectrum.phase_gamma(q, prof, aux, np.linspace(0.0, 12.0, 801)).gamma
+        np.testing.assert_allclose(fine[::2], coarse, rtol=0.0, atol=1e-12)
+
+    def test_profile_terms_need_the_knots(self):
+        # panels that straddle a knot of the cubic interpolants fail the
+        # two-order certification; the knots are added to the panel ends
+        prof = _kind_profile("tabulated")
+        grid = np.linspace(0.0, 12.0, 5)
+        aux = auxode.stationary_solution(prof, grid)
+        spectrum.phase_gamma(HelicityQuanta(1, 0), prof, aux, grid)
+        no_knots = dataclasses.replace(prof, params={})
+        with pytest.raises(IntegralNonConvergent):
+            spectrum.phase_gamma(HelicityQuanta(1, 0), no_knots, aux, grid)
 
 
 class TestWavefunctions:
