@@ -45,7 +45,6 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     BlowUp,
@@ -146,14 +145,15 @@ def _panel_edges(base, profile: ParameterProfile) -> np.ndarray:
 class AuxiliarySolution:
     """Sampled auxiliary solution plus dense evaluators.
 
-    ``rho_fn``/``rho_dot_fn`` evaluate off-grid (ODE dense output or the
-    closed form); when absent, monotone cubic interpolation of the samples
-    is used.  ``theta_fn`` gives theta(t) = integral of kappa/(M rho^2) from
-    grid[0] to t; it needs M, so a solution built from samples alone has
-    none.  ``panels`` are the ends of the intervals on which the evaluators
-    are smooth (solver steps and profile knots, or the grid), for Gauss
-    quadrature along the solution.  ``kappa`` is carried along because the
-    invariant eigensystem is built from (rho, rho_dot, kappa) alone.
+    ``envelope_fn(t)`` returns the pair (rho, rho_dot) at t, each shaped
+    like t, from one evaluation (ODE dense output, the closed form, or the
+    stationary constants); ``rho``/``rho_dot`` are that pair on ``grid``.
+    ``theta_fn`` gives theta(t) = integral of kappa/(M rho^2) from grid[0]
+    to t; a solution without one has no phase.  ``panels`` are the ends of
+    the intervals on which the evaluators are smooth (solver steps and
+    profile knots, or the grid), for Gauss quadrature along the solution.
+    ``kappa`` is carried along because the invariant eigensystem is built
+    from (rho, rho_dot, kappa) alone.
     """
 
     grid: np.ndarray
@@ -162,8 +162,7 @@ class AuxiliarySolution:
     provenance: str
     max_residual: float
     kappa: float
-    rho_fn: Optional[Callable] = field(default=None, repr=False)
-    rho_dot_fn: Optional[Callable] = field(default=None, repr=False)
+    envelope_fn: Callable = field(repr=False)
     theta_fn: Optional[Callable] = field(default=None, repr=False)
     panels: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -173,18 +172,14 @@ class AuxiliarySolution:
         self.rho_dot = np.asarray(self.rho_dot, dtype=float)
         if np.any(self.rho <= 0.0):
             raise BlowUp("auxiliary solution must keep rho > 0 on the grid")
-        if self.rho_fn is None:
-            ip = PchipInterpolator(self.grid, self.rho)
-            ipd = PchipInterpolator(self.grid, self.rho_dot)
-            self.rho_fn = lambda t: ip(np.asarray(t, dtype=float))
-            self.rho_dot_fn = lambda t: ipd(np.asarray(t, dtype=float))
         self.panels = np.asarray(self.grid if self.panels is None else self.panels, dtype=float)
 
-    def rho_at(self, t):
-        return self.rho_fn(t)
+    def envelope_at(self, t):
+        """(rho(t), rho_dot(t)) from one evaluation."""
+        return self.envelope_fn(t)
 
-    def rho_dot_at(self, t):
-        return self.rho_dot_fn(t)
+    def rho_at(self, t):
+        return self.envelope_fn(t)[0]
 
     def theta_at(self, t):
         """theta(t) = integral of kappa/(M rho^2) from grid[0] to t."""
@@ -282,8 +277,7 @@ def solve_ep_numeric(
         provenance="numeric",
         max_residual=math.nan,
         kappa=kappa,
-        rho_fn=lambda t: sol.sol(np.asarray(t, dtype=float))[0],
-        rho_dot_fn=lambda t: sol.sol(np.asarray(t, dtype=float))[1],
+        envelope_fn=sol.sol,
         theta_fn=running_integral(
             lambda t: kappa / (profile.mass(t) * sol.sol(t)[0] ** 2), panels
         ),
@@ -461,8 +455,7 @@ def closed_form_solution(
         provenance=kind,
         max_residual=math.nan,
         kappa=kappa,
-        rho_fn=lambda t: ep_closed_form(kind, params, t)[0],
-        rho_dot_fn=lambda t: ep_closed_form(kind, params, t)[1],
+        envelope_fn=lambda t: ep_closed_form(kind, params, t),
         theta_fn=lambda t: np.reshape(_closed_form(kind, params, t)[2] - theta[0], np.shape(t)),
     )
     if profile is not None and grid.size >= 5 and _is_uniform(grid):
@@ -475,6 +468,11 @@ def stationary_solution(profile: ParameterProfile, grid) -> AuxiliarySolution:
     grid = np.asarray(grid, dtype=float)
     rho0, _ = default_initial_conditions(profile)
     rate = profile.kappa / (float(profile.mass(profile.t0)) * rho0 * rho0)
+
+    def envelope(t):
+        t = np.asarray(t, dtype=float)
+        return np.full_like(t, rho0), np.zeros_like(t)
+
     return AuxiliarySolution(
         grid=grid,
         rho=np.full_like(grid, rho0),
@@ -482,8 +480,7 @@ def stationary_solution(profile: ParameterProfile, grid) -> AuxiliarySolution:
         provenance="numeric",
         max_residual=0.0,
         kappa=profile.kappa,
-        rho_fn=lambda t: np.full_like(np.asarray(t, dtype=float), rho0),
-        rho_dot_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        envelope_fn=envelope,
         theta_fn=lambda t: rate * (np.asarray(t, dtype=float) - grid[0]),
     )
 
@@ -643,26 +640,8 @@ def classical_residual_pointwise(
 # gauge map
 # ---------------------------------------------------------------------------
 
-def gauge_map(profile: ParameterProfile, t: float, x1, x2, p1, p2):
-    """Center shift removing the linear drive: (x1,x2,p1,p2) -> (x,y,px,py)."""
-    omega = float(profile.omega(t))
-    if omega == 0.0:
-        raise ZeroFrequency("gauge shift needs omega(t) != 0")
-    M = float(profile.mass(t))
-    e1 = float(profile.efield1(t))
-    e2 = float(profile.efield2(t))
-    q = profile.q
-    B = profile.B
-    denom = M * omega**2
-    x = x1 + q * e1 / denom
-    y = x2 + q * e2 / denom
-    px = p1 - q**2 * B * e2 / (2.0 * denom)
-    py = p2 - q**2 * B * e1 / (2.0 * denom)
-    return x, y, px, py
-
-
-def gauge_map_inverse(profile: ParameterProfile, t: float, x, y, px, py):
-    """Inverse of gauge_map (shift back to the driven coordinates)."""
+def _gauge_shift(profile: ParameterProfile, t: float):
+    """Shift (dx, dy, dpx, dpy) that gauge_map adds to (x1, x2, p1, p2)."""
     omega = float(profile.omega(t))
     if omega == 0.0:
         raise ZeroFrequency("gauge shift needs omega(t) != 0")
@@ -673,8 +652,20 @@ def gauge_map_inverse(profile: ParameterProfile, t: float, x, y, px, py):
     B = profile.B
     denom = M * omega**2
     return (
-        x - q * e1 / denom,
-        y - q * e2 / denom,
-        px + q**2 * B * e2 / (2.0 * denom),
-        py + q**2 * B * e1 / (2.0 * denom),
+        q * e1 / denom,
+        q * e2 / denom,
+        -(q**2 * B * e2 / (2.0 * denom)),
+        -(q**2 * B * e1 / (2.0 * denom)),
     )
+
+
+def gauge_map(profile: ParameterProfile, t: float, x1, x2, p1, p2):
+    """Center shift removing the linear drive: (x1,x2,p1,p2) -> (x,y,px,py)."""
+    dx, dy, dpx, dpy = _gauge_shift(profile, t)
+    return x1 + dx, x2 + dy, p1 + dpx, p2 + dpy
+
+
+def gauge_map_inverse(profile: ParameterProfile, t: float, x, y, px, py):
+    """Inverse of gauge_map (shift back to the driven coordinates)."""
+    dx, dy, dpx, dpy = _gauge_shift(profile, t)
+    return x - dx, y - dy, px - dpx, py - dpy

@@ -95,8 +95,6 @@ def _load_profile(path: str, t0: Optional[float], t1: Optional[float]):
         doc["t0"] = t0
     if t1 is not None:
         doc["t1"] = t1
-    if float(doc.get("t1", 10.0)) <= float(doc.get("t0", 0.0)):
-        raise MissingParameter("profile window needs t1 > t0")
     return profile_from_json(json.dumps(doc))
 
 

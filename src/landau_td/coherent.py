@@ -779,8 +779,7 @@ def single_mode_wavefunction(
     if np.any(u < 0):
         raise ValueError("u must be nonnegative")
     a_ell = abs(int(ell))
-    rho = float(aux.rho_at(t))
-    rho_dot = float(aux.rho_dot_at(t))
+    rho, rho_dot = map(float, aux.envelope_at(t))
     M = float(profile.mass(t))
     kap = profile.kappa
     beta = 1.0 - 1j * M * rho * rho_dot / kap

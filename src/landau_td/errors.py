@@ -58,7 +58,7 @@ class ZeroFrequencyParticular(ValidationError):
 
 
 class UnsupportedInstance(ValidationError):
-    """Meijer G order tuple other than the two accepted instances."""
+    """Meijer G order tuple other than the accepted (4,0,2,4) instance."""
 
 
 class PoleError(ValidationError):

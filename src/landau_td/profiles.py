@@ -153,14 +153,37 @@ def _require(params: Mapping[str, object], *names: str) -> list:
     return out
 
 
-def _const_fn(value: float) -> Callable:
-    value = float(value)
+def _real(value, name: str) -> float:
+    """float(value); MissingParameter naming the entry when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise MissingParameter(
+            f"profile entry {name!r} must be a real number, got {value!r}"
+        ) from exc
+
+
+def _const_fn(value, name: str) -> Callable:
+    value = _real(value, name)
 
     def fn(t):
         t = np.asarray(t, dtype=float)
         return np.broadcast_to(np.float64(value), t.shape).copy() if t.ndim else np.float64(value)
 
     return fn
+
+
+def _field_fn(params: Mapping[str, object], name: str, t_tab=None) -> Callable:
+    """E1 or E2: monotone cubic through a table on ``t_tab`` (tabulated
+    kind with an array entry), else a constant."""
+    value = params.get(name, 0.0)
+    if t_tab is None or np.ndim(value) == 0:
+        return _const_fn(value, name)
+    table = np.asarray(value, dtype=float)
+    if table.shape != t_tab.shape:
+        raise MissingParameter(f"the {name} table must be 1-D with the length of t")
+    ip = PchipInterpolator(t_tab, table)
+    return lambda t: ip(np.asarray(t, dtype=float))
 
 
 def make_profile(
@@ -192,24 +215,23 @@ def make_profile(
             f"kind {kind!r} not one of {', '.join(PROFILE_KINDS)}"
         )
     if not t1 > t0:
-        raise OutOfDomain(f"empty time window [{t0}, {t1}]")
+        raise OutOfDomain(f"profile window needs t1 > t0, got [{t0}, {t1}]")
     if kappa <= 0:
         raise NonPositiveMassOrFrequency("kappa must be positive")
 
     params = dict(params)
-    e1 = _const_fn(params.get("E1", 0.0))
-    e2 = _const_fn(params.get("E2", 0.0))
+    t_tab = None
 
     if kind == "constant":
         (M, omega) = _require(params, "M", "omega")
-        mass = _const_fn(M)
-        mass_rate = _const_fn(0.0)
-        omega_fn = _const_fn(omega)
+        mass = _const_fn(M, "M")
+        mass_rate = _const_fn(0.0, "mass_rate")
+        omega_fn = _const_fn(omega, "omega")
 
     elif kind == "exponential-mass":
         (alpha, omega) = _require(params, "alpha", "omega")
-        M0 = float(params.get("M0", 1.0))
-        alpha = float(alpha)
+        M0 = _real(params.get("M0", 1.0), "M0")
+        alpha = _real(alpha, "alpha")
 
         def mass(t, M0=M0, alpha=alpha):
             return M0 * np.exp(-alpha * np.asarray(t, dtype=float))
@@ -217,28 +239,26 @@ def make_profile(
         def mass_rate(t, M0=M0, alpha=alpha):
             return -alpha * M0 * np.exp(-alpha * np.asarray(t, dtype=float))
 
-        omega_fn = _const_fn(omega)
+        omega_fn = _const_fn(omega, "omega")
 
     elif kind == "exponential-frequency":
         (tau, alpha) = _require(params, "tau", "alpha")
-        M = float(params.get("M", 1.0))
-        tau, alpha = float(tau), float(alpha)
-        mass = _const_fn(M)
-        mass_rate = _const_fn(0.0)
+        tau, alpha = _real(tau, "tau"), _real(alpha, "alpha")
+        mass = _const_fn(params.get("M", 1.0), "M")
+        mass_rate = _const_fn(0.0, "mass_rate")
 
         def omega_fn(t, tau=tau, alpha=alpha):
             return tau * np.exp(alpha * np.asarray(t, dtype=float))
 
     elif kind == "sinusoidal":
         (omega0, depth, rate) = _require(params, "omega0", "depth", "rate")
-        M = float(params.get("M", 1.0))
-        omega0, depth, rate = float(omega0), float(depth), float(rate)
+        omega0, depth, rate = _real(omega0, "omega0"), _real(depth, "depth"), _real(rate, "rate")
         if abs(depth) >= 1.0:
             raise NonPositiveMassOrFrequency(
                 f"|depth| = {abs(depth)} >= 1 lets omega touch zero"
             )
-        mass = _const_fn(M)
-        mass_rate = _const_fn(0.0)
+        mass = _const_fn(params.get("M", 1.0), "M")
+        mass_rate = _const_fn(0.0, "mass_rate")
 
         def omega_fn(t, omega0=omega0, depth=depth, rate=rate):
             t = np.asarray(t, dtype=float)
@@ -253,25 +273,20 @@ def make_profile(
             raise GridTooShort(
                 f"tabulated profile needs >= 4 samples, got {t_tab.size}"
             )
-        if t_tab.size != M_tab.size or t_tab.size != w_tab.size:
-            raise MissingParameter("t, M, omega tables must share a length")
+        if t_tab.ndim != 1 or M_tab.shape != t_tab.shape or w_tab.shape != t_tab.shape:
+            raise MissingParameter("t, M, omega tables must be 1-D and share a length")
         mass_ip = PchipInterpolator(t_tab, M_tab)
         mass_rate_ip = mass_ip.derivative()
         omega_ip = PchipInterpolator(t_tab, w_tab)
         mass = lambda t: mass_ip(np.asarray(t, dtype=float))  # noqa: E731
         mass_rate = lambda t: mass_rate_ip(np.asarray(t, dtype=float))  # noqa: E731
         omega_fn = lambda t: omega_ip(np.asarray(t, dtype=float))  # noqa: E731
-        if "E1" in params and np.ndim(params["E1"]) > 0:
-            e1_ip = PchipInterpolator(t_tab, np.asarray(params["E1"], dtype=float))
-            e1 = lambda t: e1_ip(np.asarray(t, dtype=float))  # noqa: E731
-        if "E2" in params and np.ndim(params["E2"]) > 0:
-            e2_ip = PchipInterpolator(t_tab, np.asarray(params["E2"], dtype=float))
-            e2 = lambda t: e2_ip(np.asarray(t, dtype=float))  # noqa: E731
         t0 = max(t0, float(t_tab[0]))
         t1 = min(t1, float(t_tab[-1]))
         if not t1 > t0:
             raise OutOfDomain("tabulated window does not overlap [t0, t1]")
 
+    e1, e2 = _field_fn(params, "E1", t_tab), _field_fn(params, "E2", t_tab)
     sample = np.linspace(t0, t1, _POSITIVITY_SAMPLES)
     M_s = np.asarray(mass(sample), dtype=float)
     w_s = np.asarray(omega_fn(sample), dtype=float)
@@ -336,12 +351,10 @@ def profile_from_json(text: str) -> ParameterProfile:
         raise MissingParameter("profile JSON must be an object")
     if "kind" not in doc:
         raise MissingParameter("profile JSON needs a 'kind' entry")
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise MissingParameter(f"profile 'params' must be an object, got {params!r}")
+    defaults = {"q": 0.0, "B": 0.0, "kappa": 1.0, "t0": 0.0, "t1": 10.0}
     return make_profile(
-        doc["kind"],
-        doc.get("params", {}),
-        q=float(doc.get("q", 0.0)),
-        B=float(doc.get("B", 0.0)),
-        kappa=float(doc.get("kappa", 1.0)),
-        t0=float(doc.get("t0", 0.0)),
-        t1=float(doc.get("t1", 10.0)),
+        doc["kind"], params, **{k: _real(doc.get(k, v), k) for k, v in defaults.items()}
     )

@@ -143,8 +143,7 @@ def lz_eigenvalue(q: HelicityQuanta) -> int:
 
 def _radial_energy(profile: ParameterProfile, aux: AuxiliarySolution, t):
     """(1/2 kappa)(M rho'^2 + kappa^2/(M rho^2) + M Omega^2 rho^2), over t."""
-    rho = aux.rho_at(t)
-    rho_dot = aux.rho_dot_at(t)
+    rho, rho_dot = aux.envelope_at(t)
     M = profile.mass(t)
     Om = profile.Omega(t)
     kap = profile.kappa
@@ -178,13 +177,11 @@ def hamiltonian_expectation(
 
 
 def _i_dt_expectation(
-    q: HelicityQuanta, profile: ParameterProfile, aux: AuxiliarySolution, t
+    q: HelicityQuanta, profile: ParameterProfile, t: np.ndarray, rho, rho_dot
 ) -> np.ndarray:
-    """<i d/dt> on the eigenstate: (n+1)(M rho'^2 + M Omega^2 rho^2
-    - kappa^2/(M rho^2)) / (2 kappa).  Vanishes at the stationary point."""
-    t = np.asarray(t, dtype=float)
-    rho = np.asarray(aux.rho_at(t), dtype=float)
-    rho_dot = np.asarray(aux.rho_dot_at(t), dtype=float)
+    """<i d/dt> on the eigenstate at the times t, where the envelope is
+    (rho, rho_dot): (n+1)(M rho'^2 + M Omega^2 rho^2 - kappa^2/(M rho^2))
+    / (2 kappa).  Vanishes at the stationary point."""
     M = np.asarray(profile.mass(t), dtype=float)
     Om = np.asarray(profile.Omega(t), dtype=float)
     kap = profile.kappa
@@ -222,11 +219,9 @@ def phase_gamma(
     def field_rate(t):
         return 0.5 * ell_z * profile.omega_c(t) + _drive_energy(profile, t)
 
-    integrand = (
-        -profile.kappa * n_sum / (profile.mass(grid) * aux.rho_at(grid) ** 2)
-        + field_rate(grid)
-    )
-    defining = _i_dt_expectation(q, profile, aux, grid) - hamiltonian_expectation(
+    rho, rho_dot = aux.envelope_at(grid)
+    integrand = -profile.kappa * n_sum / (profile.mass(grid) * rho**2) + field_rate(grid)
+    defining = _i_dt_expectation(q, profile, grid, rho, rho_dot) - hamiltonian_expectation(
         q, profile, aux, grid
     )
     if np.max(np.abs(defining - integrand)) > 1e-9 * max(1.0, float(np.max(np.abs(integrand)))):
@@ -269,8 +264,7 @@ def wavefunction_polar(
     theta = np.asarray(theta, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    rho = float(aux.rho_at(t))
-    rho_dot = float(aux.rho_dot_at(t))
+    rho, rho_dot = map(float, aux.envelope_at(t))
     M = float(profile.mass(t))
     kap = profile.kappa
     ell = q.ell
@@ -303,8 +297,7 @@ def wavefunction_cartesian(
         raise ValueError("mode indices must be nonnegative")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rho = float(aux.rho_at(t))
-    rho_dot = float(aux.rho_dot_at(t))
+    rho, rho_dot = map(float, aux.envelope_at(t))
     M = float(profile.mass(t))
     kap = profile.kappa
     root_k = math.sqrt(kap)
@@ -348,8 +341,7 @@ def uncertainty_product(
     """Delta x Delta p_x = (2n+|l|+1)/2 sqrt(1 + M^2 rho'^2 rho^2 / kappa^2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rho = float(aux.rho_at(t))
-    rho_dot = float(aux.rho_dot_at(t))
+    rho, rho_dot = map(float, aux.envelope_at(t))
     M = float(profile.mass(t))
     kap = profile.kappa
     return 0.5 * (2 * n + abs(ell) + 1) * math.sqrt(1.0 + (M * rho_dot * rho / kap) ** 2)
@@ -412,8 +404,7 @@ def build_operator_matrices(
     a_p_dag = a_p.conj().T.tocsr()
     a_m_dag = a_m.conj().T.tocsr()
 
-    rho = float(aux.rho_at(t))
-    rho_dot = float(aux.rho_dot_at(t))
+    rho, rho_dot = map(float, aux.envelope_at(t))
     M = float(profile.mass(t))
     kap = profile.kappa
     root_k = math.sqrt(kap)

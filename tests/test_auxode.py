@@ -303,14 +303,34 @@ class TestPhase:
         F = auxode.running_integral(f, [0.0, 0.3, 1.0])
         assert F(1.0) == pytest.approx(0.045 + 0.245, rel=1e-14)
 
-    def test_samples_only_solution_has_no_phase(self):
+    def test_solution_without_theta_fn_has_no_phase(self):
         grid = np.linspace(0.0, 1.0, 5)
         sol = auxode.AuxiliarySolution(
             grid=grid, rho=np.ones(5), rho_dot=np.zeros(5), provenance="numeric",
             max_residual=math.nan, kappa=1.0,
+            envelope_fn=lambda t: (np.ones_like(t), np.zeros_like(t)),
         )
+        assert sol.rho_at(0.5) == 1.0
         with pytest.raises(ValueError):
             sol.theta_at(0.5)
+
+
+class TestEnvelope:
+    def test_envelope_on_the_grid_is_the_samples(self):
+        prof = make_profile(
+            "sinusoidal", {"omega0": 1.2, "depth": 0.3, "rate": 0.7}, q=1.0, B=0.9, t1=6.0
+        )
+        grid = np.linspace(0.0, 6.0, 61)
+        solutions = [
+            auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid),
+            auxode.closed_form_solution("pinney_constant", {"omega": 1.0, "nu": 2.0}, grid),
+            auxode.stationary_solution(_const_profile(), grid),
+        ]
+        for aux in solutions:
+            rho, rho_dot = aux.envelope_at(aux.grid)
+            np.testing.assert_array_equal(rho, aux.rho)
+            np.testing.assert_array_equal(rho_dot, aux.rho_dot)
+            np.testing.assert_array_equal(aux.rho_at(aux.grid), aux.rho)
 
 
 class TestResidual:
@@ -422,6 +442,20 @@ class TestGauge:
         fwd = auxode.gauge_map(prof, 2.0, x1, x2, p1, p2)
         back = auxode.gauge_map_inverse(prof, 2.0, *fwd)
         np.testing.assert_allclose(back, [x1, x2, p1, p2], atol=1e-13)
+        # the shift is exactly the explicit formula, in both directions
+        q, B, denom = 1.3, 0.8, 1.7 * 1.1**2
+        assert fwd == (
+            x1 + q * e1 / denom,
+            x2 + q * e2 / denom,
+            p1 - q**2 * B * e2 / (2.0 * denom),
+            p2 - q**2 * B * e1 / (2.0 * denom),
+        )
+        assert auxode.gauge_map_inverse(prof, 2.0, x1, x2, p1, p2) == (
+            x1 - q * e1 / denom,
+            x2 - q * e2 / denom,
+            p1 + q**2 * B * e2 / (2.0 * denom),
+            p2 + q**2 * B * e1 / (2.0 * denom),
+        )
 
     def test_zero_frequency_guard(self):
         prof = _degenerate_zero_omega_profile()

@@ -136,6 +136,33 @@ class TestAux:
         assert "numerical failure" in err
 
 
+_BASE_PROFILE = {"kind": "constant", "params": {"M": 1.0, "omega": 1.0}, "t1": 5.0}
+_TABLES = {"t": [0.0, 1.0, 2.0, 3.0], "M": [1.0] * 4, "omega": [1.0] * 4}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_BASE_PROFILE, "q": None},
+        {**_BASE_PROFILE, "t1": None},
+        {**_BASE_PROFILE, "params": 5},
+        {**_BASE_PROFILE, "params": {"M": [1, 2], "omega": 1.0}},
+        {"kind": "tabulated", "params": {**_TABLES, "E1": [[1]]}, "t1": 3.0},
+        {"kind": "tabulated", "params": {**_TABLES, "M": [[1.0]] * 4}, "t1": 3.0},
+    ],
+    ids=[
+        "q-null", "t1-null", "params-number", "constant-M-list", "tabulated-E1-nested",
+        "tabulated-M-nested",
+    ],
+)
+def test_malformed_profile_is_an_input_error(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["aux", "--profile", str(path), "--samples", "5"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestClassical:
     def test_trajectory(self, capsys, varying_profile_file):
         code, out, _ = run_cli(

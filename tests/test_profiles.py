@@ -152,6 +152,16 @@ def test_tabulated_interpolates_through_samples():
     assert np.allclose(prof.omega(t), w, atol=1e-13)
 
 
+def test_tabulated_field_table_from_json():
+    t = np.linspace(0.0, 6.0, 13)
+    doc = {"t": t, "M": 1.0 + 0.0 * t, "omega": 1.0 + 0.0 * t, "E1": 0.1 * np.sin(t)}
+    prof = profile_from_json(profile_to_json(make_profile("tabulated", doc, t1=6.0)))
+    assert np.allclose(prof.efield1(t), 0.1 * np.sin(t), atol=1e-15)
+    assert np.all(prof.efield2(t) == 0.0)
+    with pytest.raises(MissingParameter):
+        make_profile("tabulated", {**doc, "E1": [0.1, 0.2]})
+
+
 def test_json_round_trip():
     prof = make_profile(
         "exponential-mass",

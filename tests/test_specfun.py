@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import roots_genlaguerre
@@ -81,13 +81,16 @@ def test_laguerre_recurrence_residual(n, alpha, x):
     alpha=st.sampled_from([0.0, 1.0, 2.5]),
     x=st.floats(min_value=0.1, max_value=30.0),
 )
+@example(n=18, alpha=2.5, x=1.078125)
 def test_laguerre_derivative_identity(n, alpha, x):
-    # x dL/dx = n L_n - (n + alpha) L_{n-1}, derivative by central difference
-    h = 1e-6 * max(1.0, x)
-    deriv = (laguerre(n, alpha, x + h) - laguerre(n, alpha, x - h)) / (2 * h)
-    lhs = x * deriv - n * laguerre(n, alpha, x) + (n + alpha) * laguerre(n - 1, alpha, x)
-    scale = max(1.0, abs(laguerre(n, alpha, x)), abs(laguerre(n - 1, alpha, x)))
-    assert abs(lhs) / scale < 1e-8
+    # x dL/dx = n L_n - (n + alpha) L_{n-1}, with the exact derivative
+    # dL_n^alpha/dx = -L_{n-1}^{alpha+1}
+    terms = (
+        -x * laguerre(n - 1, alpha + 1.0, x),
+        -n * laguerre(n, alpha, x),
+        (n + alpha) * laguerre(n - 1, alpha, x),
+    )
+    assert abs(sum(terms)) / max(abs(v) for v in terms) < 1e-12
 
 
 def test_laguerre_orthogonality_gauss_quadrature():

@@ -172,6 +172,25 @@ class TestPhase:
         fine = spectrum.phase_gamma(q, prof, aux, np.linspace(0.0, 12.0, 801)).gamma
         np.testing.assert_allclose(fine[::2], coarse, rtol=0.0, atol=1e-12)
 
+    def test_one_envelope_pass_per_term(self):
+        # the rate and <i d/dt> share one pass; <H> for the self-check is the other
+        prof = _kind_profile("tabulated")
+        grid = np.linspace(0.0, 12.0, 41)
+        aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
+        before = spectrum.phase_gamma(HelicityQuanta(1, 2), prof, aux, grid)
+        calls = []
+        envelope = aux.envelope_fn
+
+        def counted(t):
+            calls.append(np.shape(t))
+            return envelope(t)
+
+        aux.envelope_fn = counted
+        after = spectrum.phase_gamma(HelicityQuanta(1, 2), prof, aux, grid)
+        assert calls == [grid.shape, grid.shape]
+        np.testing.assert_array_equal(after.gamma, before.gamma)
+        np.testing.assert_array_equal(after.integrand, before.integrand)
+
     def test_profile_terms_need_the_knots(self):
         # panels that straddle a knot of the cubic interpolants fail the
         # two-order certification; the knots are added to the panel ends
@@ -260,7 +279,8 @@ class TestUncertainty:
     def test_moving_radical(self):
         # engineered M rho' rho / kappa = 1 doubles the square
         prof, aux = _static_setup()
-        aux.rho_dot_fn = lambda t: np.ones_like(np.asarray(t, dtype=float))
+        envelope = aux.envelope_fn
+        aux.envelope_fn = lambda t: (envelope(t)[0], np.ones_like(np.asarray(t, dtype=float)))
         val = spectrum.uncertainty_product(0, 0, prof, aux, 1.0)
         assert val == pytest.approx(0.5 * math.sqrt(2.0), rel=1e-12)
 

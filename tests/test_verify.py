@@ -70,8 +70,10 @@ def flat_aux():
         provenance="numeric",
         max_residual=math.nan,
         kappa=1.0,
-        rho_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        rho_dot_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        envelope_fn=lambda t: (
+            np.ones_like(np.asarray(t, dtype=float)),
+            np.zeros_like(np.asarray(t, dtype=float)),
+        ),
     )
 
 
