@@ -98,19 +98,20 @@ def _load_profile(path: str, t0: Optional[float], t1: Optional[float]):
     return profile_from_json(json.dumps(doc))
 
 
-def _solve_aux(profile, rho0: Optional[float], rho_dot0: float, samples: int):
+def _grid(profile, samples: int):
     import numpy as np
-
-    from .auxode import default_initial_conditions, solve_ep_numeric
 
     if samples < 5:
         raise MissingParameter("--samples must be at least 5")
-    grid = np.linspace(profile.t0, profile.t1, samples)
+    return np.linspace(profile.t0, profile.t1, samples)
+
+
+def _solve_aux(profile, rho0: Optional[float], rho_dot0: float, samples: int):
+    from .auxode import default_initial_conditions, solve_ep_numeric
+
     if rho0 is None:
-        rho0, default_rate = default_initial_conditions(profile)
-        if rho_dot0 == 0.0:
-            rho_dot0 = default_rate
-    return solve_ep_numeric(profile, rho0, rho_dot0, grid)
+        rho0 = default_initial_conditions(profile)[0]
+    return solve_ep_numeric(profile, rho0, rho_dot0, _grid(profile, samples))
 
 
 def _fmt(x) -> str:
@@ -183,11 +184,7 @@ def classical_cmd(profile_path, t0, t1, samples, z0, z_dot0, out):
     from .auxode import classical_residual_pointwise, classical_trajectory
 
     profile = _load_profile(profile_path, t0, t1)
-    if samples < 5:
-        raise MissingParameter("--samples must be at least 5")
-    import numpy as np
-
-    grid = np.linspace(profile.t0, profile.t1, samples)
+    grid = _grid(profile, samples)
     traj = classical_trajectory(
         profile, _parse_complex(z0, "--z0"), _parse_complex(z_dot0, "--z-dot0"), grid
     )

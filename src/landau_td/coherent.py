@@ -29,12 +29,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 import numpy as np
 from scipy.special import gammaln, hyp0f1, xlogy
 
-from .auxode import AuxiliarySolution
 from .errors import (
     CutoffMismatch,
     CutoffOverflow,
@@ -49,9 +48,11 @@ from .errors import (
     WrongFamily,
     ZeroF,
 )
-from .profiles import ParameterProfile
 from .specfun import MeijerGSpec, bessel, gamma_fn, hyp2f1_logarithmic, hypergeometric, meijer_g
-from .spectrum import _drive_energy, _radial_energy
+
+if TYPE_CHECKING:  # annotations only: the lattice algebra needs no dynamics
+    from .auxode import AuxiliarySolution
+    from .profiles import ParameterProfile
 
 __all__ = [
     "StateVector",
@@ -60,7 +61,6 @@ __all__ = [
     "canonical_state",
     "overlap",
     "distribution",
-    "evolution_params",
     "evolve_canonical",
     "nonlinear_state",
     "photon_added_state",
@@ -166,32 +166,18 @@ def _first_index(log_term: Callable, m0: int, small: Callable, what: str) -> int
     raise CutoffOverflow(f"{what} needs a cutoff beyond {_MAX_CUTOFF}")
 
 
-@dataclass(frozen=True)
-class EvolutionParams:
-    """Mode-rotation rates of the evolved canonical family.
-
-    T1 is the radial energy scale, T2 = omega_c/2 splits the two
-    helicities, lam is the c-number drive term.
-    """
-
-    T1: float
-    T2: float
-    lam: float
-
-
 @dataclass
 class WeightSpec:
     """Moment-problem data for a family's resolution of the identity.
 
     The check integrates x^(m + power_offset) * evaluator(x) over
     (0, x_max or inf) and compares with moment_target(m) for admissible
-    m in [m_min, m_max], calling the evaluator on an array of x.
+    m in [0, m_max], calling the evaluator on an array of x.
     """
 
     family: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     moment_target: Callable[[int], float]
-    m_min: int = 0
     m_max: Optional[int] = None
     power_offset: int = 0
     x_max: Optional[float] = None
@@ -259,15 +245,17 @@ def distribution(s: StateVector) -> np.ndarray:
     return np.abs(s.coeffs) ** 2
 
 
-def evolution_params(
-    profile: ParameterProfile, aux: AuxiliarySolution, t: float
-) -> EvolutionParams:
-    """Frozen-time rotation rates (T1, T2, lam) of the canonical family."""
-    return EvolutionParams(
-        T1=_radial_energy(profile, aux, t),
-        T2=0.5 * float(profile.omega_c(t)),
-        lam=_drive_energy(profile, t),
-    )
+@dataclass(frozen=True)
+class EvolutionParams:
+    """Mode-rotation rates of the evolved canonical family.
+
+    T1 is the radial energy scale, T2 = omega_c/2 splits the two helicities,
+    lam is the c-number drive term; ``spectrum.evolution_params`` builds them.
+    """
+
+    T1: float
+    T2: float
+    lam: float
 
 
 def evolve_canonical(s: StateVector, params: EvolutionParams, tau: float) -> StateVector:

@@ -153,14 +153,17 @@ def _require(params: Mapping[str, object], *names: str) -> list:
     return out
 
 
-def _real(value, name: str) -> float:
-    """float(value); MissingParameter naming the entry when it is not a number."""
+def _real(value, name: str, ndim: int = 0):
+    """value as a float (a 1-D float array when ndim is 1); MissingParameter
+    naming the entry unless it has that shape and only finite numbers."""
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise MissingParameter(
-            f"profile entry {name!r} must be a real number, got {value!r}"
-        ) from exc
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        out = np.array(np.nan)
+    if out.ndim != ndim or not np.all(np.isfinite(out)):
+        what = "a 1-D table of finite real numbers" if ndim else "a finite real number"
+        raise MissingParameter(f"profile entry {name!r} must be {what}, got {value!r}")
+    return out if ndim else float(out)
 
 
 def _const_fn(value, name: str) -> Callable:
@@ -179,9 +182,9 @@ def _field_fn(params: Mapping[str, object], name: str, t_tab=None) -> Callable:
     value = params.get(name, 0.0)
     if t_tab is None or np.ndim(value) == 0:
         return _const_fn(value, name)
-    table = np.asarray(value, dtype=float)
+    table = _real(value, name, ndim=1)
     if table.shape != t_tab.shape:
-        raise MissingParameter(f"the {name} table must be 1-D with the length of t")
+        raise MissingParameter(f"the {name} table must have the length of t")
     ip = PchipInterpolator(t_tab, table)
     return lambda t: ip(np.asarray(t, dtype=float))
 
@@ -203,13 +206,15 @@ def make_profile(
     UnsupportedKind
         Unknown ``kind`` tag.
     MissingParameter
-        A parameter the kind needs is absent.
+        A parameter the kind needs is absent, or an entry is not finite.
     NonPositiveMassOrFrequency
         M or omega fails strict positivity anywhere on [t0, t1]
         (certified on a dense sample).
     GridTooShort
         Tabulated kind with fewer than 4 samples.
     """
+    names = ("q", "B", "kappa", "t0", "t1")
+    q, B, kappa, t0, t1 = (_real(v, k) for v, k in zip((q, B, kappa, t0, t1), names))
     if kind not in PROFILE_KINDS:
         raise UnsupportedKind(
             f"kind {kind!r} not one of {', '.join(PROFILE_KINDS)}"
@@ -265,16 +270,14 @@ def make_profile(
             return omega0 * (1.0 + depth * np.sin(rate * t))
 
     else:  # tabulated
-        (t_tab, M_tab, w_tab) = _require(params, "t", "M", "omega")
-        t_tab = np.asarray(t_tab, dtype=float)
-        M_tab = np.asarray(M_tab, dtype=float)
-        w_tab = np.asarray(w_tab, dtype=float)
+        _require(params, "t", "M", "omega")
+        t_tab, M_tab, w_tab = (_real(params[k], k, ndim=1) for k in ("t", "M", "omega"))
         if t_tab.size < 4:
             raise GridTooShort(
                 f"tabulated profile needs >= 4 samples, got {t_tab.size}"
             )
-        if t_tab.ndim != 1 or M_tab.shape != t_tab.shape or w_tab.shape != t_tab.shape:
-            raise MissingParameter("t, M, omega tables must be 1-D and share a length")
+        if M_tab.shape != t_tab.shape or w_tab.shape != t_tab.shape:
+            raise MissingParameter("t, M, omega tables must share a length")
         mass_ip = PchipInterpolator(t_tab, M_tab)
         mass_rate_ip = mass_ip.derivative()
         omega_ip = PchipInterpolator(t_tab, w_tab)
@@ -354,7 +357,5 @@ def profile_from_json(text: str) -> ParameterProfile:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise MissingParameter(f"profile 'params' must be an object, got {params!r}")
-    defaults = {"q": 0.0, "B": 0.0, "kappa": 1.0, "t0": 0.0, "t1": 10.0}
-    return make_profile(
-        doc["kind"], params, **{k: _real(doc.get(k, v), k) for k, v in defaults.items()}
-    )
+    entries = {k: doc[k] for k in ("q", "B", "kappa", "t0", "t1") if k in doc}
+    return make_profile(doc["kind"], params, **entries)

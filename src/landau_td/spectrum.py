@@ -29,6 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from .auxode import AuxiliarySolution, _panel_edges, running_integral
+from .coherent import EvolutionParams
 from .errors import CutoffTooSmall, InconsistentPhase
 from .profiles import ParameterProfile
 from .specfun import gamma_fn, hermite, laguerre
@@ -42,6 +43,7 @@ __all__ = [
     "invariant_eigenvalue",
     "lz_eigenvalue",
     "hamiltonian_expectation",
+    "evolution_params",
     "phase_gamma",
     "wavefunction_polar",
     "wavefunction_cartesian",
@@ -141,9 +143,9 @@ def lz_eigenvalue(q: HelicityQuanta) -> int:
     return q.n_minus - q.n_plus
 
 
-def _radial_energy(profile: ParameterProfile, aux: AuxiliarySolution, t):
-    """(1/2 kappa)(M rho'^2 + kappa^2/(M rho^2) + M Omega^2 rho^2), over t."""
-    rho, rho_dot = aux.envelope_at(t)
+def _radial_energy(profile: ParameterProfile, t, rho, rho_dot):
+    """(1/2 kappa)(M rho'^2 + kappa^2/(M rho^2) + M Omega^2 rho^2) at the
+    times t, where the envelope is (rho, rho_dot)."""
     M = profile.mass(t)
     Om = profile.Omega(t)
     kap = profile.kappa
@@ -164,15 +166,29 @@ def _drive_energy(profile: ParameterProfile, t):
     return profile.q**2 * profile.efield_sq(t) / (2.0 * profile.mass(t) * profile.omega(t))
 
 
+def _energy(q: HelicityQuanta, profile: ParameterProfile, t, rho, rho_dot):
+    """<H> on the eigenstate at the times t, where the envelope is (rho, rho_dot)."""
+    return (
+        _radial_energy(profile, t, rho, rho_dot) * (q.total + 1)
+        - 0.5 * profile.omega_c(t) * lz_eigenvalue(q)
+        - _drive_energy(profile, t)
+    )
+
+
 def hamiltonian_expectation(
     q: HelicityQuanta, profile: ParameterProfile, aux: AuxiliarySolution, t
 ):
     """<H(t)> on the invariant eigenstate labelled by q; t scalar or array."""
     profile.check_time(t)
-    return (
-        _radial_energy(profile, aux, t) * (q.total + 1)
-        - 0.5 * profile.omega_c(t) * lz_eigenvalue(q)
-        - _drive_energy(profile, t)
+    return _energy(q, profile, t, *aux.envelope_at(t))
+
+
+def evolution_params(profile: ParameterProfile, aux: AuxiliarySolution, t) -> EvolutionParams:
+    """Frozen-time rotation rates (T1, T2, lam) of the canonical family."""
+    return EvolutionParams(
+        T1=_radial_energy(profile, t, *aux.envelope_at(t)),
+        T2=0.5 * float(profile.omega_c(t)),
+        lam=_drive_energy(profile, t),
     )
 
 
@@ -206,10 +222,10 @@ def phase_gamma(
     so gamma = -(n+ + n- + 1) theta + the integral of the last two terms.
     theta comes from ``aux.theta_at``; the profile terms are integrated on
     the solution's panels plus the profile knots, with the same certified
-    Gauss rule.  The integrand is checked once on the grid against
-    <i d/dt> - <H> (InconsistentPhase).  ``gamma_closed_form`` halves the
-    first term (the alternative display); the Schroedinger-residual check
-    adjudicates between the two.
+    Gauss rule.  The envelope is read once on the grid; the integrand and
+    <i d/dt> - <H> both come from it and must agree (InconsistentPhase).
+    ``gamma_closed_form`` halves the first term (the alternative display);
+    the Schroedinger-residual check adjudicates between the two.
     """
     grid = np.asarray(grid, dtype=float)
     profile.check_time(grid)
@@ -221,9 +237,8 @@ def phase_gamma(
 
     rho, rho_dot = aux.envelope_at(grid)
     integrand = -profile.kappa * n_sum / (profile.mass(grid) * rho**2) + field_rate(grid)
-    defining = _i_dt_expectation(q, profile, grid, rho, rho_dot) - hamiltonian_expectation(
-        q, profile, aux, grid
-    )
+    defining = _i_dt_expectation(q, profile, grid, rho, rho_dot)
+    defining -= _energy(q, profile, grid, rho, rho_dot)
     if np.max(np.abs(defining - integrand)) > 1e-9 * max(1.0, float(np.max(np.abs(integrand)))):
         raise InconsistentPhase("phase integrand disagrees with <i d/dt> - <H>")
 

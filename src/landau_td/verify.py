@@ -39,7 +39,7 @@ from scipy import sparse
 from scipy.sparse.linalg import norm as sparse_norm
 
 from .auxode import AuxiliarySolution, solve_ep_numeric
-from .coherent import WeightSpec
+from .coherent import WeightSpec, weight_spec
 from .errors import (
     CutoffTooSmall,
     IntegralNonConvergent,
@@ -411,7 +411,7 @@ def lr_invariant_check(
 # commutator algebra
 # ---------------------------------------------------------------------------
 
-def _algebra_fixture(cutoff: int):
+def _algebra_fixture():
     """Generic profile and off-equilibrium aux solution for the algebra run.
 
     The commutation relations hold for any (rho, rho_dot, M, kappa); an
@@ -443,7 +443,7 @@ def algebra_check(cutoff: int = 20, tol: float = 1e-10) -> CheckReport:
     """
     if cutoff < 6:
         raise CutoffTooSmall(f"cutoff must be >= 6, got {cutoff}")
-    profile, aux, t = _algebra_fixture(cutoff)
+    profile, aux, t = _algebra_fixture()
     mats = {k: v.entries for k, v in build_operator_matrices(profile, aux, t, cutoff).items()}
     dim = (cutoff + 1) ** 2
     ident = sparse.identity(dim, format="csr", dtype=complex)
@@ -535,9 +535,9 @@ def moment_problem_check(spec: WeightSpec, m_max: int = 6, tol: float = 1e-6) ->
     order's relative error against ``spec.moment_target(m)`` is held to ``tol``.
     """
     m_hi = m_max if spec.m_max is None else min(m_max, spec.m_max)
-    if m_hi < spec.m_min:
-        raise ValueError(f"no admissible moment orders in [{spec.m_min}, {m_hi}]")
-    orders = np.arange(spec.m_min, m_hi + 1)
+    if m_hi < 0:
+        raise ValueError(f"no admissible moment orders in [0, {m_hi}]")
+    orders = np.arange(m_hi + 1)
     targets = np.array([float(spec.moment_target(int(m))) for m in orders])
     panels = _initial_panels(spec.x_max)
     while True:
@@ -602,8 +602,6 @@ def standard_suite(
     "invariant", "algebra", "moments"}; the default runs all five.  Sizes
     are chosen for interactive latency rather than maximum stringency.
     """
-    from .coherent import weight_spec  # local import to avoid cycle at module load
-
     known = ("orthonormality", "schrodinger", "invariant", "algebra", "moments")
     if checks is None:
         checks = known

@@ -137,30 +137,51 @@ class TestAux:
 
 
 _BASE_PROFILE = {"kind": "constant", "params": {"M": 1.0, "omega": 1.0}, "t1": 5.0}
+_BASE_TEXT = '{"kind": "constant", "params": {"M": 1.0, "omega": 1.0}, %s}'
 _TABLES = {"t": [0.0, 1.0, 2.0, 3.0], "M": [1.0] * 4, "omega": [1.0] * 4}
 
 
+def _tabulated(**tables):
+    return {"kind": "tabulated", "params": {**_TABLES, **tables}, "t1": 3.0}
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc, entry",
     [
-        {**_BASE_PROFILE, "q": None},
-        {**_BASE_PROFILE, "t1": None},
-        {**_BASE_PROFILE, "params": 5},
-        {**_BASE_PROFILE, "params": {"M": [1, 2], "omega": 1.0}},
-        {"kind": "tabulated", "params": {**_TABLES, "E1": [[1]]}, "t1": 3.0},
-        {"kind": "tabulated", "params": {**_TABLES, "M": [[1.0]] * 4}, "t1": 3.0},
-    ],
-    ids=[
-        "q-null", "t1-null", "params-number", "constant-M-list", "tabulated-E1-nested",
-        "tabulated-M-nested",
+        pytest.param({**_BASE_PROFILE, "q": None}, "q", id="q-null"),
+        pytest.param({**_BASE_PROFILE, "t1": None}, "t1", id="t1-null"),
+        pytest.param({**_BASE_PROFILE, "params": 5}, "params", id="params-number"),
+        pytest.param(
+            {**_BASE_PROFILE, "params": {"M": [1, 2], "omega": 1.0}}, "M", id="constant-M-list"
+        ),
+        pytest.param(_tabulated(E1=[[1]]), "E1", id="tabulated-E1-nested"),
+        pytest.param(_tabulated(M=[[1.0]] * 4), "M", id="tabulated-M-nested"),
+        # non-finite entries; JSON text where 1e400 or a 400-digit integer
+        # overflows a float, Python's NaN/Infinity extensions elsewhere
+        pytest.param(_BASE_TEXT % '"t1": 1e400', "t1", id="t1-1e400"),
+        pytest.param(_BASE_TEXT % ('"t1": 1' + "0" * 400), "t1", id="t1-huge-int"),
+        pytest.param({**_BASE_PROFILE, "kappa": math.nan}, "kappa", id="kappa-nan"),
+        pytest.param(_BASE_TEXT % '"q": 1e400', "q", id="q-1e400"),
+        pytest.param(
+            {**_BASE_PROFILE, "params": {"M": 1.0, "omega": 1.0, "E1": math.inf}},
+            "E1",
+            id="constant-E1-inf",
+        ),
+        pytest.param(_tabulated(t=[0.0, 1.0, math.nan, 3.0]), "t", id="tabulated-t-nan"),
+        pytest.param(_tabulated(M=[1.0, math.inf, 1.0, 1.0]), "M", id="tabulated-M-inf"),
+        pytest.param(_tabulated(omega=[1.0, None, 1.0, 1.0]), "omega", id="tabulated-omega-null"),
+        pytest.param(_tabulated(E1=[0.0, -math.inf, 0.0, 0.0]), "E1", id="tabulated-E1-inf"),
+        pytest.param(_tabulated(E2=[0.0, math.nan, 0.0, 0.0]), "E2", id="tabulated-E2-nan"),
     ],
 )
-def test_malformed_profile_is_an_input_error(capsys, tmp_path, doc):
+def test_malformed_profile_is_an_input_error(capsys, tmp_path, doc, entry):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run_cli(capsys, ["aux", "--profile", str(path), "--samples", "5"])
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    # one error line naming the entry, and nothing else: no traceback, no warning
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert f"'{entry}'" in err
 
 
 class TestClassical:
@@ -216,10 +237,9 @@ class TestSpectrum:
         from landau_td.errors import InconsistentPhase
         from landau_td.profiles import profile_from_json
 
-        true_energy = spectrum.hamiltonian_expectation
-        monkeypatch.setattr(
-            spectrum, "hamiltonian_expectation", lambda *args: true_energy(*args) + 1.0
-        )
+        # the self-check's <H> comes from the envelope pair phase_gamma holds
+        true_energy = spectrum._energy
+        monkeypatch.setattr(spectrum, "_energy", lambda *args: true_energy(*args) + 1.0)
         with open(static_profile_file) as fh:
             prof = profile_from_json(fh.read())
         grid = np.linspace(0.0, 1.0, 11)
@@ -443,6 +463,30 @@ def test_package_never_imports_mpmath():
         "    importlib.import_module(name)\n"
         "assert 'landau_td.coherent' in names and 'landau_td.cli' in names, names\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_coherent_imports_no_dynamics():
+    # the coherent states are algebra on the Fock lattice: importing them in a
+    # fresh interpreter loads neither the dynamics modules nor the scipy
+    # solvers, sparse matrices and interpolants those use
+    import landau_td
+
+    src = os.path.dirname(os.path.dirname(landau_td.__file__))
+    banned = (
+        "landau_td.profiles", "landau_td.auxode", "landau_td.spectrum",
+        "scipy.integrate", "scipy.sparse", "scipy.interpolate",
+    )
+    code = (
+        "import sys\n"
+        "import landau_td.coherent\n"
+        f"print(sorted(m for m in {banned!r} if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(

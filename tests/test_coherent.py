@@ -136,7 +136,7 @@ class TestEvolution:
             "constant", {"M": 1.0, "omega": 1.0}, kappa=1.0, t0=0.0, t1=10.0
         )
         aux = stationary_solution(prof, np.linspace(0.0, 10.0, 11))
-        ep = ch.evolution_params(prof, aux, 0.0)
+        ep = spectrum.evolution_params(prof, aux, 0.0)
         assert ep.T1 == pytest.approx(1.0, rel=1e-12)
         assert ep.T2 == 0.0
         assert ep.lam == 0.0

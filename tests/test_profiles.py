@@ -110,6 +110,19 @@ def test_non_finite_time_rejected(bad):
         prof.Omega(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entry_rejected(bad):
+    # the Python API refuses what the JSON path refuses, before any sampling
+    for entry in ("q", "B", "kappa", "t0", "t1"):
+        with pytest.raises(MissingParameter, match=f"'{entry}'"):
+            make_profile("constant", {"M": 1.0, "omega": 1.0}, **{entry: bad})
+    with pytest.raises(MissingParameter, match="'omega'"):
+        make_profile("constant", {"M": 1.0, "omega": bad})
+    tables = {"t": [0.0, 1.0, 2.0, 3.0], "M": [1.0, bad, 1.0, 1.0], "omega": [1.0] * 4}
+    with pytest.raises(MissingParameter, match="'M'"):
+        make_profile("tabulated", tables, t1=3.0)
+
+
 @given(t=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-5, 5)))
 def test_scalar_and_array_time_checks_agree(t):
     # the scalar path uses float comparisons, the array path numpy's; the
