@@ -209,14 +209,12 @@ def classical_cmd(profile_path, t0, t1, samples, z0, z_dot0, out):
 @_out_opt
 def spectrum_cmd(profile_path, t0, t1, samples, rho0, rho_dot0, n_plus, n_minus, out):
     """Energy and phase trace of one eigenstate; CSV over the window."""
-    from .spectrum import HelicityQuanta, hamiltonian_expectation, phase_gamma
+    from .spectrum import HelicityQuanta, phase_gamma
 
     profile = _load_profile(profile_path, t0, t1)
     sol = _solve_aux(profile, rho0, rho_dot0, samples)
-    q = HelicityQuanta(n_plus, n_minus)
-    trace = phase_gamma(q, profile, sol, sol.grid)
-    energy = hamiltonian_expectation(q, profile, sol, sol.grid)
-    rows = zip(sol.grid, sol.rho, energy, trace.gamma, trace.gamma_closed_form)
+    trace = phase_gamma(HelicityQuanta(n_plus, n_minus), profile, sol, sol.grid)
+    rows = zip(sol.grid, sol.rho, trace.energy, trace.gamma, trace.gamma_closed_form)
     _emit_csv(["t", "rho", "energy", "gamma", "gamma_closed_form"], rows, out)
 
 

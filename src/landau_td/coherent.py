@@ -18,21 +18,32 @@ Families and supports:
 ``su11_pa_perelomov``   diagonal shifted by the added index l.
 ``su11_pa_bg``          diagonal shifted by n_add.
 
+The one-line families (su2, su2_pa, su11_bg, su11_perelomov and the two
+photon-added su(1,1) families) build their amplitudes in logs in one
+function, _line_state: |c_m| = exp(L_m - ln S / 2) with phase m arg w,
+where ln S is the log of the full sum over m of exp(2 L_m).
+
 Normalization policy: families with an exact closed-form constant
 (canonical, su2, su2_pa, su11_bg, su11_perelomov) use it, so norm_deficit
-measures pure truncation loss; the photon-added families normalize by the
-truncated series itself, so their norm_deficit is zero by construction.
+measures pure truncation loss, and a deficit beyond 1e-10 raises
+NormalizationDiverges.  Every closed-form constant is ln S, the log of the
+full sum: 2j ln(1+|zeta|^2) for su2, the terminating Pfaff-form 2F1 for
+su2_pa, -2k ln(1-|eta|^2) for Perelomov (which perelomov_overlap shares),
+and for BG the PA-BG log series at n = 0 (which bg_overlap and the "bg"
+single-mode wavefunction share).  The photon-added families normalize by
+the truncated series itself, so their norm_deficit is zero by construction.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 import numpy as np
-from scipy.special import gammaln, hyp0f1, xlogy
+from scipy.special import gammaln, xlogy
 
 from .errors import (
     CutoffMismatch,
@@ -48,7 +59,7 @@ from .errors import (
     WrongFamily,
     ZeroF,
 )
-from .specfun import MeijerGSpec, bessel, gamma_fn, hyp2f1_logarithmic, hypergeometric, meijer_g
+from .specfun import bessel, gamma_fn, hyp2f1_logarithmic, hypergeometric, meijer_g
 
 if TYPE_CHECKING:  # annotations only: the lattice algebra needs no dynamics
     from .auxode import AuxiliarySolution
@@ -84,6 +95,7 @@ __all__ = [
 
 _MAX_CUTOFF = 10_000
 _TAIL_LOG = math.log(1e-16)
+_DEFICIT_BAR = 1e-10
 
 
 @dataclass
@@ -131,11 +143,6 @@ class StateVector:
         return table
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    """math.exp per entry, whose last bit numpy's vector exp does not always match."""
-    return np.array([math.exp(v) for v in x.tolist()])
-
-
 def _flat_index(s: StateVector) -> np.ndarray:
     """Row-major position of each support entry in the dense table."""
     return s.n_plus * (s.cutoff + 1) + s.n_minus
@@ -147,6 +154,42 @@ def _table_state(table, family, params, deficit=0.0) -> StateVector:
     return StateVector(
         table.shape[0] - 1, n_plus, n_minus, table[n_plus, n_minus], family, params, deficit
     )
+
+
+def _closed_form_deficit(amps: np.ndarray, family: str) -> float:
+    """1 - sum |c|^2 of a state normalized by an exact constant: the truncated
+    tail alone, so beyond 1e-10 the constant and the amplitudes disagree."""
+    deficit = 1.0 - float(np.sum(np.abs(amps) ** 2))
+    if not abs(deficit) <= _DEFICIT_BAR:
+        raise NormalizationDiverges(
+            f"{family}: norm deficit {deficit:.3e} beyond {_DEFICIT_BAR:g}; the "
+            "closed-form normalization does not match the amplitudes"
+        )
+    return deficit
+
+
+def _line_state(family, params, cutoff, m, n_plus, n_minus, w, log_weight, log_sum=None):
+    """State with amplitude c_m at (n_plus[m], n_minus[m]), one lattice line.
+
+    |c_m| = exp(L_m - ln S / 2), L_m = m ln|w| + log_weight[m], with phase
+    m arg w; ln S is the log of the full sum over m of exp(2 L_m).  A
+    closed-form family passes log_sum and gets its truncated tail as
+    norm_deficit; log_sum None normalizes by the truncated sum itself
+    (deficit 0).  w = 0 leaves c_0 = 1 alone.
+    """
+    deficit = 0.0
+    if w == 0:
+        amps = (m == 0).astype(complex)
+    else:
+        log_mag = m * math.log(abs(w)) + log_weight
+        phase = np.exp(1j * m * np.angle(w))
+        if log_sum is None:
+            amps = np.exp(log_mag - np.max(log_mag)) * phase
+            amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+        else:
+            amps = np.exp(log_mag - 0.5 * log_sum) * phase
+            deficit = _closed_form_deficit(amps, family)
+    return StateVector(cutoff, n_plus, n_minus, amps, family, params, deficit)
 
 
 def _first_index(log_term: Callable, m0: int, small: Callable, what: str) -> int:
@@ -226,7 +269,7 @@ def canonical_state(
         table,
         "canonical",
         {"z_plus": complex(z_plus), "z_minus": complex(z_minus)},
-        1.0 - float(np.sum(np.abs(table) ** 2)),
+        _closed_form_deficit(table, "canonical"),
     )
 
 
@@ -386,26 +429,43 @@ def _check_spin(j: float) -> int:
     return two_j
 
 
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """ln n! - (n + 1/2) ln n + n - ln sqrt(2 pi) for n >= 1: the Stirling
+    series past n = 15 (exact to roundoff there), gammaln below."""
+    inv2 = 1.0 / (n * n)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2) * inv2) * inv2) / n
+    direct = gammaln(n + 1) - (n + 0.5) * np.log(n) + n - 0.5 * math.log(2.0 * math.pi)
+    return np.where(n > 15, series, direct)
+
+
+def _log_binomial(n, m: np.ndarray) -> np.ndarray:
+    """ln C(n, m) for integers 0 <= m <= n, in Stirling's form: its large
+    terms m ln(n/m) + (n-m) ln(n/(n-m)) are of size n, where a gammaln sum
+    rounds at size n ln n (2e-13 against 2e-12 at n = 1000)."""
+    m = np.asarray(m, dtype=float)
+    inner = (m > 0) & (m < n)
+    n, k, m = np.where(inner, n, 2.0), np.where(inner, n - m, 1.0), np.where(inner, m, 1.0)
+    out = (
+        m * np.log(n / m) + k * np.log(n / k) + 0.5 * np.log(n / (2.0 * math.pi * m * k))
+        + _stirlerr(n) - _stirlerr(m) - _stirlerr(k)
+    )
+    return np.where(inner, out, 0.0)
+
+
 def su2_state(j: float, zeta: complex, cutoff: Optional[int] = None) -> StateVector:
     """Spin coherent state on the shell n+ + n- = 2j.
 
-    c_m = (1+|zeta|^2)^{-j} sqrt(C(2j, m)) zeta^m at (n+, n-) = (m, 2j-m).
+    c_m = (1+|zeta|^2)^{-j} sqrt(C(2j, m)) zeta^m at (n+, n-) = (m, 2j-m),
+    normalization sum (1+|zeta|^2)^{2j}.
     """
     two_j = _check_spin(j)
     n_cut = two_j if cutoff is None else cutoff
     if n_cut < two_j:
         raise CutoffTooSmall(f"cutoff {n_cut} < 2j = {two_j}")
-    amps = np.empty(two_j + 1, dtype=complex)
-    pref = (1.0 + abs(zeta) ** 2) ** (-j)
-    for m in range(two_j + 1):
-        log_binom = 0.5 * (
-            gammaln(two_j + 1) - gammaln(m + 1) - gammaln(two_j - m + 1)
-        )
-        amps[m] = pref * math.exp(log_binom) * zeta**m
     m = np.arange(two_j + 1)
-    return StateVector(
-        n_cut, m, two_j - m, amps, "su2", {"j": j, "zeta": complex(zeta)},
-        1.0 - float(np.sum(np.abs(amps) ** 2)),
+    return _line_state(
+        "su2", {"j": j, "zeta": complex(zeta)}, n_cut, m, m, two_j - m, zeta,
+        0.5 * _log_binomial(two_j, m), two_j * math.log1p(abs(zeta) ** 2),
     )
 
 
@@ -415,8 +475,11 @@ def su2_pa_state(
     """Photon-added spin state: (J+)^p image of the su2 state.
 
     c_m proportional to sqrt((2j)! (m+p)!) / (m! sqrt((2j-m-p)!)) zeta^m on
-    (n+, n-) = (m+p, 2j-m-p); the normalization constant is the terminating
-    Gauss series 2F1(1+p, p-2j; 1; -|zeta|^2) scaled by Gamma ratios.
+    (n+, n-) = (m+p, 2j-m-p).  Without the common factor (2j)! p! / n!,
+    n = 2j-p, the squared weights are C(m+p, m) C(n, m) |zeta|^2m, whose sum
+    2F1(1+p, -n; 1; -|zeta|^2) is taken in its Pfaff form (DLMF 15.8.1)
+    (1+|zeta|^2)^n 2F1(-n, -p; 1; |zeta|^2/(1+|zeta|^2)), a terminating
+    series of positive terms.
     """
     two_j = _check_spin(j)
     if p < 0:
@@ -426,23 +489,15 @@ def su2_pa_state(
     n_cut = two_j if cutoff is None else cutoff
     if n_cut < two_j:
         raise CutoffTooSmall(f"cutoff {n_cut} < 2j = {two_j}")
-    norm_sq = (
-        gamma_fn(1 + two_j)
-        * gamma_fn(1 + p)
-        / gamma_fn(1 + two_j - p)
-        * float(hypergeometric([1 + p, p - two_j], [1.0], -abs(zeta) ** 2).real)
-    )
-    amps = np.empty(two_j - p + 1, dtype=complex)
-    for m in range(two_j - p + 1):
-        log_mag = 0.5 * (gammaln(two_j + 1) + gammaln(m + p + 1)) - gammaln(
-            m + 1
-        ) - 0.5 * gammaln(two_j - m - p + 1)
-        amps[m] = math.exp(log_mag) * zeta**m
-    amps /= math.sqrt(norm_sq)
-    n_plus = np.arange(p, two_j + 1)
-    return StateVector(
-        n_cut, n_plus, two_j - n_plus, amps, "su2_pa", {"j": j, "zeta": complex(zeta), "p": p},
-        1.0 - float(np.sum(np.abs(amps) ** 2)),
+    n, x = two_j - p, abs(zeta) ** 2
+    # the series overflows past 2j ~ 1000 (p ~ j, |zeta| ~ 5); the deficit
+    # gate then refuses the state
+    series = np.real(hypergeometric([-n, -p], [1.0], x / (1.0 + x)))
+    m = np.arange(n + 1)
+    return _line_state(
+        "su2_pa", {"j": j, "zeta": complex(zeta), "p": p}, n_cut, m, m + p, n - m, zeta,
+        0.5 * (_log_binomial(m + p, m) + _log_binomial(n, m)),
+        n * math.log1p(x) + np.log(series),
     )
 
 
@@ -486,7 +541,8 @@ def _bg_cutoff(abs_z: float, two_k: float) -> int:
 def su11_bg_state(k_mode, z: complex, cutoff: Optional[int] = None) -> StateVector:
     """Lowering-generator eigenstate (K- eigenvalue z) on a fixed diagonal.
 
-    c_m = N z^m / sqrt(m! Gamma(m+2k)), N = sqrt(|z|^{2k-1} / I_{2k-1}(2|z|)).
+    c_m = N z^m / sqrt(m! Gamma(m+2k)), N^-2 = I_{2k-1}(2|z|) / |z|^{2k-1}, the
+    PA-BG normalization sum at n = 0.
     """
     k, ell = _lattice_ell(k_mode)
     two_k = 2.0 * k
@@ -494,22 +550,18 @@ def su11_bg_state(k_mode, z: complex, cutoff: Optional[int] = None) -> StateVect
     n_cut = max((cutoff or 0), m_needed + ell)
     if n_cut > _MAX_CUTOFF:
         raise CutoffOverflow(f"cutoff {n_cut} beyond supported {_MAX_CUTOFF}")
-    nu = two_k - 1.0
-    i_nu = float(bessel("I", nu, 2 * abs(z)))
-    if z == 0 or not i_nu > 0.0:
-        # limit |z|^nu / I_nu(2|z|) -> Gamma(2k), reached in double precision
-        # long before scipy's iv returns 0 or NaN (|z| below about 1e-77)
-        log_norm = 0.5 * gammaln(two_k)
-    else:
-        log_norm = 0.5 * (nu * math.log(abs(z)) - math.log(i_nu))
-    m = np.arange(n_cut - ell + 1 if z != 0 else 1)
-    log_z = math.log(abs(z)) if z != 0 else 0.0
-    log_mag = log_norm + m * log_z - 0.5 * (gammaln(m + 1) + gammaln(m + two_k))
-    amps = _exp(log_mag) * np.exp(1j * m * np.angle(z))
-    return StateVector(
-        n_cut, m + ell, m, amps, "su11_bg", {"k": k, "ell": ell, "z": complex(z)},
-        1.0 - float(np.sum(np.abs(amps) ** 2)),
+    m = np.arange(n_cut - ell + 1)
+    return _line_state(
+        "su11_bg", {"k": k, "ell": ell, "z": complex(z)}, n_cut, m, m + ell, m, z,
+        -0.5 * _pa_bg_log_weight(k, 0, m), -2.0 * _pa_bg_log_norm(k, 0, abs(z)),
     )
+
+
+def _perelomov_log_sum(k: float, x):
+    """ln sum_m Gamma(2k+m) / (m! Gamma(2k)) x^m = -2k ln(1 - x): the
+    Perelomov normalization sum at x = |eta|^2, and the overlap sum at
+    x = conj(eta1) eta2."""
+    return -2.0 * k * np.log1p(-x)
 
 
 def su11_perelomov_state(k_mode, eta: complex, cutoff: Optional[int] = None) -> StateVector:
@@ -533,15 +585,11 @@ def su11_perelomov_state(k_mode, eta: complex, cutoff: Optional[int] = None) -> 
             f"|eta| = {abs(eta)}",
         )
     n_cut = max((cutoff or 0), m_needed + ell)
-    m = np.arange(n_cut - ell + 1 if eta != 0 else 1)
-    log_eta = math.log(abs(eta)) if eta != 0 else 0.0
-    log_mag = 0.5 * (gammaln(two_k + m) - gammaln(m + 1) - gammaln(two_k))
-    amps = (1.0 - abs(eta) ** 2) ** k * _exp(log_mag + m * log_eta) * np.exp(
-        1j * m * np.angle(eta)
-    )
-    return StateVector(
-        n_cut, m + ell, m, amps, "su11_perelomov", {"k": k, "ell": ell, "eta": complex(eta)},
-        1.0 - float(np.sum(np.abs(amps) ** 2)),
+    m = np.arange(n_cut - ell + 1)
+    return _line_state(
+        "su11_perelomov", {"k": k, "ell": ell, "eta": complex(eta)}, n_cut, m, m + ell, m, eta,
+        0.5 * (gammaln(two_k + m) - gammaln(m + 1) - gammaln(two_k)),
+        _perelomov_log_sum(k, abs(eta) ** 2),
     )
 
 
@@ -553,16 +601,6 @@ def _pa_weight_f(k: float, l: int, m: np.ndarray) -> np.ndarray:
         - gammaln(m + l + 1)
         - gammaln(m + 2.0 * k + l)
     )
-
-
-def _series_amps(w: complex, m: np.ndarray, log_weight: Callable) -> np.ndarray:
-    """w^m exp(-log_weight() / 2), normalized by its own truncated sum; w = 0
-    gives m = 0 alone without evaluating the weights."""
-    if w == 0:
-        return (m == 0).astype(complex)
-    log_mag = m * math.log(abs(w)) - 0.5 * log_weight()
-    amps = np.exp(log_mag - np.max(log_mag)) * np.exp(1j * m * np.angle(w))
-    return amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
 
 
 def su11_pa_perelomov_state(
@@ -589,9 +627,9 @@ def su11_pa_perelomov_state(
         )
     n_cut = max((cutoff or 0), m_needed + shift)
     m = np.arange(n_cut - shift + 1)
-    amps = _series_amps(eta, m, lambda: np.log(_pa_weight_f(k, l, m)))
-    return StateVector(
-        n_cut, m + shift, m + l, amps, "su11_pa_perelomov", {"k": k, "eta": complex(eta), "l": l}
+    return _line_state(
+        "su11_pa_perelomov", {"k": k, "eta": complex(eta), "l": l}, n_cut, m, m + shift, m + l,
+        eta, -0.5 * np.log(_pa_weight_f(k, l, m)),
     )
 
 
@@ -621,9 +659,9 @@ def su11_pa_bg_state(
     if n_cut > _MAX_CUTOFF:
         raise CutoffOverflow(f"cutoff {n_cut} beyond supported {_MAX_CUTOFF}")
     m = np.arange(n_cut - shift + 1)
-    amps = _series_amps(z, m, lambda: _pa_bg_log_weight(k, n_add, m))
-    return StateVector(
-        n_cut, m + shift, m + n_add, amps, "su11_pa_bg", {"k": k, "z": complex(z), "n_add": n_add}
+    return _line_state(
+        "su11_pa_bg", {"k": k, "z": complex(z), "n_add": n_add}, n_cut, m, m + shift, m + n_add,
+        z, -0.5 * _pa_bg_log_weight(k, n_add, m),
     )
 
 
@@ -641,34 +679,28 @@ def canonical_overlap_modulus(
 
 
 def su2_overlap(j: float, zeta1: complex, zeta2: complex) -> complex:
-    """<zeta1|zeta2> = (1+|z1|^2)^-j (1+|z2|^2)^-j (1 + conj(z1) z2)^2j."""
-    two_j = _check_spin(j)
-    return (
-        (1.0 + abs(zeta1) ** 2) ** (-j)
-        * (1.0 + abs(zeta2) ** 2) ** (-j)
-        * (1.0 + np.conj(zeta1) * zeta2) ** two_j
-    )
+    """<zeta1|zeta2> = (1+|z1|^2)^-j (1+|z2|^2)^-j (1 + conj(z1) z2)^2j.
 
-
-def _bg_series(nu: float, w: float) -> float:
-    """sum_m w^m / (m! Gamma(m+nu+1)) = I_nu(2 sqrt(w)) / w^{nu/2}.
-
-    scipy's iv returns 0 or NaN for arguments below about 1e-77, and
-    w^{nu/2} underflows; there the series is 0F1(; nu+1; w) / Gamma(nu+1).
+    In logs, the normalization sums' 2j ln(1+x) terms would cancel to a
+    loss of about 2j ulp; by Lagrange's identity the modulus is (1 - d)^j,
+    d = |z1 - z2|^2 / ((1+|z1|^2)(1+|z2|^2)), and the phase 2j arg(1 + conj(z1) z2).
     """
-    bess, scale = float(bessel("I", nu, 2.0 * math.sqrt(w))), w ** (nu / 2.0)
-    if bess > 0.0 and scale > 0.0:
-        return bess / scale
-    return float(hyp0f1(nu + 1.0, w)) / gamma_fn(nu + 1.0)
+    two_j = _check_spin(j)
+    d = abs(zeta1 - zeta2) ** 2 / ((1.0 + abs(zeta1) ** 2) * (1.0 + abs(zeta2) ** 2))
+    if two_j == 0 or d >= 1.0:  # d = 1: orthogonal labels
+        return complex(two_j == 0)
+    return cmath.exp(complex(j * math.log1p(-d), two_j * cmath.phase(1.0 + np.conj(zeta1) * zeta2)))
 
 
 def bg_overlap(ell: int, z1: float, z2: float) -> float:
-    """Real-parameter BG overlap I_l(2 sqrt(z1 z2)) / sqrt(I_l(2z1) I_l(2z2))."""
+    """Real-parameter BG overlap I_l(2 sqrt(z1 z2)) / sqrt(I_l(2z1) I_l(2z2)),
+    from the normalization sums at z1, z2 and sqrt(z1 z2)."""
     if z1 < 0 or z2 < 0:
         raise DomainError("closed-form BG overlap expects z >= 0")
-    nu = float(abs(ell))
-    return _bg_series(nu, z1 * z2) / math.sqrt(
-        _bg_series(nu, z1 * z1) * _bg_series(nu, z2 * z2)
+    k = 0.5 * (abs(ell) + 1)
+    return math.exp(
+        _pa_bg_log_norm(k, 0, z1) + _pa_bg_log_norm(k, 0, z2)
+        - 2.0 * _pa_bg_log_norm(k, 0, math.sqrt(z1 * z2))
     )
 
 
@@ -677,10 +709,10 @@ def perelomov_overlap(ell: int, eta1: complex, eta2: complex) -> complex:
     if abs(eta1) >= 1 or abs(eta2) >= 1:
         raise EtaOutOfDisk("both parameters must lie inside the unit disk")
     k = 0.5 * (abs(ell) + 1)
-    return (
-        ((1.0 - abs(eta1) ** 2) * (1.0 - abs(eta2) ** 2)) ** k
-        * (1.0 - np.conj(eta1) * eta2) ** (-(abs(ell) + 1))
-    )
+    return complex(np.exp(
+        _perelomov_log_sum(k, complex(np.conj(eta1) * eta2))
+        - 0.5 * (_perelomov_log_sum(k, abs(eta1) ** 2) + _perelomov_log_sum(k, abs(eta2) ** 2))
+    ))
 
 
 def _pa_bg_terms(log_term: Callable, scale: float, n_add: int, error: type, what: str):
@@ -781,12 +813,9 @@ def single_mode_wavefunction(
         z = float(np.real(z))
         if z == 0.0:
             return pref * envelope * u ** (a_ell / 2.0) / math.sqrt(gamma_fn(a_ell + 1))
-        body = (
-            math.exp(z)
-            * bessel("J", float(a_ell), 2.0 * np.sqrt(u * z))
-            / math.sqrt(float(bessel("I", float(a_ell), 2.0 * z)))
-        )
-        return pref * envelope * body
+        # exp(z) / sqrt(I_l(2z)) in logs: I_l(2z) = z^l exp(-2 log_norm)
+        scale = math.exp(z + _pa_bg_log_norm(0.5 * (a_ell + 1), 0, z) - 0.5 * a_ell * math.log(z))
+        return pref * envelope * scale * bessel("J", float(a_ell), 2.0 * np.sqrt(u * z))
     if family == "perelomov":
         eta = complex(param)
         if abs(eta) >= 1.0:
@@ -904,12 +933,10 @@ def weight_spec(family: str, params: Mapping) -> WeightSpec:
         k, n_add = float(params["k"]), int(params["n"])
         _lattice_ell(("two_mode", k))
         ell = 2.0 * k - 1.0
-        g_spec = MeijerGSpec(
-            4, 0, 2, 4, (0.0, ell), (-float(n_add), -float(n_add), ell - n_add, ell - n_add)
-        )
+        a, b = (0.0, ell), (-float(n_add), -float(n_add), ell - n_add, ell - n_add)
         return WeightSpec(
             family=family,
-            evaluator=lambda x: meijer_g(g_spec, x),
+            evaluator=lambda x: meijer_g(a, b, x),
             moment_target=lambda m: math.exp(_pa_bg_log_weight(k, n_add, m)),
             power_offset=n_add,
         )

@@ -57,10 +57,6 @@ class ZeroFrequencyParticular(ValidationError):
     drive is nonzero."""
 
 
-class UnsupportedInstance(ValidationError):
-    """Meijer G order tuple other than the accepted (4,0,2,4) instance."""
-
-
 class PoleError(ValidationError):
     """Gamma function evaluated at a nonpositive integer."""
 

@@ -180,7 +180,8 @@ def _field_fn(params: Mapping[str, object], name: str, t_tab=None) -> Callable:
     """E1 or E2: monotone cubic through a table on ``t_tab`` (tabulated
     kind with an array entry), else a constant."""
     value = params.get(name, 0.0)
-    if t_tab is None or np.ndim(value) == 0:
+    # a list or an array is a table, whatever its contents: _real checks those
+    if t_tab is None or not (isinstance(value, (list, tuple)) or getattr(value, "ndim", 0)):
         return _const_fn(value, name)
     table = _real(value, name, ndim=1)
     if table.shape != t_tab.shape:

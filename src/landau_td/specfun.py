@@ -20,16 +20,15 @@ decays like exp(-2 sqrt(x)).  With the Mellin kernel
 G(x) = (1/2 pi i) * integral of M(s) x^{-s} ds along Re s = c, right of
 every pole; the integrand decays like exp(-pi |Im s|).  The abscissa is
 moved right like sqrt(x) so the integrand peak tracks the result's scale
-(steepest-descent scaling, no cancellation blowup).  ``meijer_g`` takes a
-scalar or an array of x and computes the Gamma kernel once per binary
-octave of x.
+(steepest-descent scaling, no cancellation blowup).  ``meijer_g(a, b, x)``
+takes the parameter tuples and a scalar or an array of x, and computes the
+Gamma kernel once per binary octave of x.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ from .errors import (
     DivergentSeries,
     DomainError,
     PoleError,
-    UnsupportedInstance,
 )
 
 __all__ = [
@@ -53,7 +51,6 @@ __all__ = [
     "bessel",
     "hypergeometric",
     "hyp2f1_logarithmic",
-    "MeijerGSpec",
     "meijer_g",
 ]
 
@@ -297,42 +294,11 @@ def hyp2f1_logarithmic(a: float, b: float) -> Callable:
 # Meijer G
 # ---------------------------------------------------------------------------
 
-_ACCEPTED_ORDERS = {(4, 0, 2, 4)}
-
-
-@dataclass(frozen=True)
-class MeijerGSpec:
-    """Order tuple and parameter lists of a Meijer G instance.
-
-    Only (m,n,p,q) = (4,0,2,4) is accepted, the layout of the bg_pa weight.
-    """
-
-    m: int
-    n: int
-    p: int
-    q: int
-    a: tuple
-    b: tuple
-
-    def __post_init__(self):
-        if (self.m, self.n, self.p, self.q) not in _ACCEPTED_ORDERS:
-            raise UnsupportedInstance(
-                f"Meijer G order {(self.m, self.n, self.p, self.q)} not supported; "
-                f"accepted: {sorted(_ACCEPTED_ORDERS)}"
-            )
-        if len(self.a) != self.p or len(self.b) != self.q:
-            raise UnsupportedInstance(
-                f"parameter lists must have lengths p={self.p}, q={self.q}"
-            )
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-
-
-def _mellin_log_kernel(spec: MeijerGSpec, s: np.ndarray) -> np.ndarray:
+def _mellin_log_kernel(a: tuple, b: tuple, s: np.ndarray) -> np.ndarray:
     """log M(s) on an array of complex points s, one loggamma per distinct factor."""
     # shift stands for Gamma(shift + s), counted with its power
-    powers = Counter(spec.b)
-    powers.subtract(spec.a)
+    powers = Counter(b)
+    powers.subtract(a)
     out = np.zeros_like(s, dtype=complex)
     for shift, power in powers.items():
         if power:
@@ -344,7 +310,7 @@ _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _T_MAX = 30.0
 
 
-def _contour_integral(spec: MeijerGSpec, x, c: float):
+def _contour_integral(a: tuple, b: tuple, x, c: float):
     """(1/pi) Re int_0^Tmax M(c+iT) x^{-c-iT} dT on Gauss-Legendre panels.
 
     Valid for real parameters and x > 0 (conjugate symmetry folds the
@@ -362,14 +328,14 @@ def _contour_integral(spec: MeijerGSpec, x, c: float):
     # the largest, searched up to Tmax or 6 sqrt(c) for a far abscissa (at
     # most 200: past c ~ 1100 the (4,0,2,4) value exp(-2c) underflows).
     probe = np.arange(0.0, min(max(_T_MAX, 6.0 * math.sqrt(abs(c))), 200.0) + 1.0)
-    log_mag = np.real(_mellin_log_kernel(spec, c + 1j * probe))
+    log_mag = np.real(_mellin_log_kernel(a, b, c + 1j * probe))
     within = np.flatnonzero(log_mag > np.max(log_mag) - 40.0)
     t_max = probe[within[-1] if within.size else -1] + 1.0
     n_panels = math.ceil(t_max / width)
     panel_starts = width * np.arange(n_panels)
     node_offsets = 0.5 * width * (1.0 + _GL_NODES)
     s = c + 1j * (panel_starts[:, None] + node_offsets).ravel()
-    log_vals = _mellin_log_kernel(spec, s) - s * ln_ref
+    log_vals = _mellin_log_kernel(a, b, s) - s * ln_ref
     # Guard against overflow in exp for extreme parameter choices.
     if np.any(np.real(log_vals) > 700.0):
         raise ContourFailure("Mellin-Barnes integrand overflows double precision")
@@ -382,8 +348,9 @@ def _contour_integral(spec: MeijerGSpec, x, c: float):
     return out if out.ndim else float(out)
 
 
-def meijer_g(spec: MeijerGSpec, x):
-    """Evaluate the Meijer G instance at x > 0 (a scalar or an array).
+def meijer_g(a: tuple, b: tuple, x):
+    """G^{4,0}_{2,4}(x | a; b) at x > 0 (a scalar or an array), for real
+    parameters a = (a1, a2) and b = (b1, b2, b3, b4).
 
     Array points are grouped by binary octave [2^(e-1), 2^e); the points of
     one octave share one contour abscissa and one T-grid, so the Gamma
@@ -394,7 +361,7 @@ def meijer_g(spec: MeijerGSpec, x):
         raise DomainError(f"meijer_g needs x > 0, got {np.min(xa)}")
     flat = xa.ravel()
     out = np.empty_like(flat)
-    c_left = max(-b for b in spec.b)
+    c_left = max(-v for v in b)
     expo = np.frexp(flat)[1]
     for e in np.unique(expo):
         octave = np.flatnonzero(expo == e)
@@ -408,5 +375,5 @@ def meijer_g(spec: MeijerGSpec, x):
             # integral tracks the exp(-2 sqrt(x)) decay without cancellation.
             c = c_left + (min(1.0, -2.0 / ln_mid) if ln_mid < 0.0 else 1.0)
             c += math.exp(0.5 * ln_mid)
-            out[idx] = _contour_integral(spec, flat[idx], c)
+            out[idx] = _contour_integral(a, b, flat[idx], c)
     return out.reshape(xa.shape) if xa.ndim else float(out[0])

@@ -96,7 +96,8 @@ class PhaseTrace:
     -(n+ + n- + 1) theta(t) plus the integral of the omega_c and drive terms,
     with theta taken from the auxiliary solution (exact for the closed forms,
     certified Gauss panels for the numeric route), so gamma(t) does not
-    depend on the grid.  ``integrand`` is that rate on the grid.
+    depend on the grid.  ``integrand`` is that rate on the grid, and
+    ``energy`` is <H> there, from the same envelope read.
     ``gamma_closed_form`` is the alternative closed form whose first term
     carries kappa/2 instead of kappa (kept for comparison, see the
     static-oscillator check).
@@ -105,6 +106,7 @@ class PhaseTrace:
     grid: np.ndarray
     gamma: np.ndarray
     integrand: np.ndarray
+    energy: np.ndarray
     gamma_closed_form: np.ndarray
 
 
@@ -237,8 +239,8 @@ def phase_gamma(
 
     rho, rho_dot = aux.envelope_at(grid)
     integrand = -profile.kappa * n_sum / (profile.mass(grid) * rho**2) + field_rate(grid)
-    defining = _i_dt_expectation(q, profile, grid, rho, rho_dot)
-    defining -= _energy(q, profile, grid, rho, rho_dot)
+    energy = _energy(q, profile, grid, rho, rho_dot)
+    defining = _i_dt_expectation(q, profile, grid, rho, rho_dot) - energy
     if np.max(np.abs(defining - integrand)) > 1e-9 * max(1.0, float(np.max(np.abs(integrand)))):
         raise InconsistentPhase("phase integrand disagrees with <i d/dt> - <H>")
 
@@ -250,6 +252,7 @@ def phase_gamma(
         grid=grid,
         gamma=field - radial,
         integrand=integrand,
+        energy=energy,
         gamma_closed_form=field - 0.5 * radial,
     )
 

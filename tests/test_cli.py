@@ -155,6 +155,7 @@ def _tabulated(**tables):
             {**_BASE_PROFILE, "params": {"M": [1, 2], "omega": 1.0}}, "M", id="constant-M-list"
         ),
         pytest.param(_tabulated(E1=[[1]]), "E1", id="tabulated-E1-nested"),
+        pytest.param(_tabulated(E1=[[1], [1, 2], [1], [1]]), "E1", id="tabulated-E1-ragged"),
         pytest.param(_tabulated(M=[[1.0]] * 4), "M", id="tabulated-M-nested"),
         # non-finite entries; JSON text where 1e400 or a 400-digit integer
         # overflows a float, Python's NaN/Infinity extensions elsewhere
@@ -252,6 +253,40 @@ class TestSpectrum:
         assert code == 2
         assert out == ""
         assert "numerical failure" in err
+
+
+    def test_one_envelope_pass(self, capsys, varying_profile_file, monkeypatch):
+        # the energy column is the <H> phase_gamma computes for its self-check,
+        # from its one envelope read on the grid
+        from landau_td import auxode, spectrum
+        from landau_td.profiles import profile_from_json
+
+        solve, calls, sols = auxode.solve_ep_numeric, [], []
+
+        def counted_solve(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            envelope = sol.envelope_fn
+
+            def counted(t):
+                calls.append(np.shape(t))
+                return envelope(t)
+
+            sol.envelope_fn = counted
+            sols.append(sol)
+            return sol
+
+        monkeypatch.setattr(auxode, "solve_ep_numeric", counted_solve)
+        code, out, _ = run_cli(
+            capsys,
+            ["spectrum", "--profile", varying_profile_file, "--samples", "41", "--n-plus", "1"],
+        )
+        assert code == 0
+        assert calls == [(41,)]
+        with open(varying_profile_file) as fh:
+            prof = profile_from_json(fh.read())
+        sol = sols[0]
+        energy = spectrum.hamiltonian_expectation(spectrum.HelicityQuanta(1, 0), prof, sol, sol.grid)
+        np.testing.assert_array_equal(parse_csv(out)[1][:, 2], energy)
 
 
 class TestWavefunction:
@@ -357,6 +392,36 @@ class TestCoherent:
         assert code == 1 and "--j is required" in err
         code, _, err = run_cli(capsys, ["coherent", "--family", "warped"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "su2_pa", "--j", "85.5", "--zeta", "0.5", "--p", "1"],
+            ["--family", "bg", "--k", "1", "--z", "400"],
+            ["--family", "bg", "--k", "500.5", "--z", "1"],
+            ["--family", "su2", "--j", "500", "--zeta", "3"],
+        ],
+    )
+    def test_large_labels_normalized(self, capsys, args):
+        # constants past the double range are built in logs
+        code, out, err = run_cli(capsys, ["coherent"] + args)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["coeffs"] and abs(doc["norm_deficit"]) <= 1e-10
+
+    def test_deficit_gate_exits_2(self, capsys, monkeypatch):
+        # a closed-form constant that disagrees with the amplitudes is a
+        # typed numerical failure, not a state with a large norm_deficit
+        from landau_td.errors import NormalizationDiverges
+
+        true_norm = coherent._pa_bg_log_norm
+        monkeypatch.setattr(coherent, "_pa_bg_log_norm", lambda *args: true_norm(*args) + 1e-9)
+        with pytest.raises(NormalizationDiverges):
+            coherent.su11_bg_state(("two_mode", 1.0), 0.8)
+        code, out, err = run_cli(capsys, ["coherent", "--family", "bg", "--k", "1.0", "--z", "0.8"])
+        assert code == 2
+        assert out == ""
+        assert "numerical failure" in err and "norm deficit" in err
 
     def test_deterministic_stdout(self, capsys):
         args = ["coherent", "--family", "canonical", "--z-plus", "0.4+0.2i", "--z-minus", "0.1"]

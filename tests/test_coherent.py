@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
@@ -523,6 +523,27 @@ class TestSingleModeWavefunction:
         fock = self._fock_sum(s, 2, prof, aux, 1.0, u, 0.0)
         assert np.max(np.abs(closed - fock)) < 1e-12
 
+    @pytest.mark.parametrize("z", [400.0, 800.0])
+    def test_bg_at_large_parameter(self, z):
+        # exp(z) / sqrt(I_l(2z)) overflowed to 0 or raised OverflowError
+        prof, aux = self._setup()
+        t, theta, ell = 2.1, 0.7, 1
+        u = np.linspace(0.0, 10.0, 41)
+        got = ch.single_mode_wavefunction("bg", ell, z, prof, aux, t, u, theta)
+        rho, rho_dot = map(float, aux.envelope_at(t))
+        M, kap = float(prof.mass(t)), prof.kappa
+        with mp.workdps(50):
+            beta = 1 - 1j * mp.mpf(M) * rho * rho_dot / kap
+            pref = mp.sqrt(kap / (mp.pi * mp.mpf(rho) ** 2)) * mp.expj(ell * theta)
+            scale = mp.exp(z) / mp.sqrt(mp.besseli(ell, 2 * mp.mpf(z)))
+            want = np.array(
+                [
+                    complex(pref * mp.exp(-beta * x / 2) * scale * mp.besselj(ell, 2 * mp.sqrt(x * z)))
+                    for x in map(mp.mpf, u)
+                ]
+            )
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_perelomov_closed_form(self):
         prof, aux = self._setup()
         t, theta = 2.1, 0.7
@@ -772,6 +793,29 @@ def _reference_json(s):
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _closed_form_labels():
+    """(family, labels...) of the families normalised by an exact constant."""
+    spin = st.integers(0, 500)
+    return st.one_of(
+        st.tuples(st.just("canonical"), _disk(12.0), _disk(12.0)),
+        st.tuples(st.just("su2"), spin, _disk(5.0)),
+        spin.flatmap(
+            lambda two_j: st.tuples(st.just("su2_pa"), st.just(two_j), _disk(5.0), st.integers(0, two_j))
+        ),
+        st.tuples(st.just("bg"), st.sampled_from(SU11_K + (200.5, 500.5)), _disk(1000.0)),
+        st.tuples(st.just("perelomov"), st.sampled_from(SU11_K), _disk(0.99)),
+    )
+
+
+_CLOSED_FORM = {
+    "canonical": ch.canonical_state,
+    "su2": lambda two_j, zeta: ch.su2_state(two_j / 2.0, zeta),
+    "su2_pa": lambda two_j, zeta, p: ch.su2_pa_state(two_j / 2.0, zeta, p),
+    "bg": lambda k, z: ch.su11_bg_state(("two_mode", k), z),
+    "perelomov": lambda k, eta: ch.su11_perelomov_state(("two_mode", k), eta),
+}
+
+
 class TestSupport:
     @given(s=_states)
     @settings(max_examples=60, deadline=None)
@@ -793,26 +837,19 @@ class TestSupport:
         want = np.vdot(a.coeffs, b.coeffs)
         assert abs(ch.overlap(a, b) - want) <= 1e-14
 
-    @given(data=st.data(), family=st.sampled_from(["canonical", "su2", "su2_pa", "bg", "perelomov"]))
+    @given(label=_closed_form_labels())
+    # failures of the linear-scale constants: overflow, an underflowed
+    # Bessel normalizer, and a Gamma ratio past the double range
+    @example(label=("su2", 500, 4.9j))
+    @example(label=("su2_pa", 171, 0.5, 1))
+    @example(label=("su2_pa", 300, 0.5, 1))
+    @example(label=("bg", 1.0, 400.0))
+    @example(label=("bg", 500.5, 1.0))
     @settings(max_examples=80, deadline=None)
-    def test_closed_form_norm_deficit(self, data, family):
+    def test_closed_form_norm_deficit(self, label):
         # families normalised by an exact constant lose only the truncated tail
-        if family == "canonical":
-            s = ch.canonical_state(data.draw(_disk(12.0)), data.draw(_disk(12.0)))
-        elif family in ("su2", "su2_pa"):
-            two_j = data.draw(st.integers(0, 80))
-            zeta = data.draw(_disk(5.0))
-            if family == "su2":
-                s = ch.su2_state(two_j / 2.0, zeta)
-            else:
-                s = ch.su2_pa_state(two_j / 2.0, zeta, data.draw(st.integers(0, two_j)))
-        elif family == "bg":
-            k = data.draw(st.sampled_from(SU11_K))
-            s = ch.su11_bg_state(("two_mode", k), data.draw(_disk(12.0)))
-        else:
-            k = data.draw(st.sampled_from(SU11_K))
-            s = ch.su11_perelomov_state(("two_mode", k), data.draw(_disk(0.99)))
-        assert abs(s.norm_deficit) <= 1e-12
+        family, *args = label
+        assert abs(_CLOSED_FORM[family](*args).norm_deficit) <= 1e-12
 
     def test_dense_table_read_only(self):
         s = ch.su2_state(1.0, 0.5)
@@ -870,20 +907,29 @@ class TestClosedFormOverlaps:
         cut = max(build(p1, None).cutoff, build(p2, None).cutoff)
         return build(p1, cut), build(p2, cut)
 
-    @given(two_j=st.integers(0, 80), zeta1=_disk(5.0), zeta2=_disk(5.0))
+    @given(two_j=st.integers(0, 500), zeta1=_disk(5.0), zeta2=_disk(5.0))
     @settings(max_examples=60, deadline=None)
     def test_su2(self, two_j, zeta1, zeta2):
         j = two_j / 2.0
         a, b = self._pair(lambda z, cut: ch.su2_state(j, z, cut), zeta1, zeta2)
         assert abs(ch.overlap(a, b) - ch.su2_overlap(j, zeta1, zeta2)) < 1e-12
 
-    @given(ell=st.integers(0, 6), z1=st.floats(0.0, 12.0), z2=st.floats(0.0, 12.0))
+    @given(ell=st.integers(0, 400), z1=st.floats(0.0, 300.0), z2=st.floats(0.0, 300.0))
+    # the Bessel ratio overflowed to 0 and divided by Gamma(400) = inf
+    @example(ell=1, z1=400.0, z2=390.0)
+    @example(ell=399, z1=1.0, z2=1.3)
     @settings(max_examples=60, deadline=None)
     def test_bg(self, ell, z1, z2):
         a, b = self._pair(
             lambda z, cut: ch.su11_bg_state(("single_mode", ell), z, cut), z1, z2
         )
         assert abs(ch.overlap(a, b) - ch.bg_overlap(ell, z1, z2)) < 1e-12
+
+    def test_equal_labels_at_large_index(self):
+        # linear-scale factors under- and overflow here (0, nan, nan before)
+        assert abs(ch.bg_overlap(1, 300.0, 300.0) - 1.0) <= 1e-12
+        assert abs(ch.su2_overlap(300, 5.0, 5.0) - 1.0) <= 1e-12
+        assert abs(ch.perelomov_overlap(1000, 0.8, 0.8) - 1.0) <= 1e-12
 
     @given(ell=st.integers(0, 6), eta1=_disk(0.99), eta2=_disk(0.99))
     @settings(max_examples=60, deadline=None)
