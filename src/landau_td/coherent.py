@@ -18,20 +18,21 @@ Families and supports:
 ``su11_pa_perelomov``   diagonal shifted by the added index l.
 ``su11_pa_bg``          diagonal shifted by n_add.
 
-The one-line families (su2, su2_pa, su11_bg, su11_perelomov and the two
-photon-added su(1,1) families) build their amplitudes in logs in one
-function, _line_state: |c_m| = exp(L_m - ln S / 2) with phase m arg w,
-where ln S is the log of the full sum over m of exp(2 L_m).
+Every family builds its amplitudes in one function, _amplitudes, as
+c_m = exp(L_m) e^{i m arg w} from log-magnitudes L_m and a label w: the six
+one-line families once (_line_state), the three product families once per
+mode, multiplied by _product_state on the modes' nonzero spans.  Their
+Poisson log-weight is _poisson_half_log, in Loader's saddle-point form.
 
 Normalization policy: families with an exact closed-form constant
-(canonical, su2, su2_pa, su11_bg, su11_perelomov) use it, so norm_deficit
-measures pure truncation loss, and a deficit beyond 1e-10 raises
-NormalizationDiverges.  Every closed-form constant is ln S, the log of the
-full sum: 2j ln(1+|zeta|^2) for su2, the terminating Pfaff-form 2F1 for
+(canonical, su2, su2_pa, su11_bg, su11_perelomov) subtract ln S / 2 from L_m,
+ln S the log of the full sum, so norm_deficit measures pure truncation loss,
+and a deficit beyond 1e-10 raises NormalizationDiverges.  ln S is 0 for a
+Poisson mode, 2j ln(1+|zeta|^2) for su2, the terminating Pfaff-form 2F1 for
 su2_pa, -2k ln(1-|eta|^2) for Perelomov (which perelomov_overlap shares),
 and for BG the PA-BG log series at n = 0 (which bg_overlap and the "bg"
-single-mode wavefunction share).  The photon-added families normalize by
-the truncated series itself, so their norm_deficit is zero by construction.
+single-mode wavefunction share).  The other families normalize by the
+truncated sum once its last entry is below 1e-10 of it: norm_deficit 0.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import (
     CutoffMismatch,
@@ -148,18 +149,9 @@ def _flat_index(s: StateVector) -> np.ndarray:
     return s.n_plus * (s.cutoff + 1) + s.n_minus
 
 
-def _table_state(table, family, params, deficit=0.0) -> StateVector:
-    """State on the nonzero entries of a product-family table."""
-    n_plus, n_minus = np.nonzero(table)
-    return StateVector(
-        table.shape[0] - 1, n_plus, n_minus, table[n_plus, n_minus], family, params, deficit
-    )
-
-
-def _closed_form_deficit(amps: np.ndarray, family: str) -> float:
-    """1 - sum |c|^2 of a state normalized by an exact constant: the truncated
-    tail alone, so beyond 1e-10 the constant and the amplitudes disagree."""
-    deficit = 1.0 - float(np.sum(np.abs(amps) ** 2))
+def _closed_form_deficit(deficit: float, family: str) -> float:
+    """Gate on a closed-form family's norm deficit 1 - sum |c|^2, which is
+    the truncated tail alone."""
     if not abs(deficit) <= _DEFICIT_BAR:
         raise NormalizationDiverges(
             f"{family}: norm deficit {deficit:.3e} beyond {_DEFICIT_BAR:g}; the "
@@ -168,28 +160,48 @@ def _closed_form_deficit(amps: np.ndarray, family: str) -> float:
     return deficit
 
 
-def _line_state(family, params, cutoff, m, n_plus, n_minus, w, log_weight, log_sum=None):
-    """State with amplitude c_m at (n_plus[m], n_minus[m]), one lattice line.
+def _amplitudes(m: np.ndarray, w: complex, log_mag: np.ndarray, family=None) -> tuple:
+    """(exp(log_mag) e^{i m arg w}, norm deficit) on the indices m.
 
-    |c_m| = exp(L_m - ln S / 2), L_m = m ln|w| + log_weight[m], with phase
-    m arg w; ln S is the log of the full sum over m of exp(2 L_m).  A
-    closed-form family passes log_sum and gets its truncated tail as
-    norm_deficit; log_sum None normalizes by the truncated sum itself
-    (deficit 0).  w = 0 leaves c_0 = 1 alone.
+    A closed-form family (family named) has subtracted ln S / 2 already, so
+    its deficit is the truncated tail, gated at 1e-10.  Otherwise the
+    magnitudes are shifted by their maximum, the last entry must hold at
+    most 1e-10 of the truncated sum, and that sum normalizes them.
     """
-    deficit = 0.0
-    if w == 0:
-        amps = (m == 0).astype(complex)
-    else:
-        log_mag = m * math.log(abs(w)) + log_weight
-        phase = np.exp(1j * m * np.angle(w))
-        if log_sum is None:
-            amps = np.exp(log_mag - np.max(log_mag)) * phase
-            amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        else:
-            amps = np.exp(log_mag - 0.5 * log_sum) * phase
-            deficit = _closed_form_deficit(amps, family)
+    phase = np.exp(1j * m * np.angle(w))
+    if family is not None:
+        amps = np.exp(log_mag) * phase
+        return amps, _closed_form_deficit(1.0 - float(np.sum(np.abs(amps) ** 2)), family)
+    amps = np.exp(log_mag - np.max(log_mag)) * phase
+    total, tail = float(np.sum(np.abs(amps) ** 2)), float(np.abs(amps[-1]) ** 2)
+    if tail > 1e-10 * total:
+        raise NormalizationDiverges(
+            f"last-shell weight {tail:.3e} of {total:.3e}: the truncated sum has not converged"
+        )
+    return amps / math.sqrt(total), 0.0
+
+
+def _line_state(family, params, cutoff, m, n_plus, n_minus, w, log_weight, log_sum=None):
+    """State with amplitude c_m at (n_plus[m], n_minus[m]), one lattice line:
+    L_m = m ln|w| + log_weight[m], and a closed-form family passes as log_sum
+    the log of the full sum over m of exp(2 L_m)."""
+    log_mag = xlogy(m, abs(w)) + log_weight
+    if log_sum is not None:
+        log_mag = log_mag - 0.5 * log_sum
+    amps, deficit = _amplitudes(m, w, log_mag, None if log_sum is None else family)
     return StateVector(cutoff, n_plus, n_minus, amps, family, params, deficit)
+
+
+def _product_state(family, params, cutoff, plus, minus) -> StateVector:
+    """State c+[n+] c-[n-] of two (amplitudes on 0..cutoff, deficit) modes, with
+    deficit d+ + d- - d+ d-.  The outer product is taken on each mode's nonzero
+    span, so it costs the support, not (cutoff+1)^2; underflows are left out."""
+    (a_p, d_p), (a_m, d_m) = plus, minus
+    nz_p, nz_m = np.flatnonzero(a_p), np.flatnonzero(a_m)
+    block = np.outer(a_p[nz_p[0] : nz_p[-1] + 1], a_m[nz_m[0] : nz_m[-1] + 1])
+    i, j = np.nonzero(block)
+    deficit = _closed_form_deficit(d_p + d_m - d_p * d_m, family)
+    return StateVector(cutoff, i + nz_p[0], j + nz_m[0], block[i, j], family, params, deficit)
 
 
 def _first_index(log_term: Callable, m0: int, small: Callable, what: str) -> int:
@@ -230,26 +242,39 @@ class WeightSpec:
 # canonical family
 # ---------------------------------------------------------------------------
 
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """ln n! - (n + 1/2) ln n + n - ln sqrt(2 pi) for n >= 1: the Stirling
+    series past n = 15 (exact to roundoff there), gammaln below."""
+    inv2 = 1.0 / (n * n)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2) * inv2) * inv2) / n
+    direct = gammaln(n + 1) - (n + 0.5) * np.log(n) + n - 0.5 * math.log(2.0 * math.pi)
+    return np.where(n > 15, series, direct)
+
+
+def _poisson_half_log(n: np.ndarray, abs_z: float) -> np.ndarray:
+    """ln p(n; lam) / 2 of the Poisson weight p = lam^n e^-lam / n!, lam = |z|^2.
+
+    The direct n ln lam - lam - ln n! cancels terms of size lam (an error of
+    about lam ulp), so for lam > 1 and n > 15 it takes Loader's saddle-point
+    form -stirlerr(n) - bd0(n, lam) - ln(2 pi n) / 2, bd0 = n ln(n/lam) + lam - n.
+    The direct form stays where it is the more accurate: its terms share one
+    sign at lam <= 1, and up to n = 15 _stirlerr cancels terms of size n ln n.
+    """
+    n, lam = np.asarray(n, dtype=float), abs_z**2
+    half = -0.5 * lam + xlogy(n, abs_z) - 0.5 * gammaln(n + 1)
+    if lam > 1.0:
+        m = n[n > 15]
+        bd0 = xlog1py(m, (m - lam) / lam) - (m - lam)
+        half[n > 15] = -0.5 * (_stirlerr(m) + bd0 + 0.5 * np.log(2.0 * math.pi * m))
+    return half
+
+
 def _poisson_cutoff(abs_z: float) -> int:
     """First n past the Poisson peak n ~ |z|^2 whose term is below 1e-16."""
-    if abs_z == 0.0:
-        return 8
     return _first_index(
-        lambda n: -abs_z**2 + 2 * n * math.log(abs_z) - gammaln(n + 1),
-        8,
-        lambda term, peak, n: (n > abs_z**2) & (term < _TAIL_LOG),
-        f"|z| = {abs_z}",
+        lambda n: 2.0 * _poisson_half_log(n, abs_z), 8,
+        lambda term, peak, n: (n > abs_z**2) & (term < _TAIL_LOG), f"|z| = {abs_z}",
     )
-
-
-def _canonical_mode(z: complex, cutoff: int) -> np.ndarray:
-    n = np.arange(cutoff + 1)
-    if z == 0:
-        out = np.zeros(cutoff + 1, dtype=complex)
-        out[0] = 1.0
-        return out
-    log_mag = -abs(z) ** 2 / 2.0 + n * math.log(abs(z)) - 0.5 * gammaln(n + 1)
-    return np.exp(log_mag) * np.exp(1j * n * np.angle(z))
 
 
 def canonical_state(
@@ -264,13 +289,10 @@ def canonical_state(
     if cutoff is not None and cutoff > _MAX_CUTOFF:
         raise CutoffOverflow(f"cutoff {cutoff} beyond supported {_MAX_CUTOFF}")
     n_cut = max(cutoff or 0, needed)
-    table = np.outer(_canonical_mode(z_plus, n_cut), _canonical_mode(z_minus, n_cut))
-    return _table_state(
-        table,
-        "canonical",
-        {"z_plus": complex(z_plus), "z_minus": complex(z_minus)},
-        _closed_form_deficit(table, "canonical"),
-    )
+    n = np.arange(n_cut + 1)
+    modes = [_amplitudes(n, z, _poisson_half_log(n, abs(z)), "canonical") for z in (z_plus, z_minus)]
+    params = {"z_plus": complex(z_plus), "z_minus": complex(z_minus)}
+    return _product_state("canonical", params, n_cut, *modes)
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -319,28 +341,17 @@ def evolve_canonical(s: StateVector, params: EvolutionParams, tau: float) -> Sta
 # deformed and photon-added families
 # ---------------------------------------------------------------------------
 
-def _deformed_mode(alpha: complex, f: Callable[[int], float], cutoff: int) -> np.ndarray:
-    """Unnormalized amplitudes alpha^n / (sqrt(n!) [f(n)]!)."""
-    out = np.empty(cutoff + 1, dtype=complex)
-    out[0] = 1.0
-    acc = 1.0 + 0.0j
-    for n in range(1, cutoff + 1):
-        fn = float(f(n))
-        if fn == 0.0:
-            raise ZeroF(f"deformation function vanishes at n = {n}")
-        acc = acc * alpha / (math.sqrt(n) * fn)
-        out[n] = acc
-    return out
-
-
-def _check_mode_tail(weights: np.ndarray, label: str) -> None:
-    total = float(np.sum(np.abs(weights) ** 2))
-    tail = float(np.abs(weights[-1]) ** 2)
-    if tail > 1e-10 * total:
-        raise NormalizationDiverges(
-            f"{label}: last-shell weight {tail:.3e} not negligible against "
-            f"{total:.3e}; the truncated normalization has not converged"
-        )
+def _deformed_mode(alpha: complex, f: Callable[[int], float], cutoff: int) -> tuple:
+    """Mode alpha^n / (sqrt(n!) [f(n)]!) on n <= cutoff, with ln |[f(n)]!| a
+    cumulative sum and the sign of [f(n)]! carried into the phase."""
+    f_n = np.array([float(f(n)) for n in range(1, cutoff + 1)])
+    zeros = np.flatnonzero(f_n == 0.0)
+    if zeros.size:
+        raise ZeroF(f"deformation function vanishes at n = {zeros[0] + 1}")
+    n = np.arange(cutoff + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.abs(f_n)))))
+    amps, deficit = _amplitudes(n, alpha, _poisson_half_log(n, abs(alpha)) - log_fact)
+    return amps * np.concatenate(([1.0], np.cumprod(np.sign(f_n)))), deficit
 
 
 def nonlinear_state(
@@ -351,31 +362,22 @@ def nonlinear_state(
     cutoff: int = 40,
 ) -> StateVector:
     """f-deformed coherent state, eigenvector of a f(N) in each mode."""
-    w_p = _deformed_mode(alpha_plus, f_plus, cutoff)
-    w_m = _deformed_mode(alpha_minus, f_minus, cutoff)
-    _check_mode_tail(w_p, "plus mode")
-    _check_mode_tail(w_m, "minus mode")
-    table = np.outer(w_p, w_m)
-    table /= math.sqrt(float(np.sum(np.abs(table) ** 2)))
-    return _table_state(
-        table,
-        "nonlinear",
-        {"alpha_plus": complex(alpha_plus), "alpha_minus": complex(alpha_minus)},
-    )
+    if cutoff < 0:
+        raise CutoffTooSmall(f"cutoff {cutoff} is negative")
+    if cutoff > _MAX_CUTOFF:
+        raise CutoffOverflow(f"cutoff {cutoff} beyond supported {_MAX_CUTOFF}")
+    params = {"alpha_plus": complex(alpha_plus), "alpha_minus": complex(alpha_minus)}
+    modes = [_deformed_mode(a, f, cutoff) for a, f in ((alpha_plus, f_plus), (alpha_minus, f_minus))]
+    return _product_state("nonlinear", params, cutoff, *modes)
 
 
-def _added_mode(alpha: complex, m_add: int, cutoff: int) -> np.ndarray:
-    """Unnormalized amplitudes of (a^dag)^m acting on a coherent mode:
-    weight alpha^(n-m) sqrt(n!) / (n-m)! for n >= m."""
-    out = np.zeros(cutoff + 1, dtype=complex)
-    n = np.arange(m_add, cutoff + 1)
-    k = n - m_add
-    if alpha == 0:
-        out[m_add] = 1.0
-        return out
-    log_mag = k * math.log(abs(alpha)) + 0.5 * gammaln(n + 1) - gammaln(k + 1)
-    out[m_add:] = np.exp(log_mag - np.max(log_mag)) * np.exp(1j * k * np.angle(alpha))
-    return out
+def _added_mode(alpha: complex, m_add: int, cutoff: int) -> tuple:
+    """Mode of (a^dag)^m acting on a coherent mode, normalized by its
+    truncated sum: weight alpha^k sqrt(C(k+m, m) / k!) at n = k + m."""
+    k = np.arange(cutoff - m_add + 1)
+    log_binom = sum(np.log1p(k / i) for i in range(1, m_add + 1))  # ln C(k+m, m)
+    amps, deficit = _amplitudes(k, alpha, _poisson_half_log(k, abs(alpha)) + 0.5 * log_binom)
+    return np.concatenate((np.zeros(m_add), amps)), deficit
 
 
 def photon_added_state(
@@ -389,26 +391,13 @@ def photon_added_state(
     if m_plus < 0 or m_minus < 0:
         raise ValueError("added photon numbers must be nonnegative")
     if cutoff < max(m_plus, m_minus) + 2:
-        raise CutoffTooSmall(
-            f"cutoff {cutoff} cannot hold {m_plus}/{m_minus} added quanta"
-        )
+        raise CutoffTooSmall(f"cutoff {cutoff} cannot hold {m_plus}/{m_minus} added quanta")
     if cutoff > _MAX_CUTOFF:
         raise CutoffOverflow(f"cutoff {cutoff} beyond supported {_MAX_CUTOFF}")
-    w_p = _added_mode(alpha_plus, m_plus, cutoff)
-    w_m = _added_mode(alpha_minus, m_minus, cutoff)
-    _check_mode_tail(w_p, "plus mode")
-    _check_mode_tail(w_m, "minus mode")
-    table = np.outer(w_p, w_m)
-    table /= math.sqrt(float(np.sum(np.abs(table) ** 2)))
-    return _table_state(
-        table,
-        "photon_added",
-        {
-            "alpha_plus": complex(alpha_plus),
-            "alpha_minus": complex(alpha_minus),
-            "m_plus": m_plus,
-            "m_minus": m_minus,
-        },
+    params = {"alpha_plus": complex(alpha_plus), "alpha_minus": complex(alpha_minus)}
+    modes = [_added_mode(a, m, cutoff) for a, m in ((alpha_plus, m_plus), (alpha_minus, m_minus))]
+    return _product_state(
+        "photon_added", {**params, "m_plus": m_plus, "m_minus": m_minus}, cutoff, *modes
     )
 
 
@@ -427,15 +416,6 @@ def _check_spin(j: float) -> int:
     if abs(2 * j - two_j) > 1e-12 or two_j < 0:
         raise ValueError(f"j must be a nonnegative half-integer, got {j}")
     return two_j
-
-
-def _stirlerr(n: np.ndarray) -> np.ndarray:
-    """ln n! - (n + 1/2) ln n + n - ln sqrt(2 pi) for n >= 1: the Stirling
-    series past n = 15 (exact to roundoff there), gammaln below."""
-    inv2 = 1.0 / (n * n)
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2) * inv2) * inv2) / n
-    direct = gammaln(n + 1) - (n + 0.5) * np.log(n) + n - 0.5 * math.log(2.0 * math.pi)
-    return np.where(n > 15, series, direct)
 
 
 def _log_binomial(n, m: np.ndarray) -> np.ndarray:
@@ -779,6 +759,29 @@ def pa_bg_overlap(k: float, n1: int, n2: int, z1: complex, z2: complex) -> compl
 # single-mode configuration-space closed forms
 # ---------------------------------------------------------------------------
 
+def _log_0f1(ell: int, x: np.ndarray) -> tuple:
+    """(sign, ln |S|) of S = 0F1(; ell+1; -x) = ell! x^(-ell/2) J_ell(2 sqrt(x)), x >= 0.
+
+    From scipy's J where that is a normal double; else (x small against
+    ell^2) from the series, whose alternating terms there cancel by at most
+    exp(2x/(ell+1)), below 1e4 up to ell ~ 450 (DivergentSeries past it).
+    """
+    j = np.array(bessel("J", float(ell), 2.0 * np.sqrt(x)))
+    tiny = np.abs(j) < 1e-290
+    xs = x[tiny]
+    term = series = mass = np.ones_like(xs)
+    k = 0
+    while np.any(np.abs(term) > 1e-17 * mass):
+        k += 1
+        term = -term * xs / (k * (k + ell))
+        series, mass = series + term, mass + np.abs(term)
+    if np.any(mass > 1e4 * np.abs(series)):
+        raise DivergentSeries(f"0F1 series of J_{ell} cancels beyond 1e4 at x <= {np.max(xs)}")
+    j[tiny] = series
+    log_s = np.log(np.abs(j)) + np.where(tiny, 0.0, gammaln(ell + 1) - xlogy(0.5 * ell, x))
+    return np.sign(j), log_s
+
+
 def single_mode_wavefunction(
     family: str,
     ell: int,
@@ -793,43 +796,38 @@ def single_mode_wavefunction(
 
     Variables: u = kappa r^2 / rho^2, beta = 1 - i M rho rho' / kappa.
     Families: "bg" (Bessel form, real z >= 0) and "perelomov"
-    (Laguerre generating-function form, |eta| < 1).
+    (Laguerre generating-function form, |eta| < 1).  Every constant is
+    taken in logs, with the lattice states' normalizers.
     """
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
         raise ValueError("u must be nonnegative")
     a_ell = abs(int(ell))
+    k = 0.5 * (a_ell + 1)
     rho, rho_dot = map(float, aux.envelope_at(t))
     M = float(profile.mass(t))
     kap = profile.kappa
     beta = 1.0 - 1j * M * rho * rho_dot / kap
     pref = math.sqrt(kap / (math.pi * rho * rho)) * np.exp(1j * ell * np.asarray(theta))
-    envelope = np.exp(-0.5 * beta * u)
+    # ln of u^(l/2) exp(-beta u / 2) / sqrt(l!), the eta = 0 (and z = 0) profile
+    log_radial = xlogy(0.5 * a_ell, u) - 0.5 * beta * u - 0.5 * gammaln(a_ell + 1)
 
     if family == "bg":
         z = param
         if abs(complex(z).imag) > 0 or complex(z).real < 0:
             raise DomainError("bg closed form expects real z >= 0")
         z = float(np.real(z))
-        if z == 0.0:
-            return pref * envelope * u ** (a_ell / 2.0) / math.sqrt(gamma_fn(a_ell + 1))
-        # exp(z) / sqrt(I_l(2z)) in logs: I_l(2z) = z^l exp(-2 log_norm)
-        scale = math.exp(z + _pa_bg_log_norm(0.5 * (a_ell + 1), 0, z) - 0.5 * a_ell * math.log(z))
-        return pref * envelope * scale * bessel("J", float(a_ell), 2.0 * np.sqrt(u * z))
+        # exp(z) J_l(2 sqrt(uz)) / sqrt(I_l(2z)), I_l(2z) = z^l exp(-2 log_norm)
+        sign, log_s = _log_0f1(a_ell, u * z)
+        log_scale = z + _pa_bg_log_norm(k, 0, z) - 0.5 * gammaln(a_ell + 1)
+        return pref * sign * np.exp(log_radial + log_scale + log_s)
     if family == "perelomov":
         eta = complex(param)
         if abs(eta) >= 1.0:
             raise EtaOutOfDisk(f"|eta| = {abs(eta)} must be < 1")
-        if eta == 0:
-            return pref * envelope * u ** (a_ell / 2.0) / math.sqrt(gamma_fn(a_ell + 1))
-        body = (
-            (1.0 - abs(eta) ** 2) ** (0.5 * (a_ell + 1))
-            / math.sqrt(gamma_fn(a_ell + 1))
-            * u ** (a_ell / 2.0)
-            * np.exp(u * eta / (eta - 1.0))
-            * (1.0 - eta) ** (-1.0 - a_ell)
-        )
-        return pref * envelope * body
+        # (1 - |eta|^2)^k (1 - eta)^(-2k) exp(u eta / (eta - 1)) times the radial profile
+        log_eta = _perelomov_log_sum(k, eta) - 0.5 * _perelomov_log_sum(k, abs(eta) ** 2)
+        return pref * np.exp(log_radial + log_eta + u * eta / (eta - 1.0))
     raise UnsupportedFamily(f"unknown single-mode family {family!r}")
 
 

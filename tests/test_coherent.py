@@ -18,7 +18,9 @@ from landau_td import spectrum
 from landau_td.auxode import closed_form_solution, stationary_solution
 from landau_td.errors import (
     CutoffMismatch,
+    CutoffOverflow,
     CutoffTooSmall,
+    DivergentSeries,
     DomainError,
     EtaOutOfDisk,
     InvalidState,
@@ -32,6 +34,24 @@ from landau_td.profiles import make_profile
 from landau_td.spectrum import HelicityQuanta
 
 SU11_K = (0.5, 1.0, 1.5, 2.0)
+
+
+def _disk(r_max):
+    """Complex numbers of modulus <= r_max, drawn as modulus and phase."""
+    return st.builds(
+        lambda r, phi: complex(r * math.cos(phi), r * math.sin(phi)),
+        st.floats(0.0, r_max),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+
+
+def _max_diff(a, b):
+    """Largest |a - b| over the union of the supports of two states on one cutoff."""
+    flat = np.union1d(ch._flat_index(a), ch._flat_index(b))
+    dense = np.zeros((2, flat.size), dtype=complex)
+    for row, s in zip(dense, (a, b)):
+        row[np.searchsorted(flat, ch._flat_index(s))] = s.amps
+    return float(np.max(np.abs(dense[0] - dense[1])))
 
 
 def _moving_setup(q=1.0, B=0.6, kappa=2.0):
@@ -56,9 +76,14 @@ class TestCanonical:
         # single-mode Poisson: P(0, 0) = e^{-1}
         assert ch.distribution(s)[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
-    def test_auto_cutoff_deficit(self):
-        s = ch.canonical_state(1.5, 0.8 - 0.4j)
-        assert s.norm_deficit < 1e-10
+    @given(z_plus=_disk(60.0), z_minus=st.just(0.0))
+    # the direct Poisson log-weight erred by about |z|^2 ulp, so past |z| ~ 48
+    # the state came out over-normalized (InvalidState)
+    @example(z_plus=48.0, z_minus=0.0)
+    @example(z_plus=1.5, z_minus=0.8 - 0.4j)
+    @settings(max_examples=40, deadline=None)
+    def test_auto_cutoff_deficit(self, z_plus, z_minus):
+        assert abs(ch.canonical_state(z_plus, z_minus).norm_deficit) <= 1e-14
 
     def test_normalized(self):
         s = ch.canonical_state(0.7 + 0.2j, 1.1)
@@ -171,11 +196,33 @@ class TestEvolution:
 
 
 class TestNonlinear:
-    def test_unit_deformation_is_canonical(self):
-        one = lambda n: 1.0
-        nl = ch.nonlinear_state(0.8, 0.5 + 0.3j, one, one, cutoff=24)
-        can = ch.canonical_state(0.8, 0.5 + 0.3j, cutoff=24)
-        assert np.max(np.abs(nl.coeffs - can.coeffs)) < 1e-12
+    @given(alpha_plus=_disk(60.0), alpha_minus=_disk(3.0), cutoff=st.none())
+    # the linear-scale recursion returned an empty state at the first label
+    # and a non-finite amplitude at the second
+    @example(alpha_plus=30.0, alpha_minus=0.5, cutoff=1500)
+    @example(alpha_plus=40.0, alpha_minus=0.5, cutoff=2500)
+    @example(alpha_plus=0.8, alpha_minus=0.5 + 0.3j, cutoff=24)
+    @settings(max_examples=8, deadline=None)
+    def test_unit_deformation_is_canonical(self, alpha_plus, alpha_minus, cutoff):
+        one = lambda n: 1.0  # noqa: E731
+        can = ch.canonical_state(alpha_plus, alpha_minus, cutoff)
+        nl = ch.nonlinear_state(alpha_plus, alpha_minus, one, one, can.cutoff)
+        assert _max_diff(nl, can) <= 1e-14
+
+    def test_negative_unit_deformation_alternates(self):
+        # [f(n)]! = (-1)^n: the sign rides in the phase
+        minus = lambda n: -1.0  # noqa: E731
+        nl = ch.nonlinear_state(0.8 + 0.3j, -0.6, minus, minus, cutoff=30)
+        can = ch.canonical_state(0.8 + 0.3j, -0.6, cutoff=30)
+        n = np.arange(31)
+        assert np.max(np.abs(nl.coeffs - (-1.0) ** np.add.outer(n, n) * can.coeffs)) <= 1e-14
+
+    def test_cutoff_bounds(self):
+        one = lambda n: 1.0  # noqa: E731
+        with pytest.raises(CutoffTooSmall):
+            ch.nonlinear_state(0.5, 0.5, one, one, cutoff=-1)
+        with pytest.raises(CutoffOverflow):  # before any mode is built
+            ch.nonlinear_state(0.5, 0.5, one, one, cutoff=10_001)
 
     def test_zero_f(self):
         bad = lambda n: float(n != 3)
@@ -232,6 +279,32 @@ class TestPhotonAdded:
             w[n] = w[n - 1] * alpha / (math.sqrt(n) * f_prev)
         w /= np.linalg.norm(w)
         assert np.max(np.abs(s.coeffs[:, 0] - w)) < 1e-10
+
+    @given(
+        alpha_plus=_disk(20.0),
+        alpha_minus=_disk(20.0),
+        m_plus=st.integers(0, 3),
+        m_minus=st.integers(0, 3),
+    )
+    @example(alpha_plus=20.0, alpha_minus=0.5j, m_plus=3, m_minus=0)
+    @settings(max_examples=10, deadline=None)
+    def test_magnitudes_vs_mpmath(self, alpha_plus, alpha_minus, m_plus, m_minus):
+        # the log weights used to cancel terms of size k ln k (9e-13 at |alpha| = 20)
+        r = max(abs(alpha_plus), abs(alpha_minus))
+        cut = math.ceil(r * r + 8 * r + 2 * max(m_plus, m_minus) + 20)
+        s = ch.photon_added_state(alpha_plus, alpha_minus, m_plus, m_minus, cut)
+
+        def exact(alpha, m):
+            with mp.workdps(50):
+                w = [
+                    mp.mpf(abs(alpha)) ** k * mp.sqrt(mp.factorial(k + m)) / mp.factorial(k)
+                    for k in range(cut - m + 1)
+                ]
+                norm = mp.sqrt(mp.fsum(x**2 for x in w))
+                return np.array([0.0] * m + [float(x / norm) for x in w])
+
+        want = exact(alpha_plus, m_plus)[s.n_plus] * exact(alpha_minus, m_minus)[s.n_minus]
+        assert np.max(np.abs(np.abs(s.amps) - want)) <= 2e-14 * np.max(want)
 
     def test_pa_function_values(self):
         assert ch.pa_nonlinear_function(1, 0, 0, 0) == 0.0
@@ -523,6 +596,25 @@ class TestSingleModeWavefunction:
         fock = self._fock_sum(s, 2, prof, aux, 1.0, u, 0.0)
         assert np.max(np.abs(closed - fock)) < 1e-12
 
+    @staticmethod
+    def _mp_reference(family, ell, param, prof, aux, t, u, theta):
+        """The closed forms in 50-digit mpmath."""
+        rho, rho_dot = map(float, aux.envelope_at(t))
+        M, kap = float(prof.mass(t)), prof.kappa
+        with mp.workdps(50):
+            beta = 1 - 1j * mp.mpf(M) * rho * rho_dot / kap
+            pref = mp.sqrt(kap / (mp.pi * mp.mpf(rho) ** 2)) * mp.expj(ell * theta)
+            p = mp.mpc(param)
+            out = []
+            for x in map(mp.mpf, u):
+                if family == "perelomov" or p == 0:
+                    body = (1 - abs(p) ** 2) ** (mp.mpf(ell + 1) / 2) / mp.sqrt(mp.factorial(ell))
+                    body *= x ** (mp.mpf(ell) / 2) * mp.exp(x * p / (p - 1)) * (1 - p) ** (-1 - ell)
+                else:
+                    body = mp.exp(p) / mp.sqrt(mp.besseli(ell, 2 * p)) * mp.besselj(ell, 2 * mp.sqrt(x * p))
+                out.append(complex(pref * mp.exp(-beta * x / 2) * body))
+        return np.array(out)
+
     @pytest.mark.parametrize("z", [400.0, 800.0])
     def test_bg_at_large_parameter(self, z):
         # exp(z) / sqrt(I_l(2z)) overflowed to 0 or raised OverflowError
@@ -530,19 +622,30 @@ class TestSingleModeWavefunction:
         t, theta, ell = 2.1, 0.7, 1
         u = np.linspace(0.0, 10.0, 41)
         got = ch.single_mode_wavefunction("bg", ell, z, prof, aux, t, u, theta)
-        rho, rho_dot = map(float, aux.envelope_at(t))
-        M, kap = float(prof.mass(t)), prof.kappa
-        with mp.workdps(50):
-            beta = 1 - 1j * mp.mpf(M) * rho * rho_dot / kap
-            pref = mp.sqrt(kap / (mp.pi * mp.mpf(rho) ** 2)) * mp.expj(ell * theta)
-            scale = mp.exp(z) / mp.sqrt(mp.besseli(ell, 2 * mp.mpf(z)))
-            want = np.array(
-                [
-                    complex(pref * mp.exp(-beta * x / 2) * scale * mp.besselj(ell, 2 * mp.sqrt(x * z)))
-                    for x in map(mp.mpf, u)
-                ]
-            )
+        want = self._mp_reference("bg", ell, z, prof, aux, t, u, theta)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "family, param",
+        [("bg", 0.0), ("bg", 1e-120), ("bg", 3.0), ("perelomov", 0.0), ("perelomov", -0.3 + 0.4j)],
+    )
+    @pytest.mark.parametrize("ell", [6, 171, 400])
+    def test_large_index_vs_mpmath(self, family, param, ell):
+        # linear-scale constants: zeros from l = 171 (Gamma(l+1) = inf), and
+        # an OverflowError for bg at tiny z or large l
+        prof, aux = self._setup()
+        t, theta = 2.1, 0.7
+        u = np.linspace(0.0, 2.0 * ell + 60.0, 21)
+        got = ch.single_mode_wavefunction(family, ell, param, prof, aux, t, u, theta)
+        want = self._mp_reference(family, ell, param, prof, aux, t, u, theta)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_bg_past_the_series_range_raises(self):
+        # the 0F1 series that stands in for an underflowed J_l cancels too much
+        prof, aux = self._setup()
+        u = np.linspace(0.0, 2060.0, 21)
+        with pytest.raises(DivergentSeries):
+            ch.single_mode_wavefunction("bg", 1000, 3.0, prof, aux, 2.1, u, 0.7)
 
     def test_perelomov_closed_form(self):
         prof, aux = self._setup()
@@ -716,15 +819,6 @@ class TestSerialization:
 
 
 
-def _disk(r_max):
-    """Complex numbers of modulus <= r_max, drawn as modulus and phase."""
-    return st.builds(
-        lambda r, phi: complex(r * math.cos(phi), r * math.sin(phi)),
-        st.floats(0.0, r_max),
-        st.floats(0.0, 2.0 * math.pi),
-    )
-
-
 @st.composite
 def _builders(draw, family):
     """A builder cutoff -> state of the family, cutoff None meaning automatic."""
@@ -797,7 +891,7 @@ def _closed_form_labels():
     """(family, labels...) of the families normalised by an exact constant."""
     spin = st.integers(0, 500)
     return st.one_of(
-        st.tuples(st.just("canonical"), _disk(12.0), _disk(12.0)),
+        st.tuples(st.just("canonical"), _disk(60.0), _disk(3.0)),
         st.tuples(st.just("su2"), spin, _disk(5.0)),
         spin.flatmap(
             lambda two_j: st.tuples(st.just("su2_pa"), st.just(two_j), _disk(5.0), st.integers(0, two_j))
@@ -840,6 +934,7 @@ class TestSupport:
     @given(label=_closed_form_labels())
     # failures of the linear-scale constants: overflow, an underflowed
     # Bessel normalizer, and a Gamma ratio past the double range
+    @example(label=("canonical", 48.0, 0.0))
     @example(label=("su2", 500, 4.9j))
     @example(label=("su2_pa", 171, 0.5, 1))
     @example(label=("su2_pa", 300, 0.5, 1))
