@@ -28,6 +28,15 @@ three closed-form families are provided:
 The formulas are valid between consecutive roots of the oscillatory factor
 (v's never vanishing jointly; s(t) != 0), guarded by SingularParameter.
 
+The numeric routes (``solve_ep_numeric`` and the non-constant
+``classical_trajectory``) integrate with DOP853 piece by piece between the
+knots of a tabulated profile, where the interpolated coefficients are only
+C^1, restarting from the end of the previous piece; the analytic kinds have
+no knots and take one piece.  The dense outputs of all pieces are stacked
+once into arrays and read by one vectorised evaluator (a sorted search for
+the solver step, then the DOP853 Horner scheme), which gives the grid
+samples, the envelope at any time and the integrand of theta.
+
 Every solution also carries the phase theta(t) = integral kappa/(M rho^2) dt
 from the start of its grid.  With u1, u2 solving (M u')' + M Omega^2 u = 0
 and rho^2 = u1^2 + c^2 u2^2, theta is the continuous arg(u1 + i c u2)
@@ -206,19 +215,80 @@ def default_initial_conditions(profile: ParameterProfile) -> tuple:
 
 
 def _ep_rhs(profile: ParameterProfile):
+    """Right-hand side of the auxiliary equation as a first-order system.
+
+    Reads M, M' and omega directly (Omega from them, in the operation order
+    of ``ParameterProfile.Omega``): the solver stays inside the window,
+    which the caller checks at its two ends.
+    """
     kappa_sq = profile.kappa**2
+    qb = profile.q * profile.B
+    mass, mass_rate, omega = profile.mass, profile.mass_rate, profile.omega
 
     def rhs(t, y):
         rho, rho_dot = y
-        M = float(profile.mass(t))
-        Mdot = float(profile.mass_rate(t))
-        Om = float(profile.Omega(t))
+        M = float(mass(t))
+        Mdot = float(mass_rate(t))
+        w = omega(t)
+        wc = qb / M
+        Om = float(np.sqrt(w * w + 0.25 * wc * wc))
         return [
             rho_dot,
             -(Mdot / M) * rho_dot - Om * Om * rho + kappa_sq / (M * M * rho**3),
         ]
 
     return rhs
+
+
+def _solve_pieces(rhs, y0, edges, what: str, events=None) -> list:
+    """DOP853 runs (rtol 1e-11) between consecutive ``edges``, each started
+    from the end of the one before; BlowUp if one stops early."""
+    pieces = []
+    y = y0
+    for a, b in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(
+            rhs, (a, b), y, method="DOP853", rtol=1e-11, atol=1e-13,
+            dense_output=True, events=events,
+        )
+        if sol.status != 0:
+            raise BlowUp(f"{what} integration stopped early: {sol.message}")
+        pieces.append(sol)
+        y = sol.y[:, -1]
+    return pieces
+
+
+def _stacked_dense(pieces) -> tuple:
+    """One evaluator over the dense outputs of consecutive solver runs.
+
+    Each DOP853 step's fields (t_old, h, F, y_old) are read once into
+    arrays.  The evaluator maps times of any shape to an array of shape
+    (n_state, *t.shape): it finds every time's step with one sorted search
+    (a time at a step end takes the earlier step, as scipy's OdeSolution
+    does) and runs the DOP853 Horner scheme on all of them at once, with
+    the operations of the per-step interpolant, so the values are the same
+    bits.  Returns (evaluator, step ends).
+    """
+    steps = [s for sol in pieces for s in sol.sol.interpolants]
+    ends = np.concatenate([pieces[0].sol.ts[:1]] + [sol.sol.ts[1:] for sol in pieces])
+    t_old = np.array([s.t_old for s in steps])
+    h = np.array([s.h for s in steps])
+    # Horner order: the last coefficient row first
+    F = np.stack([s.F for s in steps])[:, ::-1]
+    y_old = np.stack([s.y_old for s in steps])
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        k = np.clip(np.searchsorted(ends, flat, side="left") - 1, 0, h.size - 1)
+        x = ((flat - t_old[k]) / h[k])[:, None]
+        y = np.zeros((flat.size, y_old.shape[1]), dtype=y_old.dtype)
+        for i in range(F.shape[1]):
+            y += F[k, i]
+            y *= x if i % 2 == 0 else 1 - x
+        y += y_old[k]
+        return y.T.reshape(y_old.shape[1], *t.shape)
+
+    return evaluate, ends
 
 
 def solve_ep_numeric(
@@ -229,11 +299,15 @@ def solve_ep_numeric(
 ) -> AuxiliarySolution:
     """Integrate the auxiliary equation and sample it on the grid.
 
-    Raises BlowUp when the solution escapes toward 0 or infinity (detected
-    by events at 1e-6 x and 1e6 x the initial amplitude, or by solver step
-    collapse).  theta is integrated on the dense output over panels at the
-    solver steps and the profile knots; IntegralNonConvergent is raised if
-    the panel rule cannot certify it.
+    DOP853 runs knot to knot (one piece for the analytic kinds), so no
+    solver step straddles a knot of a tabulated profile, and one stacked
+    evaluator reads all pieces' dense output: the grid samples, the
+    envelope and theta's integrand.  Raises BlowUp when the solution
+    escapes toward 0 or infinity (detected by events at 1e-6 x and 1e6 x
+    the initial amplitude, or by solver step collapse).  theta is
+    integrated on the dense output over panels at the solver steps, which
+    include the profile knots; IntegralNonConvergent is raised if the panel
+    rule cannot certify it.
     """
     if rho0 <= 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
@@ -254,33 +328,25 @@ def solve_ep_numeric(
     too_small.terminal = True
     too_large.terminal = True
 
-    sol = solve_ivp(
+    pieces = _solve_pieces(
         _ep_rhs(profile),
-        (grid[0], grid[-1]),
         [rho0, rho_dot0],
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-13,
-        dense_output=True,
+        _panel_edges(grid[[0, -1]], profile),
+        "auxiliary",
         events=[too_small, too_large],
     )
-    if sol.status != 0:
-        raise BlowUp(f"auxiliary integration stopped early: {sol.message}")
-
-    samples = sol.sol(grid)
-    kappa = profile.kappa
-    panels = _panel_edges(sol.t, profile)
+    envelope, panels = _stacked_dense(pieces)
+    rho, rho_dot = envelope(grid)
+    kappa, mass = profile.kappa, profile.mass
     out = AuxiliarySolution(
         grid=grid,
-        rho=samples[0],
-        rho_dot=samples[1],
+        rho=rho,
+        rho_dot=rho_dot,
         provenance="numeric",
         max_residual=math.nan,
         kappa=kappa,
-        envelope_fn=sol.sol,
-        theta_fn=running_integral(
-            lambda t: kappa / (profile.mass(t) * sol.sol(t)[0] ** 2), panels
-        ),
+        envelope_fn=envelope,
+        theta_fn=running_integral(lambda t: kappa / (mass(t) * envelope(t)[0] ** 2), panels),
         panels=panels,
     )
     if grid.size >= 5 and _is_uniform(grid):
@@ -545,6 +611,27 @@ def _drive_e0(profile: ParameterProfile, t):
     return profile.q * (profile.efield2(t) + 1j * profile.efield1(t)) / M
 
 
+def _classical_rhs(profile: ParameterProfile):
+    """Right-hand side of the classical equation for y = (z, z_dot).
+
+    Reads M once per call and forms omega_c and E_0 from it in the
+    operation order of ``ParameterProfile.omega_c`` and ``_drive_e0``.
+    """
+    qb, q = profile.q * profile.B, profile.q
+    mass, omega_fn = profile.mass, profile.omega
+    efield1, efield2 = profile.efield1, profile.efield2
+
+    def rhs(t, y):
+        z, zd = y
+        M = np.asarray(mass(t), dtype=float)
+        omega = float(omega_fn(t))
+        omega_c = float(qb / M)
+        e0 = complex(q * (efield2(t) + 1j * efield1(t)) / M)
+        return [zd, e0 - 1j * omega_c * zd - omega * omega * z]
+
+    return rhs
+
+
 def classical_trajectory(
     profile: ParameterProfile,
     z0: complex,
@@ -555,7 +642,9 @@ def classical_trajectory(
 
     Constant-coefficient profiles use the closed form
     z = A exp(-i omega_+ t) + B exp(+i omega_- t) + E_0/omega^2 with
-    omega_+- = Omega +- omega_c/2; anything else integrates numerically.
+    omega_+- = Omega +- omega_c/2.  Anything else runs DOP853 knot to knot
+    (one piece for the analytic kinds) and samples the grid from the
+    pieces' stacked dense output.
     """
     grid = np.asarray(grid, dtype=float)
     profile.check_time(grid[0])
@@ -588,27 +677,13 @@ def classical_trajectory(
             + 1j * w_minus * B * np.exp(1j * w_minus * grid)
         )
     else:
-
-        def rhs_fn(t, y):
-            z, zd = y
-            omega = float(profile.omega(t))
-            omega_c = float(profile.omega_c(t))
-            e0 = complex(_drive_e0(profile, t))
-            return [zd, e0 - 1j * omega_c * zd - omega * omega * z]
-
-        sol = solve_ivp(
-            rhs_fn,
-            (grid[0], grid[-1]),
+        pieces = _solve_pieces(
+            _classical_rhs(profile),
             np.array([z0, z_dot0], dtype=complex),
-            method="DOP853",
-            rtol=1e-11,
-            atol=1e-13,
-            dense_output=True,
+            _panel_edges(grid[[0, -1]], profile),
+            "classical",
         )
-        if sol.status != 0:
-            raise BlowUp(f"classical integration stopped early: {sol.message}")
-        samples = sol.sol(grid)
-        z, z_dot = samples[0], samples[1]
+        z, z_dot = _stacked_dense(pieces)[0](grid)
 
     out = ClassicalTrajectory(grid=grid, z=z, z_dot=z_dot, max_residual=math.nan)
     if grid.size >= 5 and _is_uniform(grid):

@@ -420,13 +420,15 @@ def _check_spin(j: float) -> int:
 
 def _log_binomial(n, m: np.ndarray) -> np.ndarray:
     """ln C(n, m) for integers 0 <= m <= n, in Stirling's form: its large
-    terms m ln(n/m) + (n-m) ln(n/(n-m)) are of size n, where a gammaln sum
-    rounds at size n ln n (2e-13 against 2e-12 at n = 1000)."""
+    terms m ln(n/m) + k ln(n/k), k = n - m, are of size n, where a gammaln
+    sum rounds at size n ln n (2e-13 against 2e-12 at n = 1000).  They are
+    formed as m log1p(k/m) + k log1p(m/k), which keeps the digits of a
+    ratio n/k or n/m near 1."""
     m = np.asarray(m, dtype=float)
     inner = (m > 0) & (m < n)
     n, k, m = np.where(inner, n, 2.0), np.where(inner, n - m, 1.0), np.where(inner, m, 1.0)
     out = (
-        m * np.log(n / m) + k * np.log(n / k) + 0.5 * np.log(n / (2.0 * math.pi * m * k))
+        m * np.log1p(k / m) + k * np.log1p(m / k) + 0.5 * np.log(n / (2.0 * math.pi * m * k))
         + _stirlerr(n) - _stirlerr(m) - _stirlerr(k)
     )
     return np.where(inner, out, 0.0)
@@ -573,9 +575,12 @@ def su11_perelomov_state(k_mode, eta: complex, cutoff: Optional[int] = None) -> 
     )
 
 
-def _pa_weight_f(k: float, l: int, m: np.ndarray) -> np.ndarray:
-    """F_l(k, m) = (m!)^2 Gamma(2k) / (Gamma(m+l+1) Gamma(m+2k+l))."""
-    return np.exp(
+def _pa_log_weight(k: float, l: int, m: np.ndarray) -> np.ndarray:
+    """ln F_l(k, m), F_l(k, m) = (m!)^2 Gamma(2k) / (Gamma(m+l+1) Gamma(m+2k+l)).
+
+    Kept in logs: F_l(k, 0) = Gamma(2k) / (l! Gamma(2k+l)) leaves the
+    double range near l = 100."""
+    return (
         2.0 * gammaln(m + 1)
         + gammaln(2.0 * k)
         - gammaln(m + l + 1)
@@ -600,7 +605,7 @@ def su11_pa_perelomov_state(
     m_needed = 12
     if eta != 0:
         m_needed = _first_index(
-            lambda m: 2 * m * math.log(abs(eta)) - np.log(_pa_weight_f(k, l, m)),
+            lambda m: 2 * m * math.log(abs(eta)) - _pa_log_weight(k, l, m),
             12,
             lambda term, peak, m: term < peak + math.log1p(-abs(eta) ** 2) - 34.0,
             f"|eta| = {abs(eta)}",
@@ -609,7 +614,7 @@ def su11_pa_perelomov_state(
     m = np.arange(n_cut - shift + 1)
     return _line_state(
         "su11_pa_perelomov", {"k": k, "eta": complex(eta), "l": l}, n_cut, m, m + shift, m + l,
-        eta, -0.5 * np.log(_pa_weight_f(k, l, m)),
+        eta, -0.5 * _pa_log_weight(k, l, m),
     )
 
 
@@ -943,7 +948,7 @@ def weight_spec(family: str, params: Mapping) -> WeightSpec:
         _lattice_ell(("two_mode", k))
 
         def target(m: int) -> float:
-            return float(_pa_weight_f(k, l, np.array([m]))[0])
+            return float(np.exp(_pa_log_weight(k, l, np.array([m])))[0])
 
         return WeightSpec(
             family=family,

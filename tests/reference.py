@@ -1,0 +1,59 @@
+"""Shared test fixtures: one profile of each kind and a tight reference
+integrator that the numeric routes are measured against."""
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from landau_td.profiles import make_profile
+
+_KNOTS = np.linspace(0.0, 12.0, 25)
+_FIELD = {"E1": 0.2, "E2": -0.1}
+# one profile of each kind on [0, 12], scaled like the README demo
+KIND_PARAMS = {
+    "constant": {"M": 1.0, "omega": 1.2, **_FIELD},
+    "exponential-mass": {"M0": 1.2, "alpha": 0.05, "omega": 1.1, **_FIELD},
+    "exponential-frequency": {"M": 1.0, "tau": 1.0, "alpha": 0.05, **_FIELD},
+    "sinusoidal": {"M": 1.0, "omega0": 1.2, "depth": 0.3, "rate": 0.7, **_FIELD},
+    "tabulated": {
+        "t": _KNOTS,
+        "M": 1.0 + 0.2 * np.sin(0.5 * _KNOTS),
+        "omega": 1.1 + 0.2 * np.cos(0.5 * _KNOTS),
+        **_FIELD,
+    },
+}
+
+
+def kind_profile(kind):
+    return make_profile(kind, KIND_PARAMS[kind], q=1.0, B=0.9, kappa=1.0, t0=0.0, t1=12.0)
+
+
+def ep_rates(prof, t, rho, rho_dot):
+    """(rho', rho'') of the auxiliary equation, from the profile's own
+    Omega(t) and M'(t)."""
+    M, Om = float(prof.mass(t)), float(prof.Omega(t))
+    return [
+        rho_dot,
+        -(float(prof.mass_rate(t)) / M) * rho_dot - Om * Om * rho
+        + prof.kappa**2 / (M * M * rho**3),
+    ]
+
+
+def knot_restarted(rhs, y0, prof, grid):
+    """DOP853 at rtol 1e-13 from grid[0] to grid[-1], restarted at every knot
+    of the profile (where a tabulated profile is only C^1), sampled on the
+    grid: shape (len(y0), grid.size).  A grid time on a knot is read from
+    the piece that ends there."""
+    grid = np.asarray(grid, dtype=float)
+    knots = prof.knots
+    breaks = np.concatenate(
+        ([grid[0]], knots[(knots > grid[0]) & (knots < grid[-1])], [grid[-1]])
+    )
+    owner = np.clip(np.searchsorted(breaks, grid, side="left") - 1, 0, breaks.size - 2)
+    out = np.empty((len(y0), grid.size), dtype=np.result_type(*y0, float))
+    y = y0
+    for k, (a, b) in enumerate(zip(breaks[:-1], breaks[1:])):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+        assert sol.status == 0, sol.message
+        out[:, owner == k] = sol.sol(grid[owner == k])
+        y = sol.y[:, -1]
+    return out

@@ -19,6 +19,7 @@ from landau_td.errors import (
     ZeroFrequencyParticular,
 )
 from landau_td.profiles import ParameterProfile, make_profile
+from reference import KIND_PARAMS, ep_rates, kind_profile, knot_restarted
 
 
 def _const_profile(M=1.0, omega=1.0, q=0.0, B=0.0, kappa=1.0, E1=0.0, E2=0.0, t1=10.0):
@@ -331,6 +332,79 @@ class TestEnvelope:
             np.testing.assert_array_equal(rho, aux.rho)
             np.testing.assert_array_equal(rho_dot, aux.rho_dot)
             np.testing.assert_array_equal(aux.rho_at(aux.grid), aux.rho)
+
+
+class TestStackedDenseOutput:
+    """The stacked evaluator reads scipy's DOP853 step fields; these tests
+    pin it bit for bit to each piece's own ``OdeSolution``, so a scipy
+    change to those fields fails here instead of moving the results."""
+
+    @staticmethod
+    def _pieces(kind, which):
+        prof = kind_profile(kind)
+        edges = auxode._panel_edges([0.0, 12.0], prof)
+        if which == "auxiliary":
+            rhs, y0 = auxode._ep_rhs(prof), list(auxode.default_initial_conditions(prof))
+        else:
+            rhs, y0 = auxode._classical_rhs(prof), np.array([0.8 - 0.3j, 0.2 + 0.5j])
+        return prof, edges, auxode._solve_pieces(rhs, y0, edges, which)
+
+    @pytest.mark.parametrize("which", ["auxiliary", "classical"])
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    def test_matches_each_piece_bit_for_bit(self, kind, which):
+        prof, edges, pieces = self._pieces(kind, which)
+        assert len(pieces) == (24 if kind == "tabulated" else 1)
+        evaluate, ends = auxode._stacked_dense(pieces)
+        # grid times and every step end, each read from the piece holding
+        # it: the earlier one at a knot, as inside a piece
+        times = np.concatenate([np.linspace(0.0, 12.0, 401), ends])
+        owner = np.clip(np.searchsorted(edges, times, side="left") - 1, 0, len(pieces) - 1)
+        expected = np.empty((2, times.size), dtype=pieces[0].y.dtype)
+        for k, sol in enumerate(pieces):
+            expected[:, owner == k] = sol.sol(times[owner == k])
+        np.testing.assert_array_equal(evaluate(times), expected)
+        for j in range(0, times.size, 37):
+            np.testing.assert_array_equal(evaluate(times[j]), pieces[owner[j]].sol(times[j]))
+        square = times[: (times.size // 8) * 8].reshape(8, -1)
+        np.testing.assert_array_equal(
+            evaluate(square), expected[:, : square.size].reshape(2, *square.shape)
+        )
+
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    def test_solution_reads_the_stacked_pieces(self, kind):
+        prof, _, pieces = self._pieces(kind, "auxiliary")
+        evaluate, ends = auxode._stacked_dense(pieces)
+        grid = np.linspace(0.0, 12.0, 41)
+        aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
+        np.testing.assert_array_equal(aux.panels, ends)
+        np.testing.assert_array_equal(np.stack(aux.envelope_at(ends)), evaluate(ends))
+        np.testing.assert_array_equal(aux.rho, evaluate(grid)[0])
+
+
+class TestTabulatedAccuracy:
+    """Knot-to-knot pieces against the rtol 1e-13 knot-restarted reference."""
+
+    grid = np.linspace(0.0, 12.0, 401)
+
+    def test_envelope(self):
+        prof = kind_profile("tabulated")
+        y0 = auxode.default_initial_conditions(prof)
+        aux = auxode.solve_ep_numeric(prof, *y0, self.grid)
+        ref = knot_restarted(lambda t, y: ep_rates(prof, t, *y), list(y0), prof, self.grid)
+        assert np.max(np.abs(aux.rho - ref[0]) / ref[0]) <= 1e-11
+
+    def test_classical(self):
+        prof = kind_profile("tabulated")
+        z0, zd0 = 0.8 - 0.3j, 0.2 + 0.5j
+
+        def rhs(t, y):
+            e0 = prof.q * complex(prof.efield2(t) + 1j * prof.efield1(t)) / float(prof.mass(t))
+            omega = float(prof.omega(t))
+            return [y[1], e0 - 1j * float(prof.omega_c(t)) * y[1] - omega * omega * y[0]]
+
+        traj = auxode.classical_trajectory(prof, z0, zd0, self.grid)
+        ref = knot_restarted(rhs, [z0, zd0], prof, self.grid)
+        assert np.max(np.abs(traj.z - ref[0])) <= 1e-10
 
 
 class TestResidual:

@@ -342,6 +342,14 @@ class TestSu2:
         s = ch.su2_state(2.0, 0.7 - 0.3j)
         assert abs(s.norm_deficit) < 1e-12
 
+    @pytest.mark.parametrize("n", [40, 369, 1000])
+    def test_log_binomial_vs_mpmath(self, n):
+        # m << n and n - m << n put a ratio near 1 inside the Stirling form
+        m = np.array([1, 2, 3, 4, 5, n // 2, n - 5, n - 3, n - 1])
+        with mp.workdps(50):
+            want = np.array([float(mp.log(mp.binomial(n, int(k)))) for k in m])
+        np.testing.assert_allclose(ch._log_binomial(n, m), want, rtol=1e-15, atol=0.0)
+
 
 class TestSu2PhotonAdded:
     def test_p_too_large(self):
@@ -440,9 +448,28 @@ class TestSu11Perelomov:
         P = ch.distribution(s)
         m = np.arange(s.cutoff - (l + ell) + 1)
         probs = np.array([P[mm + l + ell, mm + l] for mm in m])
-        weights = abs(eta) ** (2 * m) / ch._pa_weight_f(k, l, m)
+        weights = abs(eta) ** (2 * m) * np.exp(-ch._pa_log_weight(k, l, m))
         weights /= weights.sum()
         assert np.max(np.abs(probs - weights)) < 1e-10
+
+    @pytest.mark.parametrize("l", [20, 100])
+    def test_pa_variant_at_large_added_index_vs_mpmath(self, l):
+        # F_l(k, 0) = Gamma(2k) / (l! Gamma(2k+l)) is below the double range
+        # at l = 100, so the weights are kept in logs
+        k, eta = 2.0, 0.4 - 0.3j
+        s = ch.su11_pa_perelomov_state(k, eta, l)
+        m = s.n_minus - l
+        np.testing.assert_array_equal(s.n_plus - s.n_minus, 3)  # 2k - 1
+        with mp.workdps(50):
+            e = mp.mpc(eta)
+            c = [
+                e**mm * mp.sqrt(mp.gamma(mm + l + 1) * mp.gamma(mm + 2 * k + l))
+                / (mp.factorial(mm) * mp.sqrt(mp.gamma(2 * k)))
+                for mm in map(int, m)
+            ]
+            norm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in c))
+            want = np.array([complex(x / norm) for x in c])
+        assert np.max(np.abs(s.amps - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_pa_variant_reduces_at_l_zero(self):
         k = 1.5

@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from landau_td import auxode, spectrum
 from landau_td.errors import CutoffTooSmall, IntegralNonConvergent
 from landau_td.profiles import make_profile
 from landau_td.spectrum import HelicityQuanta
+from reference import KIND_PARAMS, ep_rates, kind_profile, knot_restarted
 
 
 def _static_setup(M=1.0, omega=1.0, q=0.0, B=0.0, kappa=1.0, E1=0.0, E2=0.0):
@@ -22,50 +22,20 @@ def _static_setup(M=1.0, omega=1.0, q=0.0, B=0.0, kappa=1.0, E1=0.0, E2=0.0):
     return prof, aux
 
 
-_FIELD = {"E1": 0.2, "E2": -0.1}
-_KNOTS = np.linspace(0.0, 12.0, 25)
-# one profile of each kind on [0, 12], scaled like the README demo
-_KIND_PARAMS = {
-    "constant": {"M": 1.0, "omega": 1.2, **_FIELD},
-    "exponential-mass": {"M0": 1.2, "alpha": 0.05, "omega": 1.1, **_FIELD},
-    "exponential-frequency": {"M": 1.0, "tau": 1.0, "alpha": 0.05, **_FIELD},
-    "sinusoidal": {"M": 1.0, "omega0": 1.2, "depth": 0.3, "rate": 0.7, **_FIELD},
-    "tabulated": {
-        "t": _KNOTS,
-        "M": 1.0 + 0.2 * np.sin(0.5 * _KNOTS),
-        "omega": 1.1 + 0.2 * np.cos(0.5 * _KNOTS),
-        **_FIELD,
-    },
-}
-
-
-def _kind_profile(kind):
-    return make_profile(kind, _KIND_PARAMS[kind], q=1.0, B=0.9, kappa=1.0, t0=0.0, t1=12.0)
-
-
 def _reference_gamma(prof, q, grid):
-    """gamma by DOP853 at rtol 1e-13, carried as a third component next to
-    (rho, rho_dot) and restarted at the tabulated knots."""
+    """gamma by the knot-restarted reference, carried as a third component
+    next to (rho, rho_dot)."""
     kap, n_sum, ell_z = prof.kappa, q.total + 1, spectrum.lz_eigenvalue(q)
 
     def rhs(t, y):
-        M, Om = float(prof.mass(t)), float(prof.Omega(t))
+        M = float(prof.mass(t))
         drive = prof.q**2 * float(prof.efield_sq(t)) / (2.0 * M * float(prof.omega(t)))
         return [
-            y[1],
-            -(float(prof.mass_rate(t)) / M) * y[1] - Om * Om * y[0] + kap**2 / (M * M * y[0] ** 3),
+            *ep_rates(prof, t, y[0], y[1]),
             -kap * n_sum / (M * y[0] ** 2) + 0.5 * ell_z * float(prof.omega_c(t)) + drive,
         ]
 
-    breaks = _KNOTS if prof.kind == "tabulated" else grid[[0, -1]]
-    y = [*auxode.default_initial_conditions(prof), 0.0]
-    pieces = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
-        pieces.append(sol.sol)
-        y = sol.y[:, -1]
-    idx = np.clip(np.searchsorted(breaks, grid, side="right") - 1, 0, len(pieces) - 1)
-    return np.array([pieces[k](t)[2] for k, t in zip(idx, grid)])
+    return knot_restarted(rhs, [*auxode.default_initial_conditions(prof), 0.0], prof, grid)[2]
 
 
 def _moving_setup():
@@ -121,7 +91,7 @@ class TestScalarSpectra:
     def test_hamiltonian_expectation_array_is_per_time(self):
         # the spectrum CSV's energy column is one array call: each entry must
         # carry the bits of the scalar call at its time
-        prof = _kind_profile("sinusoidal")
+        prof = kind_profile("sinusoidal")
         grid = np.linspace(0.0, 12.0, 61)
         numeric = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
         cases = [(prof, numeric), _moving_setup(), _static_setup(q=1.0, B=2.0, E1=0.5)]
@@ -162,17 +132,17 @@ class TestPhase:
         assert trace_a.gamma[-1] == pytest.approx(trace.gamma[k], rel=1e-12)
 
 
-    @pytest.mark.parametrize("kind", sorted(_KIND_PARAMS))
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
     def test_gamma_matches_tight_reference(self, kind):
-        prof = _kind_profile(kind)
+        prof = kind_profile(kind)
         grid = np.linspace(0.0, 12.0, 401)
         aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
         q = HelicityQuanta(2, 1)
         trace = spectrum.phase_gamma(q, prof, aux, grid)
-        assert np.max(np.abs(trace.gamma - _reference_gamma(prof, q, grid))) < 1e-9
+        assert np.max(np.abs(trace.gamma - _reference_gamma(prof, q, grid))) < 1e-10
 
     def test_gamma_does_not_depend_on_the_grid(self):
-        prof = _kind_profile("sinusoidal")
+        prof = kind_profile("sinusoidal")
         aux = auxode.solve_ep_numeric(
             prof, *auxode.default_initial_conditions(prof), np.linspace(0.0, 12.0, 401)
         )
@@ -188,7 +158,7 @@ class TestPhase:
 
     def test_one_envelope_pass_per_term(self):
         # the rate, <i d/dt> and <H> of the self-check share one grid pass
-        prof = _kind_profile("tabulated")
+        prof = kind_profile("tabulated")
         grid = np.linspace(0.0, 12.0, 41)
         aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
         before = spectrum.phase_gamma(HelicityQuanta(1, 2), prof, aux, grid)
@@ -208,7 +178,7 @@ class TestPhase:
     def test_profile_terms_need_the_knots(self):
         # panels that straddle a knot of the cubic interpolants fail the
         # two-order certification; the knots are added to the panel ends
-        prof = _kind_profile("tabulated")
+        prof = kind_profile("tabulated")
         grid = np.linspace(0.0, 12.0, 5)
         aux = auxode.stationary_solution(prof, grid)
         spectrum.phase_gamma(HelicityQuanta(1, 0), prof, aux, grid)
