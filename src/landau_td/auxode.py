@@ -569,10 +569,28 @@ def _second_derivative_o4(values: np.ndarray, h: float) -> np.ndarray:
     ) / (12.0 * h * h)
 
 
+def _straddles_knot(grid: np.ndarray, profile: ParameterProfile) -> np.ndarray:
+    """For each interior sample i, whether the open span (grid[i-2],
+    grid[i+2]) of its 5-point stencil holds a profile knot."""
+    knots = profile.knots
+    return np.searchsorted(knots, grid[4:], side="left") > np.searchsorted(
+        knots, grid[:-4], side="right"
+    )
+
+
+def _max_residual(res: np.ndarray) -> float:
+    """Largest residual that is not NaN; NaN, without a warning, if none is."""
+    res = res[~np.isnan(res)]
+    return float(res.max()) if res.size else math.nan
+
+
 def ep_residual_pointwise(sol: AuxiliarySolution, profile: ParameterProfile) -> np.ndarray:
     """Per-sample |rho'' + (M'/M) rho' + Omega^2 rho - kappa^2/(M^2 rho^3)|.
 
-    NaN at the two samples on each end (no centered 4th-order stencil there).
+    NaN at the two samples on each end (no centered 4th-order stencil there)
+    and at every sample whose stencil span (grid[i-2], grid[i+2]) holds a
+    knot of a tabulated profile: rho'' jumps there, so the stencil would
+    report its own truncation, not the solution's error.
     """
     grid = sol.grid
     if grid.size < 5:
@@ -593,12 +611,14 @@ def ep_residual_pointwise(sol: AuxiliarySolution, profile: ParameterProfile) -> 
         + Om * Om * sol.rho[mid]
         - profile.kappa**2 / (M * M * sol.rho[mid] ** 3)
     )
+    res[mid][_straddles_knot(grid, profile)] = np.nan
     return res
 
 
 def ep_residual(sol: AuxiliarySolution, profile: ParameterProfile) -> float:
-    """Max-norm auxiliary-equation residual over the interior grid."""
-    return float(np.nanmax(ep_residual_pointwise(sol, profile)))
+    """Max-norm auxiliary-equation residual over the interior grid, away
+    from the knots; NaN when no stencil is left."""
+    return _max_residual(ep_residual_pointwise(sol, profile))
 
 
 # ---------------------------------------------------------------------------
@@ -687,14 +707,19 @@ def classical_trajectory(
 
     out = ClassicalTrajectory(grid=grid, z=z, z_dot=z_dot, max_residual=math.nan)
     if grid.size >= 5 and _is_uniform(grid):
-        out.max_residual = float(np.nanmax(classical_residual_pointwise(out, profile)))
+        out.max_residual = _max_residual(classical_residual_pointwise(out, profile))
     return out
 
 
 def classical_residual_pointwise(
     traj: ClassicalTrajectory, profile: ParameterProfile
 ) -> np.ndarray:
-    """Per-sample |z'' + i omega_c z' + omega^2 z - E_0| (NaN at the edges)."""
+    """Per-sample |z'' + i omega_c z' + omega^2 z - E_0|.
+
+    NaN at the two samples on each end and, as in ``ep_residual_pointwise``,
+    at every sample whose stencil span holds a knot of a tabulated profile
+    (z'' jumps there with the coefficients).
+    """
     grid = traj.grid
     if grid.size < 5:
         raise GridTooShort("residual stencil needs at least 5 grid points")
@@ -708,6 +733,7 @@ def classical_residual_pointwise(
     res[mid] = np.abs(
         z_dd + 1j * omega_c * traj.z_dot[mid] + omega**2 * traj.z[mid] - _drive_e0(profile, t)
     )
+    res[mid][_straddles_knot(grid, profile)] = np.nan
     return res
 
 

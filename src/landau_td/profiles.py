@@ -23,16 +23,26 @@ Five concrete kinds are built in:
 
 Built-in kinds carry constant field components; a time-dependent field is
 expressed through the tabulated kind.
+
+The ODE right-hand sides call the tabulated interpolants at one float time
+per evaluation, where scipy's array call costs far more than the cubic.  So
+a float time is evaluated in plain Python floats from the interpolant's
+breakpoints and coefficients, with scipy ``PPoly``'s interval rule (a time
+on an inner knot takes the later interval, the last sample time and later
+times the last one, earlier times the first) and its power-series
+operations, giving the same bits; any other input goes to the interpolant
+itself.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PPoly, PchipInterpolator
 
 from .errors import (
     GridTooShort,
@@ -77,7 +87,12 @@ class ParameterProfile:
 
     The callables accept a float or an ndarray and broadcast.  ``mass_rate``
     is the exact derivative of ``mass`` (interpolant derivative for the
-    tabulated kind), not a finite difference.
+    tabulated kind), not a finite difference.  A tabulated callable returns
+    a float for a float time, evaluated in plain floats with the bits of the
+    interpolant (see ``_piecewise``): a time on an inner knot takes the cubic
+    that starts there, the last sample time the last cubic, and times
+    outside the table extend the first or the last cubic.  Any other input
+    gives an array of its shape.
     """
 
     kind: str
@@ -176,6 +191,37 @@ def _const_fn(value, name: str) -> Callable:
     return fn
 
 
+def _piecewise(ip: PPoly) -> Callable:
+    """Evaluator of the piecewise polynomial ``ip``.
+
+    A float time (``np.float64`` included) is evaluated in plain floats as
+    scipy's ``_ppoly.evaluate`` does for one point.  The interval is the i
+    with x[i] <= t < x[i+1], the first one below x[1] and the last one from
+    x[-2] on (its ``find_interval_ascending`` with extrapolation): that is
+    the number of interior breakpoints at or below t.  The power series in
+    s = t - x[i] is summed lowest order first, ``res += c_k * z; z *= s``.
+    So the value is the same bits as ``ip(t)``.  Any other input goes to
+    ``ip`` as an array.
+    """
+    x = ip.x.tolist()
+    inner = x[1:-1]
+    # per interval, lowest order first
+    coeffs = ip.c[::-1].T.tolist()
+
+    def fn(t):
+        if not isinstance(t, float):
+            return ip(np.asarray(t, dtype=float))
+        i = bisect_right(inner, t)
+        s = t - x[i]
+        res, z = 0.0, 1.0
+        for c in coeffs[i]:
+            res += c * z
+            z *= s
+        return res
+
+    return fn
+
+
 def _field_fn(params: Mapping[str, object], name: str, t_tab=None) -> Callable:
     """E1 or E2: monotone cubic through a table on ``t_tab`` (tabulated
     kind with an array entry), else a constant."""
@@ -186,8 +232,7 @@ def _field_fn(params: Mapping[str, object], name: str, t_tab=None) -> Callable:
     table = _real(value, name, ndim=1)
     if table.shape != t_tab.shape:
         raise MissingParameter(f"the {name} table must have the length of t")
-    ip = PchipInterpolator(t_tab, table)
-    return lambda t: ip(np.asarray(t, dtype=float))
+    return _piecewise(PchipInterpolator(t_tab, table))
 
 
 def make_profile(
@@ -280,11 +325,9 @@ def make_profile(
         if M_tab.shape != t_tab.shape or w_tab.shape != t_tab.shape:
             raise MissingParameter("t, M, omega tables must share a length")
         mass_ip = PchipInterpolator(t_tab, M_tab)
-        mass_rate_ip = mass_ip.derivative()
-        omega_ip = PchipInterpolator(t_tab, w_tab)
-        mass = lambda t: mass_ip(np.asarray(t, dtype=float))  # noqa: E731
-        mass_rate = lambda t: mass_rate_ip(np.asarray(t, dtype=float))  # noqa: E731
-        omega_fn = lambda t: omega_ip(np.asarray(t, dtype=float))  # noqa: E731
+        mass = _piecewise(mass_ip)
+        mass_rate = _piecewise(mass_ip.derivative())
+        omega_fn = _piecewise(PchipInterpolator(t_tab, w_tab))
         t0 = max(t0, float(t_tab[0]))
         t1 = min(t1, float(t_tab[-1]))
         if not t1 > t0:

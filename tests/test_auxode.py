@@ -1,11 +1,14 @@
 """Tests for the auxiliary equation and the classical trajectory."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from landau_td import auxode
 from landau_td.errors import (
@@ -407,6 +410,59 @@ class TestTabulatedAccuracy:
         assert np.max(np.abs(traj.z - ref[0])) <= 1e-10
 
 
+def _field_table_profile():
+    params = dict(KIND_PARAMS["tabulated"])
+    t = params["t"]
+    params["E1"] = 0.2 * (1.0 + 0.3 * np.sin(0.7 * t))
+    params["E2"] = -0.1 + 0.1 * np.cos(0.4 * t)
+    return make_profile("tabulated", params, q=1.0, B=0.9, kappa=1.0, t0=0.0, t1=12.0)
+
+
+def _ppoly_calls(prof):
+    """The same tabulated profile with every table read by scipy's PPoly
+    call, the evaluator the float path reproduces."""
+    t = np.asarray(prof.params["t"], dtype=float)
+
+    def call(ip):
+        return lambda x: ip(np.asarray(x, dtype=float))
+
+    mass_ip = PchipInterpolator(t, prof.params["M"])
+    fields = {
+        attr: call(PchipInterpolator(t, prof.params[name]))
+        for attr, name in (("efield1", "E1"), ("efield2", "E2"))
+        if np.ndim(prof.params[name])
+    }
+    return dataclasses.replace(
+        prof,
+        mass=call(mass_ip),
+        mass_rate=call(mass_ip.derivative()),
+        omega=call(PchipInterpolator(t, prof.params["omega"])),
+        **fields,
+    )
+
+
+class TestTabulatedFloatPath:
+    """The solvers give the same bits whether the right-hand sides read the
+    tables through the float path or through scipy's PPoly call."""
+
+    grid = np.linspace(0.0, 12.0, 401)
+
+    @pytest.mark.parametrize("make", [lambda: kind_profile("tabulated"), _field_table_profile])
+    def test_solutions_are_bit_identical(self, make):
+        fast = make()
+        slow = _ppoly_calls(fast)
+        y0 = auxode.default_initial_conditions(fast)
+        a = auxode.solve_ep_numeric(fast, *y0, self.grid)
+        b = auxode.solve_ep_numeric(slow, *y0, self.grid)
+        for x, y in ((a.rho, b.rho), (a.rho_dot, b.rho_dot), (a.max_residual, b.max_residual)):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a.theta_at(self.grid), b.theta_at(self.grid))
+        za = auxode.classical_trajectory(fast, 0.8 - 0.3j, 0.2 + 0.5j, self.grid)
+        zb = auxode.classical_trajectory(slow, 0.8 - 0.3j, 0.2 + 0.5j, self.grid)
+        for x, y in ((za.z, zb.z), (za.z_dot, zb.z_dot), (za.max_residual, zb.max_residual)):
+            np.testing.assert_array_equal(x, y)
+
+
 class TestResidual:
     def test_grid_too_short(self):
         prof = _const_profile()
@@ -432,6 +488,32 @@ class TestResidual:
         assert res.shape == grid.shape
         assert np.all(np.isnan(res[:2])) and np.all(np.isnan(res[-2:]))
         assert np.all(np.isfinite(res[2:-2]))
+
+    def test_tabulated_stencils_across_knots_are_masked(self):
+        # rho'' and z'' jump at a C^1 knot; a stencil across one measures
+        # its own truncation, so those samples are NaN and the maxima
+        # measure the solution
+        prof = kind_profile("tabulated")
+        grid = np.linspace(0.0, 12.0, 401)
+        aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
+        traj = auxode.classical_trajectory(prof, 0.8 - 0.3j, 0.2 + 0.5j, grid)
+        lo, hi = grid[:-4], grid[4:]
+        crosses = np.array([np.any((prof.knots > a) & (prof.knots < b)) for a, b in zip(lo, hi)])
+        assert crosses.sum() == 85
+        for res in (auxode.ep_residual_pointwise(aux, prof),
+                    auxode.classical_residual_pointwise(traj, prof)):
+            np.testing.assert_array_equal(np.isnan(res[2:-2]), crosses)
+        assert aux.max_residual <= 1e-6
+        assert traj.max_residual <= 1e-6
+
+    def test_no_stencil_left_gives_nan_without_warning(self):
+        prof = kind_profile("tabulated")
+        grid = np.linspace(0.3, 0.7, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
+            traj = auxode.classical_trajectory(prof, 1.0, 0.0, grid)
+        assert math.isnan(aux.max_residual) and math.isnan(traj.max_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from landau_td.errors import (
     GridTooShort,
@@ -163,6 +164,72 @@ def test_tabulated_interpolates_through_samples():
     prof = make_profile("tabulated", {"t": t, "M": M, "omega": w})
     assert np.allclose(prof.mass(t), M, atol=1e-13)
     assert np.allclose(prof.omega(t), w, atol=1e-13)
+
+
+@st.composite
+def _tables(draw):
+    """Uneven sample times and, per entry, a monotone or a wiggling table:
+    positive for M and omega, either sign for the field."""
+    n = draw(st.integers(4, 12))
+    steps = draw(st.lists(st.floats(0.05, 3.0), min_size=n - 1, max_size=n - 1))
+    t = np.concatenate(([draw(st.floats(-5.0, 5.0))], np.cumsum(steps)))
+    t[1:] += t[0]
+
+    def table(low):
+        values = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            values = np.cumsum(values) / n
+        return low + np.asarray(values)
+
+    return {"t": t, "M": table(0.0), "omega": table(0.0), "E1": table(-1.0), "E2": table(-1.5)}
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=_tables(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_tabulated_float_path_is_the_interpolant_bit_for_bit(tables, fractions):
+    # a float time is summed in plain floats; it must give the bits of
+    # scipy's PPoly array call, also on, next to and outside the knots
+    t = tables["t"]
+    prof = make_profile("tabulated", tables, t0=t[0], t1=t[-1])
+    mass_ip = PchipInterpolator(t, tables["M"])
+    pairs = [
+        (prof.mass, mass_ip),
+        (prof.mass_rate, mass_ip.derivative()),
+        (prof.omega, PchipInterpolator(t, tables["omega"])),
+        (prof.efield1, PchipInterpolator(t, tables["E1"])),
+        (prof.efield2, PchipInterpolator(t, tables["E2"])),
+    ]
+    span = t[-1] - t[0]
+    times = np.concatenate([
+        t[0] + span * np.asarray(fractions),
+        t,
+        np.nextafter(t, -np.inf),
+        np.nextafter(t, np.inf),
+        [t[0] - 0.1 * span, t[-1] + 0.1 * span],
+    ])
+    for fn, ip in pairs:
+        for time in times:
+            expected = _bits(ip(np.asarray(time)))
+            assert _bits(fn(float(time))) == expected, (fn, time)
+            assert _bits(fn(np.float64(time))) == expected, (fn, time)
+
+
+def test_tabulated_evaluator_input_types():
+    t = np.linspace(0.0, 6.0, 13)
+    doc = {"t": t, "M": 1.0 + 0.2 * np.cos(t), "omega": 1.5 + 0.0 * t, "E1": 0.1 * np.sin(t)}
+    prof = make_profile("tabulated", doc, t1=6.0)
+    for fn in (prof.mass, prof.mass_rate, prof.omega, prof.efield1):
+        assert type(fn(1.3)) is float
+        assert isinstance(fn(np.float64(1.3)), float)
+        zero_d = fn(np.array(1.3))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        assert fn(np.array([1.3, 2.0])).shape == (2,)
+        assert fn(t.reshape(13, 1)).shape == (13, 1)
+        assert _bits(fn(1.3)) == _bits(fn(np.array(1.3)))
 
 
 def test_tabulated_field_table_from_json():
