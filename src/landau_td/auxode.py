@@ -231,7 +231,7 @@ def _ep_rhs(profile: ParameterProfile):
         Mdot = float(mass_rate(t))
         w = omega(t)
         wc = qb / M
-        Om = float(np.sqrt(w * w + 0.25 * wc * wc))
+        Om = math.sqrt(w * w + 0.25 * wc * wc)
         return [
             rho_dot,
             -(Mdot / M) * rho_dot - Om * Om * rho + kappa_sq / (M * M * rho**3),

@@ -121,10 +121,6 @@ class NormalizationDiverges(NumericalError):
     """State normalization sum failed to converge below the cutoff cap."""
 
 
-class QuadratureNonConvergent(NumericalError):
-    """Quadrature refinement disagrees at the requested tolerance."""
-
-
 class StepUnderflow(NumericalError):
     """Finite-difference step fell below the resolvable scale."""
 

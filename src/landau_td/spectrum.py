@@ -22,7 +22,7 @@ set consistent with the adopted L_z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping
 
 import numpy as np
@@ -37,7 +37,6 @@ from .specfun import gamma_fn, hermite, laguerre
 __all__ = [
     "HelicityQuanta",
     "PhaseTrace",
-    "OperatorMatrix",
     "Invariant3dTrace",
     "DEFAULT_CUTOFF",
     "invariant_eigenvalue",
@@ -108,16 +107,6 @@ class PhaseTrace:
     integrand: np.ndarray
     energy: np.ndarray
     gamma_closed_form: np.ndarray
-
-
-@dataclass
-class OperatorMatrix:
-    """Truncated two-mode matrix with its cutoff bookkeeping."""
-
-    dim: int
-    entries: sparse.csr_matrix
-    cutoff: int
-    edge_band: frozenset = field(repr=False)
 
 
 @dataclass
@@ -398,8 +387,8 @@ def build_operator_matrices(
     aux: AuxiliarySolution,
     t: float,
     cutoff: int = DEFAULT_CUTOFF,
-) -> Dict[str, OperatorMatrix]:
-    """All operator matrices on the truncated two-mode basis at time t.
+) -> Dict[str, sparse.csr_matrix]:
+    """All operator matrices (CSR) on the truncated two-mode basis at time t.
 
     Keys: a+, a-, a+dag, a-dag, x, y, px, py, Lz, I, H, J+, J-, J3,
     K+, K-, K0.  Position and momentum come from the ladder inversion
@@ -461,33 +450,24 @@ def build_operator_matrices(
     k_minus = (a_p @ a_m).tocsr()
     k0 = (0.5 * (n_p + n_m + ident)).tocsr()
 
-    labels = basis_labels(cutoff)
-    edge = frozenset(
-        int(i)
-        for i in np.nonzero((labels[:, 0] == cutoff) | (labels[:, 1] == cutoff))[0]
-    )
-
-    def wrap(mat) -> OperatorMatrix:
-        return OperatorMatrix(dim=dim, entries=mat.tocsr(), cutoff=cutoff, edge_band=edge)
-
     return {
-        "a+": wrap(a_p),
-        "a-": wrap(a_m),
-        "a+dag": wrap(a_p_dag),
-        "a-dag": wrap(a_m_dag),
-        "x": wrap(x_op),
-        "y": wrap(y_op),
-        "px": wrap(px_op),
-        "py": wrap(py_op),
-        "Lz": wrap(lz),
-        "I": wrap(inv),
-        "H": wrap(ham),
-        "J+": wrap(j_plus),
-        "J-": wrap(j_minus),
-        "J3": wrap(j3),
-        "K+": wrap(k_plus),
-        "K-": wrap(k_minus),
-        "K0": wrap(k0),
+        "a+": a_p,
+        "a-": a_m,
+        "a+dag": a_p_dag,
+        "a-dag": a_m_dag,
+        "x": x_op,
+        "y": y_op,
+        "px": px_op,
+        "py": py_op,
+        "Lz": lz,
+        "I": inv,
+        "H": ham,
+        "J+": j_plus,
+        "J-": j_minus,
+        "J3": j3,
+        "K+": k_plus,
+        "K-": k_minus,
+        "K0": k0,
     }
 
 

@@ -3,9 +3,11 @@
 Each check packages one falsifiable claim about the rest of the package as
 a :class:`CheckReport`:
 
-- ``orthonormality_check``: Gram matrix of the polar eigenfunctions by 2D
-  quadrature (Gauss-Legendre radial on the mapped envelope variable,
-  trapezoid angular, which is exact for the trigonometric factors).
+- ``orthonormality_check``: Gram matrix of the polar eigenfunctions by one
+  exact 2D rule: Gauss-Laguerre with n_max + 1 nodes in the envelope
+  variable u = kappa r^2 / rho^2 (each integrand is e^-u times a polynomial
+  of degree <= 2 n_max) and the trapezoid on 2 n_max + 1 angles (exact for
+  every angular harmonic difference present).
 - ``schrodinger_residual_check``: pointwise residual ``i d(psi)/dt - H psi``
   of the phased solution, with the time derivative by central difference
   and spatial derivatives by 6th-order stencils.  Run once per phase
@@ -34,18 +36,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss, legval
 from scipy import sparse
 from scipy.sparse.linalg import norm as sparse_norm
 
 from .auxode import AuxiliarySolution, solve_ep_numeric
 from .coherent import WeightSpec, weight_spec
-from .errors import (
-    CutoffTooSmall,
-    IntegralNonConvergent,
-    QuadratureNonConvergent,
-    StepUnderflow,
-)
+from .errors import CutoffTooSmall, IntegralNonConvergent, StepUnderflow
 from .profiles import ParameterProfile, make_profile
 from .spectrum import (
     HelicityQuanta,
@@ -130,25 +128,43 @@ def reports_to_json(reports: Sequence[CheckReport]) -> str:
 # orthonormality
 # ---------------------------------------------------------------------------
 
-def _gram_residual(
+def orthonormality_check(
     profile: ParameterProfile,
     aux: AuxiliarySolution,
     t: float,
-    states: Sequence[HelicityQuanta],
-    n_radial: int,
-    n_angular: int,
-    u_max: float,
-) -> float:
-    """max |G - Id| for the Gram matrix on a (radial x angular) grid."""
+    n_max: int = 3,
+    tol: float = 1e-12,
+) -> CheckReport:
+    """Gram-matrix orthonormality of all eigenfunctions with n+, n- <= n_max.
+
+    The quadrature is exact, so the residual is roundoff.  At one time t the
+    chirp exp(i M rho' r^2 / 2 rho) cancels in conj(phi_a) phi_b, and in
+    u = kappa r^2 / rho^2 (area element (rho^2 / 2 kappa) du dtheta) an
+    integrand with equal l is e^-u times u^|l| L_na^|l|(u) L_nb^|l|(u), a
+    polynomial of degree |l| + na + nb <= 2 n_max.  Gauss-Laguerre with
+    n_max + 1 nodes integrates e^-u times any polynomial of degree up to
+    2 n_max + 1 exactly; its weights carry the e^u that undoes the
+    wavefunctions' own e^-u.  The angular factor is exp(i (lb - la) theta)
+    with |lb - la| <= 2 n_max, and the trapezoid on 2 n_max + 1 angles sums
+    it to zero for every nonzero such difference, so pairs with unequal l
+    vanish whatever the radial sum.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    profile.check_time(t)
+
+    states = [
+        HelicityQuanta(np_, nm_)
+        for np_ in range(n_max + 1)
+        for nm_ in range(n_max + 1)
+    ]
     rho = float(aux.rho_at(t))
     kap = profile.kappa
-    nodes, wts = leggauss(n_radial)
-    u = 0.5 * u_max * (nodes + 1.0)
-    w_u = 0.5 * u_max * wts
+    u, w_u = laggauss(n_max + 1)
     r = rho * np.sqrt(u / kap)
+    n_angular = 2 * n_max + 1
     theta = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
-    # area element r dr dtheta = (rho^2 / 2 kappa) du dtheta
-    w2 = (rho * rho / (2.0 * kap)) * w_u[:, None] * (2.0 * math.pi / n_angular)
+    w2 = (rho * rho / (2.0 * kap)) * (w_u * np.exp(u))[:, None] * (2.0 * math.pi / n_angular)
     phis = np.array(
         [
             wavefunction_polar(q, profile, aux, t, r[:, None], theta[None, :])
@@ -156,66 +172,11 @@ def _gram_residual(
         ]
     )
     gram = np.einsum("ij,aij,bij->ab", w2, phis.conj(), phis)
-    return float(np.max(np.abs(gram - np.eye(len(states)))))
-
-
-def orthonormality_check(
-    profile: ParameterProfile,
-    aux: AuxiliarySolution,
-    t: float,
-    n_max: int = 3,
-    tol: float = 1e-7,
-    n_radial: Optional[int] = None,
-    n_angular: Optional[int] = None,
-) -> CheckReport:
-    """Gram-matrix orthonormality of all eigenfunctions with n+, n- <= n_max.
-
-    The radial integral runs in the envelope variable u = kappa r^2 / rho^2
-    on [0, u_max] (Gauss-Legendre, with u_max scaled so the discarded tail
-    is negligible), the angular one on a uniform grid (trapezoid, exact for
-    the finitely many harmonics present).  The grid is refined once; if the
-    refined residual would pass the tolerance but the refinement still
-    shifts it by more than tol/2, the result is not trusted and
-    QuadratureNonConvergent is raised.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max > 6:
-        raise ValueError("n_max > 6 exceeds the quadrature design range")
-    profile.check_time(t)
-
-    if n_radial is None:
-        n_radial = 40 + 6 * n_max
-    if n_angular is None:
-        n_angular = 8 * (n_max + 1)
-    u_max = 24.0 + 8.0 * n_max
-    states = [
-        HelicityQuanta(np_, nm_)
-        for np_ in range(n_max + 1)
-        for nm_ in range(n_max + 1)
-    ]
-
-    coarse = _gram_residual(profile, aux, t, states, n_radial, n_angular, u_max)
-    n_radial_f = int(1.5 * n_radial) + 8
-    n_angular_f = 2 * n_angular
-    refined = _gram_residual(profile, aux, t, states, n_radial_f, n_angular_f, u_max)
-    shift = abs(refined - coarse)
-    if refined <= tol < 2.0 * shift:
-        raise QuadratureNonConvergent(
-            f"refinement moved the Gram residual by {shift:.3e}, "
-            f"more than half the tolerance {tol:.3e}"
-        )
+    residual = np.max(np.abs(gram - np.eye(len(states))))
     details = [
-        {
-            "states": len(states),
-            "radial_nodes": n_radial_f,
-            "angular_nodes": n_angular_f,
-            "u_max": u_max,
-            "coarse_residual": float(coarse),
-            "quadrature_shift": float(shift),
-        }
+        {"states": len(states), "radial_nodes": n_max + 1, "angular_nodes": n_angular}
     ]
-    return _make_report("orthonormality", refined, tol, details)
+    return _make_report("orthonormality", residual, tol, details)
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +316,7 @@ def lr_invariant_check(
     profile.check_time(t + h)
 
     mats = build_operator_matrices(profile, aux, t, cutoff)
-    x = mats["x"].entries
-    y = mats["y"].entries
-    px = mats["px"].entries
-    py = mats["py"].entries
-    ham = mats["H"].entries
-    inv = mats["I"].entries
-    lz = mats["Lz"].entries
+    x, y, px, py, ham, inv, lz = (mats[k] for k in ("x", "y", "px", "py", "H", "I", "Lz"))
     kap = profile.kappa
 
     q2 = x @ x + y @ y
@@ -444,7 +399,7 @@ def algebra_check(cutoff: int = 20, tol: float = 1e-10) -> CheckReport:
     if cutoff < 6:
         raise CutoffTooSmall(f"cutoff must be >= 6, got {cutoff}")
     profile, aux, t = _algebra_fixture()
-    mats = {k: v.entries for k, v in build_operator_matrices(profile, aux, t, cutoff).items()}
+    mats = build_operator_matrices(profile, aux, t, cutoff)
     dim = (cutoff + 1) ** 2
     ident = sparse.identity(dim, format="csr", dtype=complex)
     idx = np.nonzero(interior_mask(cutoff, _INTERIOR_BAND))[0]
@@ -532,13 +487,22 @@ def moment_problem_check(spec: WeightSpec, m_max: int = 6, tol: float = 1e-6) ->
     order's summed estimate exceeds max(tol/2, 1e-9) of its moment, panels
     over an equal share of that bar are bisected and the grid evaluated
     again, until the panel budget raises IntegralNonConvergent.  Each
-    order's relative error against ``spec.moment_target(m)`` is held to ``tol``.
+    order's relative error against ``spec.moment_target(m)`` is held to ``tol``;
+    a target below the normal double range raises IntegralNonConvergent,
+    since subnormal arithmetic cannot carry a relative error.
     """
     m_hi = m_max if spec.m_max is None else min(m_max, spec.m_max)
     if m_hi < 0:
         raise ValueError(f"no admissible moment orders in [0, {m_hi}]")
     orders = np.arange(m_hi + 1)
     targets = np.array([float(spec.moment_target(int(m))) for m in orders])
+    subnormal = np.abs(targets) < np.finfo(float).tiny
+    if np.any(subnormal):
+        m = int(np.argmax(subnormal))
+        raise IntegralNonConvergent(
+            f"moment m = {m}: target {targets[m]:.3e} is below the normal double "
+            "range, where no relative error can be certified"
+        )
     panels = _initial_panels(spec.x_max)
     while True:
         lo, hi, mapped = panels[:, :1], panels[:, 1:2], panels[:, 2:] > 0
@@ -612,7 +576,7 @@ def standard_suite(
     t_mid = 0.5 * (profile.t0 + profile.t1)
     reports: List[CheckReport] = []
     if "orthonormality" in checks:
-        reports.append(orthonormality_check(profile, aux, t_mid, n_max=2, tol=1e-7))
+        reports.append(orthonormality_check(profile, aux, t_mid, n_max=2, tol=1e-12))
     if "schrodinger" in checks:
         scale = float(aux.rho_at(t_mid)) / math.sqrt(profile.kappa)
         samples = [

@@ -66,8 +66,7 @@ def _moving_setup(q=1.0, B=0.6, kappa=2.0):
 
 
 def _matrices(prof, aux, t=1.3, cutoff=24):
-    raw = spectrum.build_operator_matrices(prof, aux, t, cutoff=cutoff)
-    return {k: v.entries for k, v in raw.items()}
+    return spectrum.build_operator_matrices(prof, aux, t, cutoff=cutoff)
 
 
 class TestCanonical:
