@@ -29,12 +29,13 @@ The formulas are valid between consecutive roots of the oscillatory factor
 (v's never vanishing jointly; s(t) != 0), guarded by SingularParameter.
 
 The numeric routes (``solve_ep_numeric`` and the non-constant
-``classical_trajectory``) integrate with DOP853 piece by piece between the
-knots of a tabulated profile, where the interpolated coefficients are only
-C^1, restarting from the end of the previous piece; the analytic kinds have
-no knots and take one piece.  The dense outputs of all pieces are stacked
-once into arrays and read by one vectorised evaluator (a sorted search for
-the solver step, then the DOP853 Horner scheme), which gives the grid
+``classical_trajectory``) integrate with the package's DOP853 stepper
+(``solve_ivp``, from ``landau_td.dop853``) piece by piece between the knots
+of a tabulated profile, where the interpolated coefficients are only C^1,
+restarting from the end of the previous piece; the analytic kinds have no
+knots and take one piece.  The dense-output rows of all pieces' steps are
+stacked once into arrays and read by one vectorised evaluator (a sorted
+search for the step, then the DOP853 Horner scheme), which gives the grid
 samples, the envelope at any time and the integrand of theta.
 
 Every solution also carries the phase theta(t) = integral kappa/(M rho^2) dt
@@ -53,8 +54,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 
+from .dop853 import solve_ivp
 from .errors import (
     BlowUp,
     GridTooShort,
@@ -240,41 +241,38 @@ def _ep_rhs(profile: ParameterProfile):
     return rhs
 
 
-def _solve_pieces(rhs, y0, edges, what: str, events=None) -> list:
+def _solve_pieces(rhs, y0, edges, what: str, band=None) -> list:
     """DOP853 runs (rtol 1e-11) between consecutive ``edges``, each started
-    from the end of the one before; BlowUp if one stops early."""
+    from the end of the one before; BlowUp if one stops early.  Every run
+    goes through the module attribute ``solve_ivp``."""
     pieces = []
     y = y0
     for a, b in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(
-            rhs, (a, b), y, method="DOP853", rtol=1e-11, atol=1e-13,
-            dense_output=True, events=events,
-        )
-        if sol.status != 0:
-            raise BlowUp(f"{what} integration stopped early: {sol.message}")
-        pieces.append(sol)
-        y = sol.y[:, -1]
+        run = solve_ivp(rhs, (a, b), y, band)
+        if run.status != 0:
+            raise BlowUp(f"{what} integration stopped early: {run.message}")
+        pieces.append(run)
+        y = run.y[-1]
     return pieces
 
 
 def _stacked_dense(pieces) -> tuple:
     """One evaluator over the dense outputs of consecutive solver runs.
 
-    Each DOP853 step's fields (t_old, h, F, y_old) are read once into
-    arrays.  The evaluator maps times of any shape to an array of shape
-    (n_state, *t.shape): it finds every time's step with one sorted search
-    (a time at a step end takes the earlier step, as scipy's OdeSolution
-    does) and runs the DOP853 Horner scheme on all of them at once, with
-    the operations of the per-step interpolant, so the values are the same
-    bits.  Returns (evaluator, step ends).
+    The step ends, the states at the step starts and the steps' dense-output
+    rows are read once into arrays (a step's h is the difference of its two
+    ends, as in the stepper).  The evaluator maps times of any shape to an
+    array of shape (n_state, *t.shape): it finds every time's step with one
+    sorted search (a time at a step end takes the earlier step) and runs the
+    DOP853 Horner scheme on all of them at once.  Each value is the same
+    bits as the one-step evaluation of its step.  Returns (evaluator, step
+    ends).
     """
-    steps = [s for sol in pieces for s in sol.sol.interpolants]
-    ends = np.concatenate([pieces[0].sol.ts[:1]] + [sol.sol.ts[1:] for sol in pieces])
-    t_old = np.array([s.t_old for s in steps])
-    h = np.array([s.h for s in steps])
+    ends = np.array(pieces[0].t[:1] + [t for run in pieces for t in run.t[1:]])
+    t_old, h = ends[:-1], np.diff(ends)
+    y_old = np.array([y for run in pieces for y in run.y[:-1]])
     # Horner order: the last coefficient row first
-    F = np.stack([s.F for s in steps])[:, ::-1]
-    y_old = np.stack([s.y_old for s in steps])
+    F = np.array([rows for run in pieces for rows in run.F])[:, ::-1]
 
     def evaluate(t):
         t = np.asarray(t, dtype=float)
@@ -303,8 +301,8 @@ def solve_ep_numeric(
     solver step straddles a knot of a tabulated profile, and one stacked
     evaluator reads all pieces' dense output: the grid samples, the
     envelope and theta's integrand.  Raises BlowUp when the solution
-    escapes toward 0 or infinity (detected by events at 1e-6 x and 1e6 x
-    the initial amplitude, or by solver step collapse).  theta is
+    escapes toward 0 or infinity: a step ends with rho outside (1e-6, 1e6)
+    times the initial amplitude, or the step size collapses.  theta is
     integrated on the dense output over panels at the solver steps, which
     include the profile knots; IntegralNonConvergent is raised if the panel
     rule cannot certify it.
@@ -319,21 +317,12 @@ def solve_ep_numeric(
     profile.check_time(grid[0])
     profile.check_time(grid[-1])
 
-    def too_small(t, y):
-        return y[0] - 1e-6 * rho0
-
-    def too_large(t, y):
-        return y[0] - 1e6 * rho0
-
-    too_small.terminal = True
-    too_large.terminal = True
-
     pieces = _solve_pieces(
         _ep_rhs(profile),
-        [rho0, rho_dot0],
+        [float(rho0), float(rho_dot0)],
         _panel_edges(grid[[0, -1]], profile),
         "auxiliary",
-        events=[too_small, too_large],
+        band=(1e-6 * rho0, 1e6 * rho0),
     )
     envelope, panels = _stacked_dense(pieces)
     rho, rho_dot = envelope(grid)
@@ -634,8 +623,9 @@ def _drive_e0(profile: ParameterProfile, t):
 def _classical_rhs(profile: ParameterProfile):
     """Right-hand side of the classical equation for y = (z, z_dot).
 
-    Reads M once per call and forms omega_c and E_0 from it in the
-    operation order of ``ParameterProfile.omega_c`` and ``_drive_e0``.
+    Reads M, omega, E1 and E2 as floats once per call and forms omega_c =
+    q B / M and E_0 = (q E2 / M) + i (q E1 / M) from them in Python
+    arithmetic.
     """
     qb, q = profile.q * profile.B, profile.q
     mass, omega_fn = profile.mass, profile.omega
@@ -643,10 +633,10 @@ def _classical_rhs(profile: ParameterProfile):
 
     def rhs(t, y):
         z, zd = y
-        M = np.asarray(mass(t), dtype=float)
+        M = float(mass(t))
         omega = float(omega_fn(t))
-        omega_c = float(qb / M)
-        e0 = complex(q * (efield2(t) + 1j * efield1(t)) / M)
+        omega_c = qb / M
+        e0 = complex(q * float(efield2(t)) / M, q * float(efield1(t)) / M)
         return [zd, e0 - 1j * omega_c * zd - omega * omega * z]
 
     return rhs
@@ -699,7 +689,7 @@ def classical_trajectory(
     else:
         pieces = _solve_pieces(
             _classical_rhs(profile),
-            np.array([z0, z_dot0], dtype=complex),
+            [complex(z0), complex(z_dot0)],
             _panel_edges(grid[[0, -1]], profile),
             "classical",
         )

@@ -24,14 +24,16 @@ Five concrete kinds are built in:
 Built-in kinds carry constant field components; a time-dependent field is
 expressed through the tabulated kind.
 
-The ODE right-hand sides call the tabulated interpolants at one float time
-per evaluation, where scipy's array call costs far more than the cubic.  So
-a float time is evaluated in plain Python floats from the interpolant's
-breakpoints and coefficients, with scipy ``PPoly``'s interval rule (a time
-on an inner knot takes the later interval, the last sample time and later
-times the last one, earlier times the first) and its power-series
-operations, giving the same bits; any other input goes to the interpolant
-itself.
+The PCHIP interpolant is built here in numpy with the operations of scipy's
+``PchipInterpolator``: Fritsch-Butland slopes (a weighted harmonic mean of
+the neighbouring secants, zero at a local extremum) with a one-sided
+three-point rule at the two ends, turned into the cubic Hermite power
+series of each interval.  It is evaluated with scipy ``PPoly``'s interval
+rule (a time on an inner knot takes the later interval, the last sample
+time and later times the last one, earlier times the first) and its
+power-series operations, so the values are the same bits as scipy's.  The
+ODE right-hand sides call it at one float time per evaluation, so a float
+time is evaluated in plain Python floats; any other input as an array.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.interpolate import PPoly, PchipInterpolator
 
 from .errors import (
     GridTooShort,
@@ -168,6 +169,14 @@ def _require(params: Mapping[str, object], *names: str) -> list:
     return out
 
 
+def _has_bool(value) -> bool:
+    """Whether value is a bool or a list or tuple holding one: JSON true
+    and false are not numbers, though numpy reads them as 1 and 0."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_bool, value))
+    return isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == np.bool_
+
+
 def _real(value, name: str, ndim: int = 0):
     """value as a float (a 1-D float array when ndim is 1); MissingParameter
     naming the entry unless it has that shape and only finite numbers."""
@@ -175,7 +184,7 @@ def _real(value, name: str, ndim: int = 0):
         out = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         out = np.array(np.nan)
-    if out.ndim != ndim or not np.all(np.isfinite(out)):
+    if out.ndim != ndim or not np.all(np.isfinite(out)) or _has_bool(value):
         what = "a 1-D table of finite real numbers" if ndim else "a finite real number"
         raise MissingParameter(f"profile entry {name!r} must be {what}, got {value!r}")
     return out if ndim else float(out)
@@ -191,33 +200,92 @@ def _const_fn(value, name: str) -> Callable:
     return fn
 
 
-def _piecewise(ip: PPoly) -> Callable:
-    """Evaluator of the piecewise polynomial ``ip``.
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end of the table, kept from
+    overshooting (scipy's ``PchipInterpolator._edge_case``)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    A float time (``np.float64`` included) is evaluated in plain floats as
-    scipy's ``_ppoly.evaluate`` does for one point.  The interval is the i
-    with x[i] <= t < x[i+1], the first one below x[1] and the last one from
-    x[-2] on (its ``find_interval_ascending`` with extrapolation): that is
-    the number of interior breakpoints at or below t.  The power series in
-    s = t - x[i] is summed lowest order first, ``res += c_k * z; z *= s``.
-    So the value is the same bits as ``ip(t)``.  Any other input goes to
-    ``ip`` as an array.
+
+def _pchip(x: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
+    """Power-series coefficients, highest order first and one column per
+    interval (scipy ``PPoly``'s layout), of the PCHIP interpolant through
+    (x, y); x strictly increasing with at least 3 samples.
+
+    The operations are those of scipy's ``PchipInterpolator``: the slopes
+    of ``_find_derivatives`` and the cubic of ``CubicHermiteSpline``.
+    MissingParameter naming the table entry ``name`` if a coefficient
+    overflows.
     """
-    x = ip.x.tolist()
+    # a zero secant divides where the slope is set to 0 anyway; an overflow
+    # is caught after
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.concatenate((
+            [_pchip_end_slope(h[0], h[1], m[0], m[1])],
+            np.where(flat, 0.0, 1.0 / whmean),
+            [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])],
+        ))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+    if not np.all(np.isfinite(c)):
+        raise MissingParameter(
+            f"profile entry {name!r} must be a table whose cubics stay finite, got {y.tolist()!r}"
+        )
+    return c
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative of the cubics ``c``, as ``PPoly.derivative``."""
+    return c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
+
+
+def _piecewise(x: np.ndarray, c: np.ndarray) -> Callable:
+    """Evaluator of the piecewise polynomial with breakpoints ``x`` and
+    coefficients ``c`` (highest order first, one column per interval).
+
+    It runs scipy's ``_ppoly.evaluate``.  The interval is the i with
+    x[i] <= t < x[i+1], the first one below x[1] and the last one from x[-2]
+    on (its ``find_interval_ascending`` with extrapolation): that is the
+    number of interior breakpoints at or below t.  The power series in
+    s = t - x[i] is summed lowest order first, ``res += c_k * z; z *= s``.
+    A float time (``np.float64`` included) is evaluated in plain floats;
+    any other input as an array of its shape, with the same operations
+    elementwise.
+    """
     inner = x[1:-1]
-    # per interval, lowest order first
-    coeffs = ip.c[::-1].T.tolist()
+    x_list, inner_list = x.tolist(), inner.tolist()
+    # lowest order first
+    rows = c[::-1]
+    per_interval = rows.T.tolist()
 
     def fn(t):
-        if not isinstance(t, float):
-            return ip(np.asarray(t, dtype=float))
-        i = bisect_right(inner, t)
+        if isinstance(t, float):
+            i = bisect_right(inner_list, t)
+            s = t - x_list[i]
+            res, z = 0.0, 1.0
+            for ck in per_interval[i]:
+                res += ck * z
+                z *= s
+            return res
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(inner, t, side="right")
         s = t - x[i]
         res, z = 0.0, 1.0
-        for c in coeffs[i]:
-            res += c * z
-            z *= s
-        return res
+        for ck in rows:
+            res = res + ck[i] * z
+            z = z * s
+        return np.asarray(res)
 
     return fn
 
@@ -232,7 +300,7 @@ def _field_fn(params: Mapping[str, object], name: str, t_tab=None) -> Callable:
     table = _real(value, name, ndim=1)
     if table.shape != t_tab.shape:
         raise MissingParameter(f"the {name} table must have the length of t")
-    return _piecewise(PchipInterpolator(t_tab, table))
+    return _piecewise(t_tab, _pchip(t_tab, table, name))
 
 
 def make_profile(
@@ -324,10 +392,14 @@ def make_profile(
             )
         if M_tab.shape != t_tab.shape or w_tab.shape != t_tab.shape:
             raise MissingParameter("t, M, omega tables must share a length")
-        mass_ip = PchipInterpolator(t_tab, M_tab)
-        mass = _piecewise(mass_ip)
-        mass_rate = _piecewise(mass_ip.derivative())
-        omega_fn = _piecewise(PchipInterpolator(t_tab, w_tab))
+        if not np.all(np.diff(t_tab) > 0):
+            raise MissingParameter(
+                f"profile entry 't' must be strictly increasing, got {params['t']!r}"
+            )
+        mass_c = _pchip(t_tab, M_tab, "M")
+        mass = _piecewise(t_tab, mass_c)
+        mass_rate = _piecewise(t_tab, _derivative(mass_c))
+        omega_fn = _piecewise(t_tab, _pchip(t_tab, w_tab, "omega"))
         t0 = max(t0, float(t_tab[0]))
         t1 = min(t1, float(t_tab[-1]))
         if not t1 > t0:
@@ -342,7 +414,7 @@ def make_profile(
     if not (np.all(w_s > 0.0) and np.all(np.isfinite(w_s))):
         raise NonPositiveMassOrFrequency("omega(t) must be finite and > 0 on the window")
 
-    return ParameterProfile(
+    profile = ParameterProfile(
         kind=kind,
         q=float(q),
         B=float(B),
@@ -356,6 +428,15 @@ def make_profile(
         efield2=e2,
         params=params,
     )
+    # omega^2 and omega_c^2 overflow or underflow near the ends of the float range
+    with np.errstate(over="ignore"):
+        Om_s = profile.Omega(sample)
+    if not (np.all(Om_s > 0.0) and np.all(np.isfinite(Om_s))):
+        raise NonPositiveMassOrFrequency(
+            "Omega(t) = sqrt(omega^2 + (q B / M)^2 / 4) must be finite and > 0 on the "
+            "window: 'omega' or q B / M is too large or too small to square"
+        )
+    return profile
 
 
 def eval_derived(profile: ParameterProfile, t: float) -> DerivedFrequencies:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from landau_td import auxode
@@ -74,8 +75,20 @@ class TestAuxiliaryNumeric:
         # starting 1e7 above the fixed point, the swing down crosses the
         # rho < 1e-6 * rho0 event before the turning point kappa/(Omega rho0)
         prof = _const_profile()
-        with pytest.raises(BlowUp):
+        with pytest.raises(BlowUp, match=r"auxiliary integration stopped early: y\[0\] = .* left"):
             auxode.solve_ep_numeric(prof, 1e7, 0.0, np.linspace(0.0, 3.0, 100))
+
+    def test_step_collapse_is_a_blow_up(self):
+        # y' = y^2 from y(0) = 1 reaches infinity at t = 1: the steps shrink
+        # toward the pole until they fall below the float spacing there
+        with pytest.raises(BlowUp, match="step size fell to"):
+            auxode._solve_pieces(lambda t, y: [y[0] * y[0]], [1.0], [0.0, 2.0], "test")
+
+    def test_nan_rates_are_a_blow_up(self):
+        # a NaN right-hand side makes the first step size NaN: the run stops
+        # at once instead of retrying it forever
+        with pytest.raises(BlowUp, match="step size fell to nan"):
+            auxode._solve_pieces(lambda t, y: [math.nan], [1.0], [0.0, 2.0], "test")
 
     def test_dense_output_matches_grid(self):
         prof = _const_profile(omega=1.3, kappa=2.0)
@@ -337,37 +350,95 @@ class TestEnvelope:
             np.testing.assert_array_equal(aux.rho_at(aux.grid), aux.rho)
 
 
-class TestStackedDenseOutput:
-    """The stacked evaluator reads scipy's DOP853 step fields; these tests
-    pin it bit for bit to each piece's own ``OdeSolution``, so a scipy
-    change to those fields fails here instead of moving the results."""
+def _one_step(run, k, t):
+    """Step k of a run alone at the float time t, in Python arithmetic: the
+    Horner scheme of the DOP853 dense output on that step's rows."""
+    x = (t - run.t[k]) / (run.t[k + 1] - run.t[k])
+    out = []
+    for i, y_old in enumerate(run.y[k]):
+        y = 0.0
+        for j, row in enumerate(reversed(run.F[k])):
+            y = (y + row[i]) * (x if j % 2 == 0 else 1 - x)
+        out.append(y + y_old)
+    return out
 
-    @staticmethod
-    def _pieces(kind, which):
-        prof = kind_profile(kind)
-        edges = auxode._panel_edges([0.0, 12.0], prof)
-        if which == "auxiliary":
-            rhs, y0 = auxode._ep_rhs(prof), list(auxode.default_initial_conditions(prof))
-        else:
-            rhs, y0 = auxode._classical_rhs(prof), np.array([0.8 - 0.3j, 0.2 + 0.5j])
-        return prof, edges, auxode._solve_pieces(rhs, y0, edges, which)
+
+def _pieces(kind, which):
+    prof = kind_profile(kind)
+    edges = auxode._panel_edges([0.0, 12.0], prof)
+    if which == "auxiliary":
+        rhs, y0 = auxode._ep_rhs(prof), list(auxode.default_initial_conditions(prof))
+    else:
+        rhs, y0 = auxode._classical_rhs(prof), [0.8 - 0.3j, 0.2 + 0.5j]
+    return rhs, auxode._solve_pieces(rhs, y0, edges, which)
+
+
+class TestStepper:
+    """The package's DOP853 runs, piece by piece, against scipy's DOP853 at
+    the same tolerances."""
+
+    # Measured worst over the ten kind/equation pairs, on one x86-64 machine:
+    # step ends 6.7e-2 apart (exponential-mass auxiliary, which starts at a
+    # rest point, so its first error estimates are rounding noise and the
+    # two step sequences part there; 4.4e-5 on the others), states at the
+    # package's step ends 3.9e-11 from scipy's dense output, relative to the
+    # largest |y| of the piece (2e-13 on the others).  Bars: 1.5x and 2.5x.
+    END_BAR = 0.1
+    STATE_BAR = 1e-10
+
+    @pytest.mark.parametrize("which", ["auxiliary", "classical"])
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    def test_matches_scipy_dop853(self, kind, which):
+        rhs, pieces = _pieces(kind, which)
+        assert len(pieces) == (24 if kind == "tabulated" else 1)
+        for run in pieces:
+            ref = solve_ivp(
+                rhs, (run.t[0], run.t[-1]), run.y[0], method="DOP853",
+                rtol=1e-11, atol=1e-13, dense_output=True,
+            )
+            assert ref.status == 0
+            assert len(run.t) == ref.t.size
+            assert np.max(np.abs(np.array(run.t) - ref.t)) <= self.END_BAR
+            states = np.array(run.y).T
+            expected = ref.sol(np.array(run.t))
+            scale = np.max(np.abs(expected), axis=1, keepdims=True)
+            assert np.max(np.abs(states - expected) / scale) <= self.STATE_BAR
+
+    def test_nfev_counts_every_call(self):
+        prof = kind_profile("sinusoidal")
+        rhs, calls = auxode._ep_rhs(prof), []
+
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        run = auxode.solve_ivp(counted, (0.0, 12.0), list(auxode.default_initial_conditions(prof)))
+        assert run.status == 0 and run.t[-1] == 12.0
+        # the start, the initial-step probe, 12 per attempt, 3 dense stages per step
+        assert run.nfev == len(calls)
+        assert (run.nfev - 2 - 3 * (len(run.t) - 1)) % 12 == 0
+
+
+class TestStackedDenseOutput:
+    """The stacked evaluator against each step's own dense output."""
 
     @pytest.mark.parametrize("which", ["auxiliary", "classical"])
     @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
     def test_matches_each_piece_bit_for_bit(self, kind, which):
-        prof, edges, pieces = self._pieces(kind, which)
-        assert len(pieces) == (24 if kind == "tabulated" else 1)
+        _, pieces = _pieces(kind, which)
         evaluate, ends = auxode._stacked_dense(pieces)
-        # grid times and every step end, each read from the piece holding
-        # it: the earlier one at a knot, as inside a piece
+        steps = [(run, k) for run in pieces for k in range(len(run.t) - 1)]
+        assert ends.size == len(steps) + 1
+        # grid times and every step end; a time at a step end is read from
+        # the step that ends there, across a knot too
         times = np.concatenate([np.linspace(0.0, 12.0, 401), ends])
-        owner = np.clip(np.searchsorted(edges, times, side="left") - 1, 0, len(pieces) - 1)
-        expected = np.empty((2, times.size), dtype=pieces[0].y.dtype)
-        for k, sol in enumerate(pieces):
-            expected[:, owner == k] = sol.sol(times[owner == k])
-        np.testing.assert_array_equal(evaluate(times), expected)
+        owner = np.clip(np.searchsorted(ends, times, side="left") - 1, 0, len(steps) - 1)
+        expected = np.array([_one_step(*steps[j], float(t)) for j, t in zip(owner, times)]).T
+        got = evaluate(times)
+        assert got.dtype == (complex if which == "classical" else float)
+        np.testing.assert_array_equal(got, expected)
         for j in range(0, times.size, 37):
-            np.testing.assert_array_equal(evaluate(times[j]), pieces[owner[j]].sol(times[j]))
+            np.testing.assert_array_equal(evaluate(times[j]), expected[:, j])
         square = times[: (times.size // 8) * 8].reshape(8, -1)
         np.testing.assert_array_equal(
             evaluate(square), expected[:, : square.size].reshape(2, *square.shape)
@@ -375,7 +446,8 @@ class TestStackedDenseOutput:
 
     @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
     def test_solution_reads_the_stacked_pieces(self, kind):
-        prof, _, pieces = self._pieces(kind, "auxiliary")
+        prof = kind_profile(kind)
+        _, pieces = _pieces(kind, "auxiliary")
         evaluate, ends = auxode._stacked_dense(pieces)
         grid = np.linspace(0.0, 12.0, 41)
         aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)

@@ -173,6 +173,33 @@ def _tabulated(**tables):
         pytest.param(_tabulated(omega=[1.0, None, 1.0, 1.0]), "omega", id="tabulated-omega-null"),
         pytest.param(_tabulated(E1=[0.0, -math.inf, 0.0, 0.0]), "E1", id="tabulated-E1-inf"),
         pytest.param(_tabulated(E2=[0.0, math.nan, 0.0, 0.0]), "E2", id="tabulated-E2-nan"),
+        pytest.param(_tabulated(t=[0.0, 2.0, 1.0, 3.0]), "t", id="tabulated-t-not-increasing"),
+        pytest.param(_tabulated(t=[0.0, 1.0, 1.0, 3.0]), "t", id="tabulated-t-repeated"),
+        # JSON true and false are not numbers
+        pytest.param(
+            {"kind": "exponential-mass", "params": {"alpha": True, "omega": 1.0}, "t1": 5.0},
+            "alpha",
+            id="alpha-true",
+        ),
+        pytest.param({**_BASE_PROFILE, "kappa": False}, "kappa", id="kappa-false"),
+        pytest.param(_tabulated(M=[1.0, True, 1.0, 1.0]), "M", id="tabulated-M-true"),
+        # the secants of a finite table overflow
+        pytest.param(_tabulated(E1=[1e308, -1e308, 0.0, 0.0]), "E1", id="tabulated-E1-overflow"),
+        # Omega = sqrt(omega^2 + ...) overflows although omega is finite
+        pytest.param(
+            {
+                "kind": "exponential-mass",
+                "params": {"alpha": 0.1, "omega": 1e300},
+                "kappa": 1e-200,
+                "t1": 5.0,
+            },
+            "omega",
+            id="Omega-overflow",
+        ),
+        # and omega^2 underflows to 0 although omega > 0
+        pytest.param(
+            {**_BASE_PROFILE, "params": {"M": 1.0, "omega": 1e-200}}, "omega", id="Omega-underflow"
+        ),
     ],
 )
 def test_malformed_profile_is_an_input_error(capsys, tmp_path, doc, entry):
@@ -537,25 +564,42 @@ def test_package_never_imports_mpmath():
     assert done.stdout == "[]\n"
 
 
-def test_coherent_imports_no_dynamics():
-    # the coherent states are algebra on the Fock lattice: importing them in a
-    # fresh interpreter loads neither the dynamics modules nor the scipy
-    # solvers, sparse matrices and interpolants those use
+def _loaded_after(imports: str, names) -> str:
+    """The printed sorted list of the modules among ``names``, or inside
+    those packages, that a fresh interpreter has loaded after ``imports``."""
     import landau_td
 
     src = os.path.dirname(os.path.dirname(landau_td.__file__))
-    banned = (
-        "landau_td.profiles", "landau_td.auxode", "landau_td.spectrum",
-        "scipy.integrate", "scipy.sparse", "scipy.interpolate",
-    )
     code = (
         "import sys\n"
-        "import landau_td.coherent\n"
-        f"print(sorted(m for m in {banned!r} if m in sys.modules))\n"
+        f"import {imports}\n"
+        f"names = {tuple(names)!r}\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if any(m == n or m.startswith(n + '.') for n in names)))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_dynamics_imports_no_scipy_solvers():
+    # the envelope stepper and the PCHIP tables are the package's own: the
+    # cold verbs load neither scipy's integrators, its interpolants nor the
+    # optimizers those pull in, and the aux/classical modules no scipy at all
+    banned = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse.linalg")
+    assert _loaded_after("landau_td.cli, landau_td.verify", banned) == "[]\n"
+    assert _loaded_after("landau_td.cli, landau_td.auxode", ("scipy",)) == "[]\n"
+
+
+def test_coherent_imports_no_dynamics():
+    # the coherent states are algebra on the Fock lattice: importing them in a
+    # fresh interpreter loads neither the dynamics modules nor the scipy
+    # solvers, sparse matrices and interpolants those use
+    banned = (
+        "landau_td.profiles", "landau_td.auxode", "landau_td.spectrum",
+        "scipy.integrate", "scipy.sparse", "scipy.interpolate",
+    )
+    assert _loaded_after("landau_td.coherent", banned) == "[]\n"

@@ -176,10 +176,14 @@ def _tables(draw):
     t[1:] += t[0]
 
     def table(low):
-        values = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
-        if draw(st.booleans()):
+        values = np.asarray(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+        shape = draw(st.sampled_from(["wiggle", "monotone", "plateaus"]))
+        if shape == "monotone":
             values = np.cumsum(values) / n
-        return low + np.asarray(values)
+        elif shape == "plateaus":
+            # equal neighbours: zero secants, at the ends too
+            values = np.ceil(2.0 * values) / 2.0
+        return low + values
 
     return {"t": t, "M": table(0.0), "omega": table(0.0), "E1": table(-1.0), "E2": table(-1.5)}
 
@@ -191,8 +195,9 @@ def _bits(v) -> bytes:
 @settings(max_examples=60, deadline=None)
 @given(tables=_tables(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
 def test_tabulated_float_path_is_the_interpolant_bit_for_bit(tables, fractions):
-    # a float time is summed in plain floats; it must give the bits of
-    # scipy's PPoly array call, also on, next to and outside the knots
+    # the package's PCHIP must give the bits of scipy's PchipInterpolator
+    # (and its derivative for mass_rate), also on, next to and outside the
+    # knots: a float time summed in plain floats, arrays elementwise
     t = tables["t"]
     prof = make_profile("tabulated", tables, t0=t[0], t1=t[-1])
     mass_ip = PchipInterpolator(t, tables["M"])
@@ -212,10 +217,13 @@ def test_tabulated_float_path_is_the_interpolant_bit_for_bit(tables, fractions):
         [t[0] - 0.1 * span, t[-1] + 0.1 * span],
     ])
     for fn, ip in pairs:
-        for time in times:
-            expected = _bits(ip(np.asarray(time)))
-            assert _bits(fn(float(time))) == expected, (fn, time)
-            assert _bits(fn(np.float64(time))) == expected, (fn, time)
+        expected = ip(times)
+        assert fn(times).tobytes() == expected.tobytes(), fn
+        column = fn(times[:, None])
+        assert column.shape == (times.size, 1) and column.tobytes() == expected.tobytes(), fn
+        for time, want in zip(times, expected):
+            assert _bits(fn(float(time))) == _bits(want), (fn, time)
+            assert _bits(fn(np.float64(time))) == _bits(want), (fn, time)
 
 
 def test_tabulated_evaluator_input_types():
