@@ -60,6 +60,7 @@ from .errors import (
     BlowUp,
     GridTooShort,
     IntegralNonConvergent,
+    NonPositiveMassOrFrequency,
     OutOfDomain,
     SingularParameter,
     UnsupportedKind,
@@ -211,7 +212,13 @@ class ClassicalTrajectory:
 def default_initial_conditions(profile: ParameterProfile) -> tuple:
     """Adiabatic stationary point at t0: rho = sqrt(kappa/(M Omega)), rho_dot = 0."""
     t0 = profile.t0
-    rho0 = math.sqrt(profile.kappa / (float(profile.mass(t0)) * float(profile.Omega(t0))))
+    m_omega = float(profile.mass(t0)) * float(profile.Omega(t0))
+    rho0 = math.sqrt(profile.kappa / m_omega)
+    if not 0.0 < rho0 < math.inf:
+        raise NonPositiveMassOrFrequency(
+            f"sqrt('kappa' / (M(t0) Omega(t0))) = sqrt({profile.kappa:g} / {m_omega:g}) is not "
+            "a positive double: give the initial envelope (--rho0)"
+        )
     return rho0, 0.0
 
 
@@ -222,7 +229,12 @@ def _ep_rhs(profile: ParameterProfile):
     of ``ParameterProfile.Omega``): the solver stays inside the window,
     which the caller checks at its two ends.
     """
-    kappa_sq = profile.kappa**2
+    try:
+        kappa_sq = profile.kappa**2
+    except OverflowError:
+        raise NonPositiveMassOrFrequency(
+            f"'kappa' = {profile.kappa:g} is too large: kappa^2 overflows"
+        ) from None
     qb = profile.q * profile.B
     mass, mass_rate, omega = profile.mass, profile.mass_rate, profile.omega
 

@@ -60,7 +60,7 @@ from .errors import (
     WrongFamily,
     ZeroF,
 )
-from .specfun import bessel, gamma_fn, hyp2f1_logarithmic, hypergeometric, meijer_g
+from .specfun import bessel, hyp2f1_logarithmic, hypergeometric, meijer_g
 
 if TYPE_CHECKING:  # annotations only: the lattice algebra needs no dynamics
     from .auxode import AuxiliarySolution
@@ -225,9 +225,9 @@ def _first_index(log_term: Callable, m0: int, small: Callable, what: str) -> int
 class WeightSpec:
     """Moment-problem data for a family's resolution of the identity.
 
-    The check integrates x^(m + power_offset) * evaluator(x) over
-    (0, x_max or inf) and compares with moment_target(m) for admissible
-    m in [0, m_max], calling the evaluator on an array of x.
+    Kept in logs: evaluator(x) returns ln W on an array of x (-inf where W
+    vanishes), moment_target(m) the log of the integral of
+    x^(m + power_offset) W(x) over (0, x_max or inf), m in [0, m_max].
     """
 
     family: str
@@ -840,20 +840,8 @@ def single_mode_wavefunction(
 # weight functions / moment problems
 # ---------------------------------------------------------------------------
 
-def _su2_pa_target(two_j: int, p: int) -> Callable[[int], float]:
-    def target(m: int) -> float:
-        return math.exp(
-            2.0 * gammaln(m + 1)
-            + gammaln(two_j - m - p + 1)
-            - gammaln(two_j + 1)
-            - gammaln(m + p + 1)
-        )
-
-    return target
-
-
 def _su2_pa_weight(two_j: int, p: int):
-    """Exact su2_pa weight G^{2,1}_{2,2}(x | p-2j-1, p; 0, 0) / Gamma(2j+1) on
+    """Log of the exact su2_pa weight G^{2,1}_{2,2}(x | p-2j-1, p; 0, 0) / Gamma(2j+1) on
     (0, inf); by the Mellin convolution theorem (DLMF 1.14(iv)) it is
 
     W(x) = Gamma(N)^2 / (Gamma(N+p) Gamma(2j+1)) (1+x)^-N 2F1(N, p; N+p; 1-w),
@@ -861,8 +849,6 @@ def _su2_pa_weight(two_j: int, p: int):
     with N = 2j+2-p and w = x/(1+x).
     """
     big_n = two_j + 2.0 - p
-    # in logs: at large p the prefactor alone underflows (1e-303 at 2j = 100,
-    # p = 90) where the weight does not
     log_pref = 2.0 * gammaln(big_n) - gammaln(big_n + p) - gammaln(two_j + 1.0)
     f = hyp2f1_logarithmic(big_n, float(p))
 
@@ -870,13 +856,13 @@ def _su2_pa_weight(two_j: int, p: int):
         x = np.asarray(x, dtype=float)
         if not np.all(x > 0.0):
             raise DomainError(f"su2_pa weight needs x > 0, got {np.min(x)}")
-        return np.exp(log_pref - big_n * np.log1p(x) + np.log(f(x / (1.0 + x))))
+        return log_pref - big_n * np.log1p(x) + np.log(f(x / (1.0 + x)))
 
     return evaluator
 
 
 def _pa_perelomov_density(k: float, l: int):
-    """Exact PA-Perelomov weight on [0, 1], the Hausdorff density of F_l(k, m).
+    """Log of the exact PA-Perelomov weight on [0, 1], the Hausdorff density of F_l(k, m).
 
     W(x) = Gamma(2k) (1-x)^(c-1) / Gamma(c) 2F1(a, l; c; 1-x), a = 2k+l-1,
     c = a+l (Klauder, Penson & Sixdeniers, PRA 64, 013817).  At k = 1/2,
@@ -890,14 +876,14 @@ def _pa_perelomov_density(k: float, l: int):
         )
     a = 2.0 * k + l - 1.0
     c = a + l
-    pref = math.exp(gammaln(2.0 * k) - gammaln(c))
+    log_pref = gammaln(2.0 * k) - gammaln(c)
     f = hyp2f1_logarithmic(a, float(l))
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
-        vals = np.zeros_like(x)
+        vals = np.full_like(x, -np.inf)
         inside = (x > 0.0) & (x <= 1.0)
-        vals[inside] = pref * f(x[inside]) * (1.0 - x[inside]) ** (c - 1.0)
+        vals[inside] = log_pref + np.log(f(x[inside])) + xlog1py(c - 1.0, -x[inside])
         return vals if vals.ndim else float(vals)
 
     return evaluator
@@ -910,14 +896,14 @@ def weight_spec(family: str, params: Mapping) -> WeightSpec:
     "perelomov_pa" (k, l).  su2_pa is the exact 2F1 closed form on (0, inf)
     and perelomov_pa the exact Hausdorff density on [0, 1], both through
     ``specfun.hyp2f1_logarithmic``; bg_pa is the Meijer G^{4,0}_{2,4}
-    function on (0, inf).  Deformations with nonconstant f have no closed
-    density here.
+    function on (0, inf).  Weights and targets are logs (see WeightSpec).
+    Deformations with nonconstant f have no closed density here.
     """
     if family == "canonical":
         return WeightSpec(
             family=family,
-            evaluator=lambda x: np.exp(-np.asarray(x, dtype=float)),
-            moment_target=lambda m: gamma_fn(m + 1),
+            evaluator=lambda x: -np.asarray(x, dtype=float),
+            moment_target=lambda m: gammaln(m + 1),
         )
     if family == "su2_pa":
         j, p = params["j"], params["p"]
@@ -929,7 +915,10 @@ def weight_spec(family: str, params: Mapping) -> WeightSpec:
         return WeightSpec(
             family=family,
             evaluator=_su2_pa_weight(two_j, p),
-            moment_target=_su2_pa_target(two_j, p),
+            moment_target=lambda m: (
+                2.0 * gammaln(m + 1) + gammaln(two_j - m - p + 1)
+                - gammaln(two_j + 1) - gammaln(m + p + 1)
+            ),
             m_max=two_j - p,
         )
     if family == "bg_pa":
@@ -937,23 +926,24 @@ def weight_spec(family: str, params: Mapping) -> WeightSpec:
         _lattice_ell(("two_mode", k))
         ell = 2.0 * k - 1.0
         a, b = (0.0, ell), (-float(n_add), -float(n_add), ell - n_add, ell - n_add)
+
+        def evaluator(x):  # ln 0 = -inf, a zero sample; ln of a negative G is nan
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.log(meijer_g(a, b, x))
+
         return WeightSpec(
             family=family,
-            evaluator=lambda x: meijer_g(a, b, x),
-            moment_target=lambda m: math.exp(_pa_bg_log_weight(k, n_add, m)),
+            evaluator=evaluator,
+            moment_target=lambda m: _pa_bg_log_weight(k, n_add, m),
             power_offset=n_add,
         )
     if family == "perelomov_pa":
         k, l = float(params["k"]), int(params["l"])
         _lattice_ell(("two_mode", k))
-
-        def target(m: int) -> float:
-            return float(np.exp(_pa_log_weight(k, l, np.array([m])))[0])
-
         return WeightSpec(
             family=family,
             evaluator=_pa_perelomov_density(k, l),
-            moment_target=target,
+            moment_target=lambda m: _pa_log_weight(k, l, m),
             m_max=8,
             x_max=1.0,
         )

@@ -293,6 +293,8 @@ def _initial_step(fun, t0, y0, f0, interval) -> float:
     d0, d1 = _rms(y0, scale), _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
+    if not h0 > 0.0:  # NaN rates, or rates that overflow the norm: no step
+        return h0
     f1 = fun(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
     d2 = _rms([a - b for a, b in zip(f1, f0)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:

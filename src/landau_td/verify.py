@@ -488,42 +488,37 @@ def moment_problem_check(spec: WeightSpec, m_max: int = 6, tol: float = 1e-6) ->
 
     One evaluator call covers all nodes of the panel set, and each order m
     takes its moment (x^(m + power_offset) times the weight over (0, x_max
-    or infinity)) as a dot product with the samples.  A panel's error
-    estimate is the size of its two highest Legendre coefficients.  While an
-    order's summed estimate exceeds max(tol/2, 1e-9) of its moment, panels
-    over an equal share of that bar are bisected and the grid evaluated
-    again, until the panel budget raises IntegralNonConvergent.  Each
-    order's relative error against ``spec.moment_target(m)`` is held to ``tol``;
-    a target below the normal double range raises IntegralNonConvergent,
-    since subnormal arithmetic cannot carry a relative error.
+    or infinity)) as a dot product with the samples, formed in logs and
+    shifted by the order's log target before they are exponentiated, so that
+    every order's moment is about 1.  A panel's error estimate is the size
+    of its two highest Legendre coefficients.  While an order's summed
+    estimate exceeds max(tol/2, 1e-9) of its moment, panels over an equal
+    share of that bar are bisected and the grid evaluated again, until the
+    panel budget raises IntegralNonConvergent.  Each order's relative error
+    against ``spec.moment_target(m)`` is held to ``tol``.
     """
     m_hi = m_max if spec.m_max is None else min(m_max, spec.m_max)
     if m_hi < 0:
         raise ValueError(f"no admissible moment orders in [0, {m_hi}]")
     orders = np.arange(m_hi + 1)
-    targets = np.array([float(spec.moment_target(int(m))) for m in orders])
-    subnormal = np.abs(targets) < np.finfo(float).tiny
-    if np.any(subnormal):
-        m = int(np.argmax(subnormal))
-        raise IntegralNonConvergent(
-            f"moment m = {m}: target {targets[m]:.3e} is below the normal double "
-            "range, where no relative error can be certified"
-        )
+    log_targets = np.array([float(spec.moment_target(int(m))) for m in orders])
+    powers = (orders + spec.power_offset)[:, None, None]
     panels = _initial_panels(spec.x_max)
     while True:
         lo, hi, mapped = panels[:, :1], panels[:, 1:2], panels[:, 2:] > 0
         v = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _PANEL_NODES
         x = np.where(mapped, 1.0 / v, v)
         jac = 0.5 * (hi - lo) / np.where(mapped, v * v, 1.0)
-        weight = np.asarray(spec.evaluator(x.ravel()), dtype=float).reshape(x.shape)
-        # samples[order, panel, node]: each panel integral is a dot product
-        samples = x ** (orders + spec.power_offset)[:, None, None] * (jac * weight)
+        log_weight = np.asarray(spec.evaluator(x.ravel()), dtype=float).reshape(x.shape)
+        # samples[order, panel, node] over the order's target: each panel
+        # integral is a dot product, and a weight of 0 (log -inf) a zero sample
+        samples = np.exp(log_weight + np.log(jac) + powers * np.log(x) - log_targets[:, None, None])
         if not np.all(np.isfinite(samples)):
             raise IntegralNonConvergent("weight function is not finite on the quadrature nodes")
         values = samples.sum(axis=1) @ _PANEL_WEIGHTS
         errors = np.abs(samples @ _LEGENDRE_TAIL.T).sum(axis=-1)
         err_total = errors.sum(axis=1)
-        scale = np.maximum(np.maximum(np.abs(targets), np.abs(values)), 1e-300)
+        scale = np.maximum(1.0, np.abs(values))
         # the estimate is conservative for smooth integrands, so the
         # certification bar never drops below 1e-9 relative
         bar = max(0.5 * tol, 1e-9) * scale
@@ -542,15 +537,16 @@ def moment_problem_check(spec: WeightSpec, m_max: int = 6, tol: float = 1e-6) ->
         left[:, 1] = right[:, 0] = 0.5 * (panels[split, 0] + panels[split, 1])
         panels = np.vstack([panels[~split], left, right])
 
-    rel = np.abs(values - targets) / scale
+    rel = np.abs(values - 1.0) / scale
+    targets = np.exp(log_targets)
     details = [
         {
             "order": int(m),
             "power": int(m) + spec.power_offset,
-            "value": float(values[i]),
+            "value": float(values[i] * targets[i]),
             "target": float(targets[i]),
             "rel_error": float(rel[i]),
-            "quad_error": float(err_total[i]),
+            "quad_error": float(err_total[i] * targets[i]),
         }
         for i, m in enumerate(orders)
     ]
@@ -600,11 +596,11 @@ def standard_suite(
         reports.append(algebra_check(cutoff=16, tol=1e-10))
     if "moments" in checks:
         reports.append(
-            moment_problem_check(weight_spec("canonical", {}), m_max=6, tol=1e-8)
+            moment_problem_check(weight_spec("canonical", {}), m_max=6, tol=1e-10)
         )
         reports.append(
             moment_problem_check(
-                weight_spec("su2_pa", {"j": 1.5, "p": 1}), m_max=6, tol=1e-5
+                weight_spec("su2_pa", {"j": 1.5, "p": 1}), m_max=6, tol=1e-10
             )
         )
     return reports

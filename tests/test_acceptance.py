@@ -406,13 +406,13 @@ def test_criterion_10_moment_problems():
     for two_j in (1, 2, 3, 4):
         for p in range(0, min(2, two_j) + 1):
             spec = weight_spec("su2_pa", {"j": two_j / 2.0, "p": p})
-            report = verify.moment_problem_check(spec, m_max=6, tol=1e-5)
+            report = verify.moment_problem_check(spec, m_max=6, tol=1e-10)
             worst_su2 = max(worst_su2, report.max_residual)
             all_su2 = all_su2 and report.passed
     rows.append(("su2_pa (j<=2, p<=2)", worst_su2, all_su2))
 
     report = verify.moment_problem_check(
-        weight_spec("bg_pa", {"k": 1.0, "n": 1}), m_max=6, tol=1e-4
+        weight_spec("bg_pa", {"k": 1.0, "n": 1}), m_max=6, tol=1e-10
     )
     rows.append(("bg_pa (k=1, n=1)", report.max_residual, report.passed))
 

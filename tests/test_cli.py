@@ -135,6 +135,15 @@ class TestAux:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_overflowing_first_rates_exit_2(self, capsys, tmp_path):
+        # rho'' = -Omega^2 rho at Omega = 1e100, far from the stationary
+        # envelope: the rates overflow the first step's norm
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps({**_BASE_PROFILE, "params": {"M": 1.0, "omega": 1e100}}))
+        code, out, err = run_cli(capsys, ["aux", "--profile", str(path), "--rho0", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
 
 _BASE_PROFILE = {"kind": "constant", "params": {"M": 1.0, "omega": 1.0}, "t1": 5.0}
 _BASE_TEXT = '{"kind": "constant", "params": {"M": 1.0, "omega": 1.0}, %s}'
@@ -199,6 +208,14 @@ def _tabulated(**tables):
         # and omega^2 underflows to 0 although omega > 0
         pytest.param(
             {**_BASE_PROFILE, "params": {"M": 1.0, "omega": 1e-200}}, "omega", id="Omega-underflow"
+        ),
+        # kappa^2 overflows in the envelope equation
+        pytest.param({**_BASE_PROFILE, "kappa": 1e160}, "kappa", id="kappa-squared-overflow"),
+        # the stationary envelope sqrt(kappa / (M Omega)) underflows to 0
+        pytest.param(
+            {**_BASE_PROFILE, "params": {"M": 1.0, "omega": 1e100}, "kappa": 1e-300},
+            "kappa",
+            id="stationary-envelope-underflow",
         ),
     ],
 )

@@ -698,22 +698,22 @@ class TestSingleModeWavefunction:
 class TestWeightSpecs:
     def test_unit_deformation_moments(self):
         ws = ch.weight_spec("canonical", {})
-        val, _ = quad(lambda x: x**3 * ws.evaluator(x), 0, np.inf)
+        val, _ = quad(lambda x: x**3 * np.exp(ws.evaluator(x)), 0, np.inf)
         assert val == pytest.approx(6.0, rel=1e-10)
-        assert ws.moment_target(3) == pytest.approx(6.0)
+        assert np.exp(ws.moment_target(3)) == pytest.approx(6.0)
 
     def test_su2_pa_target_values(self):
         ws = ch.weight_spec("su2_pa", {"j": 1.0, "p": 0})
-        assert ws.moment_target(0) == pytest.approx(1.0)
+        assert np.exp(ws.moment_target(0)) == pytest.approx(1.0)
         assert ws.m_max == 2
 
     def test_su2_pa_moments(self):
         ws = ch.weight_spec("su2_pa", {"j": 1.0, "p": 1})
         for m in range(ws.m_max + 1):
             val, _ = quad(
-                lambda x: x**m * ws.evaluator(x), 0, np.inf, limit=400
+                lambda x: x**m * np.exp(ws.evaluator(x)), 0, np.inf, limit=400
             )
-            assert val == pytest.approx(ws.moment_target(m), rel=1e-10)
+            assert val == pytest.approx(np.exp(ws.moment_target(m)), rel=1e-10)
 
     def test_su2_pa_empty_range(self):
         with pytest.raises(UnsupportedFamily):
@@ -724,52 +724,52 @@ class TestWeightSpecs:
         assert ws.power_offset == 1
         for m in range(3):
             val, _ = quad(
-                lambda x: x ** (m + ws.power_offset) * ws.evaluator(x),
+                lambda x: x ** (m + ws.power_offset) * np.exp(ws.evaluator(x)),
                 0,
                 np.inf,
                 limit=400,
             )
-            assert val == pytest.approx(ws.moment_target(m), rel=1e-8)
+            assert val == pytest.approx(np.exp(ws.moment_target(m)), rel=1e-8)
 
     @staticmethod
     def _moment(ws, m):
         val, _ = quad(
-            lambda x: x**m * ws.evaluator(x), 0, ws.x_max, epsabs=0.0, epsrel=1e-13
+            lambda x: x**m * np.exp(ws.evaluator(x)), 0, ws.x_max, epsabs=0.0, epsrel=1e-13
         )
         return val
 
     def test_perelomov_pa_uniform_density(self):
         # k = 1, l = 0: moments 1/(m+1), i.e. the uniform density on (0, 1)
         ws = ch.weight_spec("perelomov_pa", {"k": 1.0, "l": 0})
-        assert ws.moment_target(3) == pytest.approx(0.25)
+        assert np.exp(ws.moment_target(3)) == pytest.approx(0.25)
         assert ws.x_max == 1.0
-        assert ws.evaluator(0.5) == pytest.approx(1.0, abs=1e-15)
+        assert np.exp(ws.evaluator(0.5)) == pytest.approx(1.0, abs=1e-15)
         for m in range(7):
-            assert self._moment(ws, m) == pytest.approx(ws.moment_target(m), rel=1e-10)
+            assert self._moment(ws, m) == pytest.approx(np.exp(ws.moment_target(m)), rel=1e-10)
 
     def test_perelomov_pa_shifted_family(self):
         ws = ch.weight_spec("perelomov_pa", {"k": 1.0, "l": 1})
         for m in (0, 3, 6):
-            assert self._moment(ws, m) == pytest.approx(ws.moment_target(m), rel=1e-10)
+            assert self._moment(ws, m) == pytest.approx(np.exp(ws.moment_target(m)), rel=1e-10)
 
     def test_perelomov_pa_branches_agree(self):
         # the power series in 1-x from x = 1/16 up, the DLMF 15.8.10 log
         # series below; at k = 1/2, l = 1 the density is -ln x exactly
         ws = ch.weight_spec("perelomov_pa", {"k": 0.5, "l": 1})
         x = np.array([1e-14, 1e-6, 0.0624, 0.0625, 0.0626, 0.5, 0.99])
-        assert ws.evaluator(x) == pytest.approx(-np.log(x), rel=1e-13)
+        assert np.exp(ws.evaluator(x)) == pytest.approx(-np.log(x), rel=1e-13)
 
     @staticmethod
     @mp.workdps(40)
-    def _mp_su2_pa_weight(two_j, p, x):
-        # the 2F1 closed form in 40 digits (mpmath's meijerg of the same
-        # G^{2,1}_{2,2} takes up to a second per point; tests/test_specfun.py
-        # pins the closed form to it at fixed points)
+    def _mp_su2_pa_log_weight(two_j, p, x):
+        # the log of the 2F1 closed form in 40 digits (mpmath's meijerg of
+        # the same G^{2,1}_{2,2} takes up to a second per point;
+        # tests/test_specfun.py pins the closed form to it at fixed points)
         n, x = two_j + 2 - p, mp.mpf(x)
-        return float(
+        return float(mp.log(
             mp.gamma(n) ** 2 / (mp.gamma(n + p) * mp.gamma(two_j + 1))
             * (1 + x) ** -n * mp.hyp2f1(n, p, n + p, 1 / (1 + x))
-        )
+        ))
 
     @given(
         two_j=st.integers(1, 100),
@@ -780,20 +780,20 @@ class TestWeightSpecs:
     def test_su2_pa_weight_vs_mpmath(self, two_j, data, log_x):
         p = data.draw(st.integers(0, min(two_j, 6)))
         x = math.exp(log_x)
-        want = self._mp_su2_pa_weight(two_j, p, x)
+        want = self._mp_su2_pa_log_weight(two_j, p, x)
         got = ch.weight_spec("su2_pa", {"j": two_j / 2.0, "p": p}).evaluator(x)
-        if want > 1e-300:
-            assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+        # a relative error of the weight is an absolute one of its log
+        assert got == pytest.approx(want, rel=0.0, abs=1e-11)
 
     @staticmethod
     @mp.workdps(40)
-    def _mp_perelomov_density(k, l, x):
+    def _mp_perelomov_log_density(k, l, x):
         a = 2 * k + l - 1
         x = mp.mpf(x)
-        return float(
+        return float(mp.log(
             mp.gamma(2 * k) / mp.gamma(a + l) * (1 - x) ** (a + l - 1)
             * mp.hyp2f1(a, l, a + l, 1 - x)
-        )
+        ))
 
     @given(
         k=st.sampled_from(SU11_K),
@@ -806,8 +806,9 @@ class TestWeightSpecs:
             return  # a point mass, rejected by weight_spec
         x = math.exp(log_x)
         got = ch.weight_spec("perelomov_pa", {"k": k, "l": l}).evaluator(x)
-        want = self._mp_perelomov_density(k, l, x)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        want = self._mp_perelomov_log_density(k, l, x)
+        # both -inf where the density vanishes (x = 1)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
     def test_perelomov_pa_point_mass_rejected(self):
         # k = 1/2, l = 0: every moment is 1, a unit point mass at x = 1

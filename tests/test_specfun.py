@@ -314,7 +314,7 @@ def _mpmath_g4024(a, b, x):
 def _g2122_su2_pa(two_j, p):
     """G^{2,1}_{2,2}(x | p-2j-1, p; 0, 0) through the su2_pa weight."""
     weight = weight_spec("su2_pa", {"j": two_j / 2.0, "p": p}).evaluator
-    return lambda x: weight(x) * math.gamma(two_j + 1.0)
+    return lambda x: np.exp(weight(x)) * math.gamma(two_j + 1.0)
 
 
 def test_g2122_vs_mpmath():

@@ -54,3 +54,19 @@ def test_the_tracer_sees_every_piece(tracing):
     runs = [i for i, rec in enumerate(tracer.spans) if rec[0] == "auxode.solve_ivp"]
     assert len(runs) == prof.knots.size + 1
     assert all(tracer.attrs[i]["nfev"] > 0 for i in runs)
+
+
+def test_the_tracer_sees_the_weight(tracing):
+    # the moment check calls the weight only through spec.evaluator, which
+    # the tracer swaps for the duration of the check
+    L = types.SimpleNamespace(
+        np=np, profiles=profiles, auxode=auxode, coherent=coherent, spectrum=spectrum, verify=verify
+    )
+    spec = coherent.weight_spec("su2_pa", {"j": 1.5, "p": 1})
+    evaluator = spec.evaluator
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, L):
+        report = verify.moment_problem_check(spec, m_max=6, tol=1e-10)
+    assert report.passed
+    assert any(rec[0] == tracing.EVALUATOR_SPAN for rec in tracer.spans)
+    assert spec.evaluator is evaluator
