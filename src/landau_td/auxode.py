@@ -68,6 +68,7 @@ from .errors import (
     ZeroFrequencyParticular,
 )
 from .profiles import ParameterProfile
+from .specfun import bessel
 
 __all__ = [
     "AuxiliarySolution",
@@ -245,10 +246,15 @@ def _ep_rhs(profile: ParameterProfile):
         w = omega(t)
         wc = qb / M
         Om = math.sqrt(w * w + 0.25 * wc * wc)
-        return [
-            rho_dot,
-            -(Mdot / M) * rho_dot - Om * Om * rho + kappa_sq / (M * M * rho**3),
-        ]
+        try:
+            return [
+                rho_dot,
+                -(Mdot / M) * rho_dot - Om * Om * rho + kappa_sq / (M * M * rho**3),
+            ]
+        except (OverflowError, ZeroDivisionError):
+            raise BlowUp(
+                f"kappa^2/(M^2 rho^3) leaves the double range at rho = {rho:.6g}, t = {t!r}"
+            ) from None
 
     return rhs
 
@@ -319,8 +325,10 @@ def solve_ep_numeric(
     include the profile knots; IntegralNonConvergent is raised if the panel
     rule cannot certify it.
     """
-    if rho0 <= 0:
-        raise ValueError(f"rho0 must be positive, got {rho0}")
+    if not 0 < rho0 < math.inf:
+        raise ValueError(f"rho0 must be positive and finite, got {rho0}")
+    if not math.isfinite(rho_dot0):
+        raise ValueError(f"rho_dot0 must be finite, got {rho_dot0}")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise GridTooShort("need at least 2 grid points")
@@ -391,8 +399,6 @@ def _pinney_constant(params: Mapping, t: np.ndarray):
 
 
 def _bessel_exponential(params: Mapping, t: np.ndarray):
-    from .specfun import bessel
-
     tau = float(params["tau"])
     alpha = float(params["alpha"])
     a1 = float(params["A1"])

@@ -262,6 +262,8 @@ def wavefunction_cmd(
     rho_t = float(sol.rho_at(t_eval))
     if r_max is None:
         r_max = 4.0 * rho_t / math.sqrt(profile.kappa)
+    elif not math.isfinite(r_max):
+        raise MissingParameter(f"--r-max must be finite, got {r_max}")
     r = np.linspace(0.0, r_max, r_points)
     theta = np.linspace(0.0, 2.0 * math.pi, theta_points, endpoint=False)
     psi = np.exp(1j * gamma_t) * wavefunction_polar(

@@ -674,7 +674,9 @@ def su2_overlap(j: float, zeta1: complex, zeta2: complex) -> complex:
     d = abs(zeta1 - zeta2) ** 2 / ((1.0 + abs(zeta1) ** 2) * (1.0 + abs(zeta2) ** 2))
     if two_j == 0 or d >= 1.0:  # d = 1: orthogonal labels
         return complex(two_j == 0)
-    return cmath.exp(complex(j * math.log1p(-d), two_j * cmath.phase(1.0 + np.conj(zeta1) * zeta2)))
+    w = 1.0 + np.conj(zeta1) * zeta2
+    # math.atan2: cmath.phase raises OverflowError on a subnormal angle
+    return cmath.exp(complex(j * math.log1p(-d), two_j * math.atan2(w.imag, w.real)))
 
 
 def bg_overlap(ell: int, z1: float, z2: float) -> float:

@@ -131,3 +131,7 @@ class IntegralNonConvergent(NumericalError):
 
 class InconsistentPhase(NumericalError):
     """Two derivations of the phase rate disagree beyond roundoff."""
+
+
+class OutOfRange(NumericalError):
+    """A value the computation needs leaves the normal double range."""

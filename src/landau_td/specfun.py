@@ -6,6 +6,11 @@ n of a few tens).  Bessel functions delegate to scipy.special behind a
 domain-checked wrapper.  The generalized hypergeometric pFq is a partial-sum
 evaluation with a term-ratio stopping rule.
 
+``scipy.special`` is imported inside the functions that call it (Gamma,
+Bessel, the logarithmic 2F1 and Meijer G), so it loads on the first such
+call; the polynomials and pFq are numpy only, and importing this module
+loads no scipy.
+
 ``hyp2f1_logarithmic(a, b)`` evaluates 2F1(a, b; a+b; 1-w) on w in (0, 1],
 the logarithmic case c = a+b that the su2_pa and perelomov_pa weights need:
 a nonnegative power series in 1-w away from w = 0 and the DLMF 15.8.10 log
@@ -34,7 +39,6 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
-from scipy import special as sp
 
 from .errors import (
     ContourFailure,
@@ -108,17 +112,14 @@ def hermite(n: int, x):
 
 def gamma_fn(x: float) -> float:
     """Gamma(x) for real x away from the nonpositive integers."""
+    from scipy import special as sp
+
     if x <= 0 and x == math.floor(x):
         raise PoleError(f"Gamma pole at x = {x}")
     return float(sp.gamma(x))
 
 
-_BESSEL_KINDS = {
-    "J": sp.jv,
-    "Y": sp.yv,
-    "I": sp.iv,
-    "K": sp.kv,
-}
+_BESSEL_KINDS = {"J": "jv", "Y": "yv", "I": "iv", "K": "kv"}
 
 
 def bessel(kind: str, nu: float, x):
@@ -126,6 +127,8 @@ def bessel(kind: str, nu: float, x):
 
     Y and K require x > 0; J and I accept x >= 0.  Scalar or ndarray x.
     """
+    from scipy import special as sp
+
     if kind not in _BESSEL_KINDS:
         raise DomainError(f"bessel kind must be one of J, Y, I, K; got {kind!r}")
     arr = np.asarray(x, dtype=float)
@@ -134,7 +137,7 @@ def bessel(kind: str, nu: float, x):
             raise DomainError(f"bessel {kind} needs x > 0")
     elif np.any(arr < 0.0):
         raise DomainError(f"bessel {kind} needs x >= 0")
-    val = _BESSEL_KINDS[kind](nu, arr)
+    val = getattr(sp, _BESSEL_KINDS[kind])(nu, arr)
     return val if np.ndim(x) else float(val)
 
 
@@ -239,6 +242,8 @@ def hyp2f1_logarithmic(a: float, b: float) -> Callable:
     at w_s, the worst point of either branch, is 1e-17 of their largest
     term; DivergentSeries when that takes over 65536 terms.  b = 0 gives 1.
     """
+    from scipy import special as sp
+
     if not (a > 0.0 and b >= 0.0):
         raise DomainError(f"hyp2f1_logarithmic needs a > 0, b >= 0; got a = {a}, b = {b}")
     if b == 0.0:
@@ -296,6 +301,8 @@ def hyp2f1_logarithmic(a: float, b: float) -> Callable:
 
 def _mellin_log_kernel(a: tuple, b: tuple, s: np.ndarray) -> np.ndarray:
     """log M(s) on an array of complex points s, one loggamma per distinct factor."""
+    from scipy import special as sp
+
     # shift stands for Gamma(shift + s), counted with its power
     powers = Counter(b)
     powers.subtract(a)

@@ -22,17 +22,21 @@ set consistent with the adopted L_z.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
-from scipy import sparse
 
 from .auxode import AuxiliarySolution, _panel_edges, running_integral
-from .coherent import EvolutionParams
-from .errors import CutoffTooSmall, InconsistentPhase
+from .errors import CutoffTooSmall, InconsistentPhase, OutOfRange
 from .profiles import ParameterProfile
-from .specfun import gamma_fn, hermite, laguerre
+from .specfun import hermite, laguerre
+
+if TYPE_CHECKING:
+    from scipy import sparse
+
+    from .coherent import EvolutionParams
 
 __all__ = [
     "HelicityQuanta",
@@ -176,6 +180,8 @@ def hamiltonian_expectation(
 
 def evolution_params(profile: ParameterProfile, aux: AuxiliarySolution, t) -> EvolutionParams:
     """Frozen-time rotation rates (T1, T2, lam) of the canonical family."""
+    from .coherent import EvolutionParams
+
     return EvolutionParams(
         T1=_radial_energy(profile, t, *aux.envelope_at(t)),
         T2=0.5 * float(profile.omega_c(t)),
@@ -265,12 +271,14 @@ def wavefunction_polar(
           exp[(i M rho'/rho - kappa/rho^2) r^2 / 2]
           L_n^{|l|}(kappa r^2 / rho^2) e^{i l theta},
 
-    with l = n_plus - n_minus and n = min(n_plus, n_minus).
+    with l = n_plus - n_minus and n = min(n_plus, n_minus).  OutOfRange
+    when n!/(n+|l|)!, the constant in front or a sample leaves the double
+    range (a subnormal constant, or an overflow on the way to a sample).
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
+    if not np.all((r >= 0) & (r < math.inf)):
+        raise ValueError("radius must be finite and nonnegative")
     rho, rho_dot = map(float, aux.envelope_at(t))
     M = float(profile.mass(t))
     kap = profile.kappa
@@ -278,16 +286,33 @@ def wavefunction_polar(
     n = q.n_radial
     a_ell = abs(ell)
 
-    norm = (
-        (-1.0) ** n
-        * kap ** (0.5 * (1 + a_ell))
-        * rho ** (-(1 + a_ell))
-        / math.sqrt(math.pi)
-        * math.sqrt(math.factorial(n) / gamma_fn(n + a_ell + 1))
-    )
-    u = kap * r * r / (rho * rho)
-    envelope = np.exp((1j * M * rho_dot / rho - kap / rho**2) * r * r / 2.0)
-    return norm * r**a_ell * envelope * laguerre(n, float(a_ell), u) * np.exp(1j * ell * theta)
+    # the integer ratio is rounded once
+    ratio = math.factorial(n) / math.factorial(n + a_ell)
+    try:
+        norm = (
+            (-1.0) ** n
+            * kap ** (0.5 * (1 + a_ell))
+            * rho ** (-(1 + a_ell))
+            / math.sqrt(math.pi)
+            * math.sqrt(ratio)
+        )
+    except OverflowError:
+        norm = math.inf
+    tiny = sys.float_info.min
+    if not (ratio >= tiny and tiny <= abs(norm) < math.inf):
+        raise OutOfRange(
+            f"the normalisation of (n, |l|) = ({n}, {a_ell}) leaves the double range "
+            f"(n!/(n+|l|)! = {ratio:.3g}, constant = {norm:.3g})"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = kap * r * r / (rho * rho)
+        envelope = np.exp((1j * M * rho_dot / rho - kap / rho**2) * r * r / 2.0)
+        psi = norm * r**a_ell * envelope * laguerre(n, float(a_ell), u) * np.exp(1j * ell * theta)
+    if not np.all(np.isfinite(psi)):
+        raise OutOfRange(
+            f"the wavefunction of (n, |l|) = ({n}, {a_ell}) overflows a double on r <= {np.max(r):.6g}"
+        )
+    return psi
 
 
 def wavefunction_cartesian(
@@ -376,12 +401,6 @@ def interior_mask(cutoff: int, band: int = 2) -> np.ndarray:
     return (labels[:, 0] <= cutoff - band) & (labels[:, 1] <= cutoff - band)
 
 
-def _mode_lowering(cutoff: int) -> sparse.csr_matrix:
-    return sparse.diags(
-        np.sqrt(np.arange(1.0, cutoff + 1)), offsets=1, format="csr", dtype=complex
-    )
-
-
 def build_operator_matrices(
     profile: ParameterProfile,
     aux: AuxiliarySolution,
@@ -399,13 +418,15 @@ def build_operator_matrices(
 
     and H is composed from x, y, p_x, p_y, L_z with profile scalars.
     """
+    from scipy import sparse
+
     if cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
     profile.check_time(t)
     side = cutoff + 1
     dim = side * side
     eye = sparse.identity(side, format="csr", dtype=complex)
-    low = _mode_lowering(cutoff)
+    low = sparse.diags(np.sqrt(np.arange(1.0, side)), offsets=1, format="csr", dtype=complex)
     a_p = sparse.kron(low, eye, format="csr")
     a_m = sparse.kron(eye, low, format="csr")
     a_p_dag = a_p.conj().T.tocsr()

@@ -9,11 +9,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from landau_td import __version__, coherent
 from landau_td.cli import main
 from landau_td.profiles import make_profile, profile_to_json
 from landau_td.verify import CheckReport
+from reference import KIND_PARAMS, kind_profile
 
 
 @pytest.fixture()
@@ -229,6 +232,23 @@ def test_malformed_profile_is_an_input_error(capsys, tmp_path, doc, entry):
     assert f"'{entry}'" in err
 
 
+@pytest.mark.parametrize("verb", ["aux", "spectrum", "verify"])
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--rho0", "nan", "rho0 must be positive and finite, got nan"),
+        ("--rho0", "inf", "rho0 must be positive and finite, got inf"),
+        ("--rho-dot0", "inf", "rho_dot0 must be finite, got inf"),
+        ("--rho-dot0", "nan", "rho_dot0 must be finite, got nan"),
+    ],
+)
+def test_nonfinite_initial_condition_is_an_input_error(
+    capsys, static_profile_file, verb, option, value, message
+):
+    code, out, err = run_cli(capsys, [verb, "--profile", static_profile_file, option, value])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestClassical:
     def test_trajectory(self, capsys, varying_profile_file):
         code, out, _ = run_cli(
@@ -367,6 +387,109 @@ class TestWavefunction:
             ["wavefunction", "--profile", static_profile_file, "--t", "11.0"],
         )
         assert code == 1
+
+    def test_large_equal_quanta(self, capsys, static_profile_file):
+        # 171! alone is past the double range; n!/(n+|l|)! = 1 is not
+        code, out, err = run_cli(
+            capsys,
+            [
+                "wavefunction", "--profile", static_profile_file, "--t", "2.0",
+                "--n-plus", "171", "--n-minus", "171", "--r-points", "5", "--theta-points", "4",
+            ],
+        )
+        assert code == 0 and err == ""
+        rows = parse_csv(out)[1]
+        assert np.all(np.isfinite(rows))
+        assert rows[0, 4] == pytest.approx(1.0 / math.pi, rel=1e-10)
+
+    @pytest.mark.parametrize("n_plus, n_minus", [("300", "0"), ("200", "3")])
+    def test_normalisation_out_of_range_exits_2(self, capsys, static_profile_file, n_plus, n_minus):
+        # n!/(n+|l|)! is below the normal doubles: a typed failure, not a
+        # column of zeros where the true |psi| is about 1e-137
+        code, out, err = run_cli(
+            capsys,
+            [
+                "wavefunction", "--profile", static_profile_file, "--t", "2.0",
+                "--n-plus", n_plus, "--n-minus", n_minus,
+            ],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "double range" in err
+
+    @pytest.mark.parametrize("r_max", ["nan", "inf", "-inf"])
+    def test_nonfinite_radius(self, capsys, static_profile_file, r_max):
+        code, out, err = run_cli(
+            capsys,
+            ["wavefunction", "--profile", static_profile_file, "--t", "2.0", f"--r-max={r_max}"],
+        )
+        assert (code, out, err) == (1, "", f"error: --r-max must be finite, got {r_max}\n")
+
+
+@pytest.fixture(scope="module")
+def kind_profile_files(tmp_path_factory):
+    """One profile document of each kind on [0, 12], by kind."""
+    folder = tmp_path_factory.mktemp("kinds")
+    paths = {}
+    for kind in sorted(KIND_PARAMS):
+        paths[kind] = str(folder / f"{kind}.json")
+        with open(paths[kind], "w", encoding="utf-8") as fh:
+            fh.write(profile_to_json(kind_profile(kind)))
+    return paths
+
+
+def _option_float(lo, hi):
+    """Absent, a value in [lo, hi], any float (tiny, huge, negative, both
+    infinities, NaN) or one of 0, -1, NaN and inf."""
+    return st.one_of(
+        st.none(),
+        st.floats(lo, hi),
+        st.floats(),
+        st.sampled_from([0.0, -1.0, math.nan, math.inf]),
+    )
+
+
+@st.composite
+def _eigenstate_argv(draw, paths):
+    """argv of one spectrum or wavefunction call over the options that
+    reach the eigensystem; the profiles' window is [0, 12]."""
+    verb = draw(st.sampled_from(["spectrum", "wavefunction"]))
+    argv = [verb, "--profile", paths[draw(st.sampled_from(sorted(paths)))]]
+    argv += ["--n-plus", str(draw(st.integers(0, 400)))]
+    argv += ["--n-minus", str(draw(st.integers(0, 400)))]
+    if verb == "wavefunction":
+        t = draw(st.one_of(st.floats(-3.0, 15.0), st.just(math.nan)))
+        argv.append(f"--t={t!r}")
+        r_max = draw(_option_float(0.0, 50.0))
+        if r_max is not None:
+            argv.append(f"--r-max={r_max!r}")
+        argv += ["--r-points", str(draw(st.integers(0, 64)))]
+        argv += ["--theta-points", str(draw(st.integers(0, 64)))]
+    for option, lo, hi in (("--rho0", 0.1, 10.0), ("--rho-dot0", -2.0, 2.0)):
+        value = draw(_option_float(lo, hi))
+        if value is not None:
+            argv.append(f"{option}={value!r}")
+    return argv
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_eigenstate_verbs_never_escape(capsys, kind_profile_files, data):
+    # every option set exits with a documented code and one line on stderr
+    # (no traceback, no warning: pytest turns a RuntimeWarning into an error)
+    argv = data.draw(_eigenstate_argv(kind_profile_files), label="argv")
+    code, out, err = run_cli(capsys, argv)
+    if code == 0:
+        assert err == ""
+        rows = parse_csv(out)[1]
+        assert rows.size and np.all(np.isfinite(rows))
+    else:
+        assert code in (1, 2) and out == ""
+        assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1
 
 
 class TestCoherent:
@@ -581,15 +704,17 @@ def test_package_never_imports_mpmath():
     assert done.stdout == "[]\n"
 
 
-def _loaded_after(imports: str, names) -> str:
+def _loaded_after(imports: str, names, run: str = "") -> str:
     """The printed sorted list of the modules among ``names``, or inside
-    those packages, that a fresh interpreter has loaded after ``imports``."""
+    those packages, that a fresh interpreter has loaded after ``imports``
+    and the statements ``run``."""
     import landau_td
 
     src = os.path.dirname(os.path.dirname(landau_td.__file__))
     code = (
         "import sys\n"
         f"import {imports}\n"
+        f"{run}\n"
         f"names = {tuple(names)!r}\n"
         "print(sorted(m for m in sys.modules\n"
         "             if any(m == n or m.startswith(n + '.') for n in names)))\n"
@@ -609,6 +734,24 @@ def test_dynamics_imports_no_scipy_solvers():
     banned = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse.linalg")
     assert _loaded_after("landau_td.cli, landau_td.verify", banned) == "[]\n"
     assert _loaded_after("landau_td.cli, landau_td.auxode", ("scipy",)) == "[]\n"
+    assert _loaded_after("landau_td.cli, landau_td.spectrum", ("scipy",)) == "[]\n"
+
+
+def test_eigenstate_verbs_load_no_scipy(kind_profile_files):
+    # the spectrum and wavefunction verbs run through without scipy.special
+    # or scipy.sparse on every profile kind: those load only in the calls
+    # that use them (Bessel, 2F1, Meijer G, operator matrices)
+    argvs = []
+    for path in kind_profile_files.values():
+        argvs.append(["spectrum", "--profile", path, "--n-plus", "2", "--samples", "21"])
+        argvs.append(["wavefunction", "--profile", path, "--t", "3.5", "--n-minus", "1"])
+    run = (
+        "import contextlib, io\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert landau_td.cli.main(argv) == 0, argv\n"
+    )
+    assert _loaded_after("landau_td.cli", ("scipy",), run) == "[]\n"
 
 
 def test_coherent_imports_no_dynamics():

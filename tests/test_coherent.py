@@ -1030,6 +1030,8 @@ class TestClosedFormOverlaps:
         return build(p1, cut), build(p2, cut)
 
     @given(two_j=st.integers(0, 500), zeta1=_disk(5.0), zeta2=_disk(5.0))
+    # 1 + conj(z1) z2 with a subnormal angle: cmath.phase raised OverflowError
+    @example(two_j=1, zeta1=2 + 4.450147717014407e-309j, zeta2=1.75 + 3.89387925238761e-309j)
     @settings(max_examples=60, deadline=None)
     def test_su2(self, two_j, zeta1, zeta2):
         j = two_j / 2.0

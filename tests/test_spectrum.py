@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from landau_td import auxode, spectrum
-from landau_td.errors import CutoffTooSmall, IntegralNonConvergent
+from landau_td.errors import CutoffTooSmall, IntegralNonConvergent, OutOfRange
 from landau_td.profiles import make_profile
 from landau_td.spectrum import HelicityQuanta
 from reference import KIND_PARAMS, ep_rates, kind_profile, knot_restarted
@@ -214,6 +214,33 @@ class TestWavefunctions:
             phi = spectrum.wavefunction_polar(HelicityQuanta(*nq), prof, aux, t, r, 0.0)
             integral = 2.0 * math.pi * np.sum(w * r * np.abs(phi) ** 2)
             assert integral == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -0.5])
+    def test_radius_must_be_finite_and_nonnegative(self, r):
+        prof, aux = _static_setup()
+        with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+            spectrum.wavefunction_polar(HelicityQuanta(0, 0), prof, aux, 0.0, [0.0, r], 0.0)
+
+    def test_large_quanta_normalisation(self):
+        # sqrt(n!/(n+|l|)!) from the integer ratio: exactly 1 at n = 171,
+        # where n! alone is past the double range (phi(0) = (-1)^n/sqrt(pi))
+        prof, aux = _static_setup()
+        val = spectrum.wavefunction_polar(HelicityQuanta(171, 171), prof, aux, 0.0, 0.0, 0.0)
+        assert val == -1.0 / math.sqrt(math.pi)
+        # 1/170! is the last normal ratio; 1/171! is subnormal, and the true
+        # |phi| ~ 1e-137 at (300, 0) is no reason to return zeros
+        spectrum.wavefunction_polar(HelicityQuanta(170, 0), prof, aux, 0.0, 1.0, 0.0)
+        for quanta in ((171, 0), (300, 0), (200, 3), (3, 200)):
+            with pytest.raises(OutOfRange, match="double range"):
+                spectrum.wavefunction_polar(HelicityQuanta(*quanta), prof, aux, 0.0, 1.0, 0.0)
+
+    def test_overflowing_sample_raises(self):
+        # r^170 overflows at r = 1e3 while exp(-r^2/2) underflows: not a NaN
+        prof, aux = _static_setup()
+        with pytest.raises(OutOfRange, match=r"r <= 1000"):
+            spectrum.wavefunction_polar(
+                HelicityQuanta(170, 0), prof, aux, 0.0, np.array([1.0, 1e3]), 0.0
+            )
 
     def test_cartesian_origin_and_parity(self):
         prof, aux = _static_setup()
