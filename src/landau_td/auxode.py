@@ -48,6 +48,7 @@ The numeric route integrates its dense output on Gauss panels.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
@@ -674,6 +675,9 @@ def classical_trajectory(
     (one piece for the analytic kinds) and samples the grid from the
     pieces' stacked dense output.
     """
+    for name, value in (("z0", z0), ("z_dot0", z_dot0)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     grid = np.asarray(grid, dtype=float)
     profile.check_time(grid[0])
     profile.check_time(grid[-1])

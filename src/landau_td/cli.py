@@ -29,6 +29,7 @@ exponential-mass, exponential-frequency, sinusoidal, tabulated), ``params``
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 from typing import Iterable, Optional, Sequence
@@ -66,12 +67,15 @@ def _apply_thread_cap() -> None:
 
 
 def _parse_complex(text: str, flag: str) -> complex:
-    """Parse an a+bi literal ('0.3+0.1i', '-2i', '1.5')."""
+    """Parse a finite a+bi literal ('0.3+0.1i', '-2i', '1.5')."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError as exc:
         raise MissingParameter(f"{flag} expects an a+bi literal, got {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise MissingParameter(f"{flag} must be finite, got {text!r}")
+    return value
 
 
 def _need(value, flag: str):

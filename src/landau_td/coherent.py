@@ -7,10 +7,10 @@ verification targets against the states.
 
 Families and supports:
 
-``canonical``           full lattice, c = Poisson amplitudes in each mode.
-``nonlinear``           full lattice, f-deformed amplitudes with the
+``canonical``           lattice square, c = Poisson amplitudes in each mode.
+``nonlinear``           lattice square, f-deformed amplitudes with the
                         factorial convention [f(n)]! = f(1)...f(n), [f(0)]! = 1.
-``photon_added``        lattice shifted by the added quanta (m_plus, m_minus).
+``photon_added``        square shifted by the added quanta (m_plus, m_minus).
 ``su2``                 anti-diagonal shell n_plus + n_minus = 2j.
 ``su2_pa``              same shell, support starting at n_plus = p.
 ``su11_bg``             diagonal n_plus - n_minus = ell (Bargmann k = (ell+1)/2).
@@ -21,8 +21,9 @@ Families and supports:
 Every family builds its amplitudes in one function, _amplitudes, as
 c_m = exp(L_m) e^{i m arg w} from log-magnitudes L_m and a label w: the six
 one-line families once (_line_state), the three product families once per
-mode, multiplied by _product_state on the modes' nonzero spans.  Their
-Poisson log-weight is _poisson_half_log, in Loader's saddle-point form.
+mode, multiplied by _product_state, which stores only the products of modulus
+at least 1e-16.  Their Poisson log-weight is _poisson_half_log, in Loader's
+saddle-point form.
 
 Normalization policy: families with an exact closed-form constant
 (canonical, su2, su2_pa, su11_bg, su11_perelomov) subtract ln S / 2 from L_m,
@@ -32,7 +33,12 @@ Poisson mode, 2j ln(1+|zeta|^2) for su2, the terminating Pfaff-form 2F1 for
 su2_pa, -2k ln(1-|eta|^2) for Perelomov (which perelomov_overlap shares),
 and for BG the PA-BG log series at n = 0 (which bg_overlap and the "bg"
 single-mode wavefunction share).  The other families normalize by the
-truncated sum once its last entry is below 1e-10 of it: norm_deficit 0.
+truncated sum once its last entry is below 1e-10 of it: norm_deficit 0 for
+the one-line families.  A product state adds to its modes' deficits the
+weight of the products it leaves out, below (cutoff+1)^2 1e-32.
+
+Labels are checked before anything is built: a label that is not finite, or
+whose squared modulus is not a double, raises DomainError naming it.
 """
 
 from __future__ import annotations
@@ -95,7 +101,9 @@ __all__ = [
 ]
 
 _MAX_CUTOFF = 10_000
+_LABEL_MAX = 1e150  # each part of a label, so that |label|^2 is a double
 _TAIL_LOG = math.log(1e-16)
+_AMP_FLOOR = 1e-16  # product-state amplitudes below it are left out
 _DEFICIT_BAR = 1e-10
 
 
@@ -149,6 +157,21 @@ def _flat_index(s: StateVector) -> np.ndarray:
     return s.n_plus * (s.cutoff + 1) + s.n_minus
 
 
+def _label(name: str, label):
+    """label itself, or DomainError naming it unless |label|^2 is a finite double."""
+    z = complex(label)
+    if not (abs(z.real) < _LABEL_MAX and abs(z.imag) < _LABEL_MAX):
+        raise DomainError(f"{name} must be finite with |{name}|^2 a double, got {label}")
+    return label
+
+
+def _capped(n_cut: int) -> int:
+    """n_cut itself, or CutoffOverflow past the supported cutoff."""
+    if n_cut > _MAX_CUTOFF:
+        raise CutoffOverflow(f"cutoff {n_cut} beyond supported {_MAX_CUTOFF}")
+    return n_cut
+
+
 def _closed_form_deficit(deficit: float, family: str) -> float:
     """Gate on a closed-form family's norm deficit 1 - sum |c|^2, which is
     the truncated tail alone."""
@@ -165,14 +188,18 @@ def _amplitudes(m: np.ndarray, w: complex, log_mag: np.ndarray, family=None) -> 
 
     A closed-form family (family named) has subtracted ln S / 2 already, so
     its deficit is the truncated tail, gated at 1e-10.  Otherwise the
-    magnitudes are shifted by their maximum, the last entry must hold at
-    most 1e-10 of the truncated sum, and that sum normalizes them.
+    magnitudes are shifted by their maximum, which must be finite, the last
+    entry must hold at most 1e-10 of the truncated sum, and that sum
+    normalizes them.
     """
     phase = np.exp(1j * m * np.angle(w))
     if family is not None:
         amps = np.exp(log_mag) * phase
         return amps, _closed_form_deficit(1.0 - float(np.sum(np.abs(amps) ** 2)), family)
-    amps = np.exp(log_mag - np.max(log_mag)) * phase
+    peak = float(np.max(log_mag))
+    if not math.isfinite(peak):
+        raise NormalizationDiverges(f"peak log-magnitude {peak}: the truncated sum has no norm")
+    amps = np.exp(log_mag - peak) * phase
     total, tail = float(np.sum(np.abs(amps) ** 2)), float(np.abs(amps[-1]) ** 2)
     if tail > 1e-10 * total:
         raise NormalizationDiverges(
@@ -193,14 +220,18 @@ def _line_state(family, params, cutoff, m, n_plus, n_minus, w, log_weight, log_s
 
 
 def _product_state(family, params, cutoff, plus, minus) -> StateVector:
-    """State c+[n+] c-[n-] of two (amplitudes on 0..cutoff, deficit) modes, with
-    deficit d+ + d- - d+ d-.  The outer product is taken on each mode's nonzero
-    span, so it costs the support, not (cutoff+1)^2; underflows are left out."""
+    """State c+[n+] c-[n-] of two (amplitudes on 0..cutoff, deficit) modes.
+
+    The outer product is taken on each mode's nonzero span and only products
+    with |c+ c-| >= 1e-16 are stored; the weight left out joins the deficit
+    d+ + d- - d+ d-."""
     (a_p, d_p), (a_m, d_m) = plus, minus
     nz_p, nz_m = np.flatnonzero(a_p), np.flatnonzero(a_m)
     block = np.outer(a_p[nz_p[0] : nz_p[-1] + 1], a_m[nz_m[0] : nz_m[-1] + 1])
-    i, j = np.nonzero(block)
-    deficit = _closed_form_deficit(d_p + d_m - d_p * d_m, family)
+    keep = np.abs(block) >= _AMP_FLOOR
+    i, j = np.nonzero(keep)
+    dropped = float(np.sum(np.abs(block[~keep]) ** 2))
+    deficit = _closed_form_deficit(d_p + d_m - d_p * d_m + dropped, family)
     return StateVector(cutoff, i + nz_p[0], j + nz_m[0], block[i, j], family, params, deficit)
 
 
@@ -285,10 +316,10 @@ def canonical_state(
     c(n+, n-) = exp(-(|z+|^2 + |z-|^2)/2) z+^{n+} z-^{n-} / sqrt(n+! n-!).
     The cutoff is raised until the per-mode tail drops below 1e-16.
     """
+    _label("z_plus", z_plus)
+    _label("z_minus", z_minus)
     needed = max(_poisson_cutoff(abs(z_plus)), _poisson_cutoff(abs(z_minus)))
-    if cutoff is not None and cutoff > _MAX_CUTOFF:
-        raise CutoffOverflow(f"cutoff {cutoff} beyond supported {_MAX_CUTOFF}")
-    n_cut = max(cutoff or 0, needed)
+    n_cut = _capped(max(cutoff or 0, needed))
     n = np.arange(n_cut + 1)
     modes = [_amplitudes(n, z, _poisson_half_log(n, abs(z)), "canonical") for z in (z_plus, z_minus)]
     params = {"z_plus": complex(z_plus), "z_minus": complex(z_minus)}
@@ -364,8 +395,9 @@ def nonlinear_state(
     """f-deformed coherent state, eigenvector of a f(N) in each mode."""
     if cutoff < 0:
         raise CutoffTooSmall(f"cutoff {cutoff} is negative")
-    if cutoff > _MAX_CUTOFF:
-        raise CutoffOverflow(f"cutoff {cutoff} beyond supported {_MAX_CUTOFF}")
+    _capped(cutoff)
+    _label("alpha_plus", alpha_plus)
+    _label("alpha_minus", alpha_minus)
     params = {"alpha_plus": complex(alpha_plus), "alpha_minus": complex(alpha_minus)}
     modes = [_deformed_mode(a, f, cutoff) for a, f in ((alpha_plus, f_plus), (alpha_minus, f_minus))]
     return _product_state("nonlinear", params, cutoff, *modes)
@@ -392,8 +424,9 @@ def photon_added_state(
         raise ValueError("added photon numbers must be nonnegative")
     if cutoff < max(m_plus, m_minus) + 2:
         raise CutoffTooSmall(f"cutoff {cutoff} cannot hold {m_plus}/{m_minus} added quanta")
-    if cutoff > _MAX_CUTOFF:
-        raise CutoffOverflow(f"cutoff {cutoff} beyond supported {_MAX_CUTOFF}")
+    _capped(cutoff)
+    _label("alpha_plus", alpha_plus)
+    _label("alpha_minus", alpha_minus)
     params = {"alpha_plus": complex(alpha_plus), "alpha_minus": complex(alpha_minus)}
     modes = [_added_mode(a, m, cutoff) for a, m in ((alpha_plus, m_plus), (alpha_minus, m_minus))]
     return _product_state(
@@ -412,7 +445,7 @@ def pa_nonlinear_function(m_plus: int, m_minus: int, n_plus: int, n_minus: int) 
 # ---------------------------------------------------------------------------
 
 def _check_spin(j: float) -> int:
-    two_j = int(round(2 * j))
+    two_j = int(round(2 * _label("j", j)))
     if abs(2 * j - two_j) > 1e-12 or two_j < 0:
         raise ValueError(f"j must be a nonnegative half-integer, got {j}")
     return two_j
@@ -441,7 +474,8 @@ def su2_state(j: float, zeta: complex, cutoff: Optional[int] = None) -> StateVec
     normalization sum (1+|zeta|^2)^{2j}.
     """
     two_j = _check_spin(j)
-    n_cut = two_j if cutoff is None else cutoff
+    _label("zeta", zeta)
+    n_cut = _capped(two_j if cutoff is None else cutoff)
     if n_cut < two_j:
         raise CutoffTooSmall(f"cutoff {n_cut} < 2j = {two_j}")
     m = np.arange(two_j + 1)
@@ -464,11 +498,12 @@ def su2_pa_state(
     series of positive terms.
     """
     two_j = _check_spin(j)
+    _label("zeta", zeta)
     if p < 0:
         raise ValueError("p must be nonnegative")
     if p > two_j:
         raise PTooLarge(f"p = {p} exceeds 2j = {two_j}")
-    n_cut = two_j if cutoff is None else cutoff
+    n_cut = _capped(two_j if cutoff is None else cutoff)
     if n_cut < two_j:
         raise CutoffTooSmall(f"cutoff {n_cut} < 2j = {two_j}")
     n, x = two_j - p, abs(zeta) ** 2
@@ -491,7 +526,7 @@ def _lattice_ell(k_mode) -> tuple:
     """Resolve a mode tag into (k, ell) with ell = 2k - 1 on the lattice."""
     tag, value = k_mode
     if tag == "two_mode":
-        k = float(value)
+        k = _label("k", float(value))
         ell = 2.0 * k - 1.0
         if k <= 0 or abs(ell - round(ell)) > 1e-12 or round(ell) < 0:
             raise UnsupportedFamily(
@@ -499,7 +534,7 @@ def _lattice_ell(k_mode) -> tuple:
             )
         return k, int(round(ell))
     if tag == "single_mode":
-        ell = int(value)
+        ell = int(_label("ell", value))
         if ell < 0:
             raise ValueError(
                 "single-mode ell must be >= 0 here; negative values follow "
@@ -528,10 +563,8 @@ def su11_bg_state(k_mode, z: complex, cutoff: Optional[int] = None) -> StateVect
     """
     k, ell = _lattice_ell(k_mode)
     two_k = 2.0 * k
-    m_needed = _bg_cutoff(abs(z), two_k)
-    n_cut = max((cutoff or 0), m_needed + ell)
-    if n_cut > _MAX_CUTOFF:
-        raise CutoffOverflow(f"cutoff {n_cut} beyond supported {_MAX_CUTOFF}")
+    m_needed = _bg_cutoff(abs(_label("z", z)), two_k)
+    n_cut = _capped(max((cutoff or 0), m_needed + ell))
     m = np.arange(n_cut - ell + 1)
     return _line_state(
         "su11_bg", {"k": k, "ell": ell, "z": complex(z)}, n_cut, m, m + ell, m, z,
@@ -553,7 +586,7 @@ def su11_perelomov_state(k_mode, eta: complex, cutoff: Optional[int] = None) -> 
     prefactor is exact, so norm_deficit is the truncation tail.
     """
     k, ell = _lattice_ell(k_mode)
-    if abs(eta) >= 1.0:
+    if abs(_label("eta", eta)) >= 1.0:
         raise EtaOutOfDisk(f"|eta| = {abs(eta)} must be < 1")
     two_k = 2.0 * k
     # geometric-tail cutoff: term ratio -> |eta|^2 for large m
@@ -566,7 +599,7 @@ def su11_perelomov_state(k_mode, eta: complex, cutoff: Optional[int] = None) -> 
             lambda term, peak, m: term < peak + math.log1p(-abs(eta) ** 2) - 34.0,
             f"|eta| = {abs(eta)}",
         )
-    n_cut = max((cutoff or 0), m_needed + ell)
+    n_cut = _capped(max((cutoff or 0), m_needed + ell))
     m = np.arange(n_cut - ell + 1)
     return _line_state(
         "su11_perelomov", {"k": k, "ell": ell, "eta": complex(eta)}, n_cut, m, m + ell, m, eta,
@@ -595,7 +628,7 @@ def su11_pa_perelomov_state(
 
     c_m proportional to eta^m / sqrt(F_l(k, m)).
     """
-    if abs(eta) >= 1.0:
+    if abs(_label("eta", eta)) >= 1.0:
         raise EtaOutOfDisk(f"|eta| = {abs(eta)} must be < 1")
     if l < 0:
         raise ValueError("added index l must be nonnegative")
@@ -610,7 +643,7 @@ def su11_pa_perelomov_state(
             lambda term, peak, m: term < peak + math.log1p(-abs(eta) ** 2) - 34.0,
             f"|eta| = {abs(eta)}",
         )
-    n_cut = max((cutoff or 0), m_needed + shift)
+    n_cut = _capped(max((cutoff or 0), m_needed + shift))
     m = np.arange(n_cut - shift + 1)
     return _line_state(
         "su11_pa_perelomov", {"k": k, "eta": complex(eta), "l": l}, n_cut, m, m + shift, m + l,
@@ -637,12 +670,11 @@ def su11_pa_bg_state(
     """
     if n_add < 0:
         raise ValueError("added index must be nonnegative")
+    _label("z", z)
     _, ell = _lattice_ell(("two_mode", k))
     shift = n_add + ell
     m_needed = 8 if z == 0 else _bg_cutoff(abs(z), 2.0 * k) + n_add + 4
-    n_cut = max((cutoff or 0), m_needed + shift)
-    if n_cut > _MAX_CUTOFF:
-        raise CutoffOverflow(f"cutoff {n_cut} beyond supported {_MAX_CUTOFF}")
+    n_cut = _capped(max((cutoff or 0), m_needed + shift))
     m = np.arange(n_cut - shift + 1)
     return _line_state(
         "su11_pa_bg", {"k": k, "z": complex(z), "n_add": n_add}, n_cut, m, m + shift, m + n_add,

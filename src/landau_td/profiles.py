@@ -55,9 +55,7 @@ from .errors import (
 
 __all__ = [
     "ParameterProfile",
-    "DerivedFrequencies",
     "make_profile",
-    "eval_derived",
     "profile_to_json",
     "profile_from_json",
 ]
@@ -72,14 +70,6 @@ PROFILE_KINDS = (
 
 # Number of samples used to certify positivity of M and omega on [t0, t1].
 _POSITIVITY_SAMPLES = 2001
-
-
-@dataclass(frozen=True)
-class DerivedFrequencies:
-    """Cyclotron and effective frequencies at a single time."""
-
-    omega_c: float
-    Omega: float
 
 
 @dataclass(frozen=True)
@@ -437,15 +427,6 @@ def make_profile(
             "window: 'omega' or q B / M is too large or too small to square"
         )
     return profile
-
-
-def eval_derived(profile: ParameterProfile, t: float) -> DerivedFrequencies:
-    """Evaluate (omega_c, Omega) at a single time inside the window."""
-    profile.check_time(t)
-    return DerivedFrequencies(
-        omega_c=float(profile.omega_c(t)),
-        Omega=float(profile.Omega(t)),
-    )
 
 
 def profile_to_json(profile: ParameterProfile) -> str:

@@ -6,8 +6,8 @@ n of a few tens).  Bessel functions delegate to scipy.special behind a
 domain-checked wrapper.  The generalized hypergeometric pFq is a partial-sum
 evaluation with a term-ratio stopping rule.
 
-``scipy.special`` is imported inside the functions that call it (Gamma,
-Bessel, the logarithmic 2F1 and Meijer G), so it loads on the first such
+``scipy.special`` is imported inside the functions that call it (Bessel,
+the logarithmic 2F1 and Meijer G), so it loads on the first such
 call; the polynomials and pFq are numpy only, and importing this module
 loads no scipy.
 
@@ -49,9 +49,7 @@ from .errors import (
 
 __all__ = [
     "laguerre",
-    "laguerre_all",
     "hermite",
-    "gamma_fn",
     "bessel",
     "hypergeometric",
     "hyp2f1_logarithmic",
@@ -77,24 +75,6 @@ def laguerre(n: int, alpha: float, x):
     return cur if cur.ndim else float(cur)
 
 
-def laguerre_all(n_max: int, alpha: float, x) -> np.ndarray:
-    """All orders L_0..L_{n_max} at once; shape (n_max+1,) + shape(x).
-
-    Shares the recurrence sweep across orders; used by Fock-sum
-    wavefunction assemblies.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 1.0 + alpha - x
-    for k in range(1, n_max):
-        out[k + 1] = ((2 * k + alpha + 1 - x) * out[k] - (k + alpha) * out[k - 1]) / (k + 1)
-    return out
-
-
 def hermite(n: int, x):
     """Physicists' Hermite polynomial H_n(x) by recurrence."""
     if n < 0 or n != int(n):
@@ -108,15 +88,6 @@ def hermite(n: int, x):
     for k in range(1, n):
         prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
     return cur if cur.ndim else float(cur)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x away from the nonpositive integers."""
-    from scipy import special as sp
-
-    if x <= 0 and x == math.floor(x):
-        raise PoleError(f"Gamma pole at x = {x}")
-    return float(sp.gamma(x))
 
 
 _BESSEL_KINDS = {"J": "jv", "Y": "yv", "I": "iv", "K": "kv"}

@@ -643,6 +643,21 @@ class TestClassical:
         with pytest.raises(ZeroFrequencyParticular):
             auxode.classical_trajectory(prof, 1.0, 0.0, np.linspace(0.0, 1.0, 10))
 
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    @pytest.mark.parametrize(
+        "z0, z_dot0, name",
+        [
+            (complex(math.nan, 0.0), 0.0, "z0"),
+            (1.0, complex(0.0, math.inf), "z_dot0"),
+            (1.0, complex(math.nan, math.nan), "z_dot0"),
+        ],
+    )
+    def test_nonfinite_start_rejected(self, kind, z0, z_dot0, name):
+        # the closed form of the constant kind would return NaN rows, the
+        # stepper of the others would stop on a NaN step size
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            auxode.classical_trajectory(kind_profile(kind), z0, z_dot0, np.linspace(0.0, 1.0, 9))
+
 
 # ---------------------------------------------------------------------------
 # gauge map

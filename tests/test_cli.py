@@ -280,6 +280,16 @@ class TestClassical:
         assert code == 1
         assert "a+bi" in err
 
+    @pytest.mark.parametrize("option", ["--z0", "--z-dot0"])
+    @pytest.mark.parametrize("value", ["nan", "1+nani", "1e309", "-1e400i"])
+    def test_nonfinite_start_is_an_input_error(
+        self, capsys, static_profile_file, varying_profile_file, option, value
+    ):
+        # the constant kind's closed form printed NaN rows and exited 0
+        for path in (static_profile_file, varying_profile_file):
+            code, out, err = run_cli(capsys, ["classical", "--profile", path, f"{option}={value}"])
+            assert (code, out, err) == (1, "", f"error: {option} must be finite, got {value!r}\n")
+
 
 class TestSpectrum:
     def test_static_ground_trace(self, capsys, static_profile_file):
@@ -596,6 +606,98 @@ class TestCoherent:
         code_b, out_b, _ = run_cli(capsys, args)
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["su2", "--j", "inf", "--zeta", "0.3"], "j must be finite"),
+            (["su2", "--j", "nan", "--zeta", "0.3"], "j must be finite"),
+            (["su2_pa", "--j", "1e300", "--zeta", "0.3"], "j must be finite"),
+            (["bg", "--k", "inf", "--z", "1"], "k must be finite"),
+            (["pa_perelomov", "--k", "nan", "--eta", "0.3"], "k must be finite"),
+            (["su2", "--j", "1", "--zeta", "nan"], "--zeta must be finite"),
+            (["canonical", "--z-plus", "nan", "--z-minus", "0"], "--z-plus must be finite"),
+            (["pa_canonical", "--z-plus", "0", "--z-minus", "1e309"], "--z-minus must be finite"),
+            (["perelomov", "--k", "1", "--eta", "nan+0.1i"], "--eta must be finite"),
+        ],
+    )
+    def test_nonfinite_label_is_an_input_error(self, capsys, args, message):
+        # these died with an OverflowError traceback, named no option, or
+        # failed later as a norm deficit of nan or a cutoff search
+        code, out, err = run_cli(capsys, ["coherent", "--family"] + args)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def _label_float(lo, hi):
+    """A value in [lo, hi], or one that is not finite or far out of range."""
+    return st.one_of(
+        st.floats(lo, hi),
+        st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e9]),
+    )
+
+
+def _label_literal(lo, hi):
+    """An a+bi literal: both parts in [lo, hi], or each drawn by _label_float."""
+    literal = lambda re, im: f"{re!r}+{im!r}i".replace("+-", "-")  # noqa: E731
+    return st.one_of(
+        st.builds(literal, st.floats(lo, hi), st.floats(lo, hi)),
+        st.builds(literal, _label_float(lo, hi), _label_float(lo, hi)),
+    )
+
+
+# half-integer spins and lattice Bargmann indices k = (ell + 1)/2, or any value
+_SPIN = st.one_of(st.integers(-2, 80).map(lambda two_j: two_j / 2), _label_float(-1.0, 40.0))
+_BARGMANN = st.one_of(st.integers(-1, 30).map(lambda ell: (ell + 1) / 2), _label_float(-1.0, 20.0))
+
+# per family: options and the strategies of their values, magnitudes bounded
+# so that no finite draw builds a large table
+_COHERENT_OPTIONS = {
+    "canonical": {"--z-plus": _label_literal(-8.0, 8.0), "--z-minus": _label_literal(-8.0, 8.0)},
+    "pa_canonical": {
+        "--z-plus": _label_literal(-4.0, 4.0),
+        "--z-minus": _label_literal(-4.0, 4.0),
+        "--m-plus": st.integers(-1, 6),
+        "--m-minus": st.integers(-1, 6),
+    },
+    "su2": {"--j": _SPIN, "--zeta": _label_literal(-5.0, 5.0)},
+    "su2_pa": {"--j": _SPIN, "--zeta": _label_literal(-5.0, 5.0), "--p": st.integers(-1, 80)},
+    "bg": {"--k": _BARGMANN, "--z": _label_literal(-30.0, 30.0)},
+    "perelomov": {"--k": _BARGMANN, "--eta": _label_literal(-1.2, 1.2)},
+    "pa_bg": {"--k": _BARGMANN, "--z": _label_literal(-30.0, 30.0), "--n-add": st.integers(-1, 12)},
+    "pa_perelomov": {
+        "--k": _BARGMANN,
+        "--eta": _label_literal(-1.2, 1.2),
+        "--l": st.integers(-1, 12),
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(_COHERENT_OPTIONS))
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_coherent_verb_never_escapes(capsys, family, data):
+    # every label set exits with a documented code and one line on stderr;
+    # a printed state reads back with finite amplitudes
+    argv = ["coherent", "--family", family]
+    for option, values in _COHERENT_OPTIONS[family].items():
+        argv.append(f"{option}={data.draw(values, label=option)!s}")
+    cutoff = data.draw(st.one_of(st.none(), st.integers(-5, 200)), label="--cutoff")
+    if cutoff is not None:
+        argv.append(f"--cutoff={cutoff}")
+    code, out, err = run_cli(capsys, argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err == ""
+        state = coherent.state_from_json(out)
+        assert np.all(np.isfinite(state.amps)) and coherent.state_to_json(state) + "\n" == out
+    else:
+        assert out == ""
+        assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1
 
 
 class TestVerify:

@@ -315,6 +315,88 @@ class TestPhotonAdded:
             ch.photon_added_state(0.5, 0.5, 6, 0, cutoff=5)
 
 
+@st.composite
+def _product_labels(draw):
+    """(state, plus mode, minus mode) of one canonical, photon_added or
+    nonlinear label; each mode is the (amplitudes on 0..cutoff, deficit)
+    pair that _product_state multiplies."""
+    family = draw(st.sampled_from(["canonical", "photon_added", "nonlinear"]))
+    a_p, a_m = draw(_disk(12.0)), draw(_disk(12.0))
+    if family == "canonical":
+        s = ch.canonical_state(a_p, a_m)
+        n = np.arange(s.cutoff + 1)
+        modes = [ch._amplitudes(n, z, ch._poisson_half_log(n, abs(z)), "canonical") for z in (a_p, a_m)]
+        return s, *modes
+    r, m_add = max(abs(a_p), abs(a_m)), (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    cut = math.ceil(r * r + 8 * r + 2 * max(m_add) + 20)
+    if family == "photon_added":
+        s = ch.photon_added_state(a_p, a_m, *m_add, cut)
+        return s, ch._added_mode(a_p, m_add[0], cut), ch._added_mode(a_m, m_add[1], cut)
+    c = draw(st.floats(0.0, 0.3))
+    f = lambda n: 1.0 + c * n  # noqa: E731
+    s = ch.nonlinear_state(a_p, a_m, f, f, cut)
+    return s, ch._deformed_mode(a_p, f, cut), ch._deformed_mode(a_m, f, cut)
+
+
+class TestProductFloor:
+    @given(labels=_product_labels())
+    @settings(max_examples=60, deadline=None)
+    def test_against_dense_outer_product(self, labels):
+        s, (a_p, d_p), (a_m, d_m) = labels
+        ref = np.outer(a_p, a_m)
+        kept = np.zeros(ref.shape, dtype=bool)
+        kept[s.n_plus, s.n_minus] = True
+        # stored amplitudes are the products themselves, bit for bit
+        assert np.array_equal(s.amps, ref[s.n_plus, s.n_minus])
+        assert np.all(np.abs(s.amps) >= 1e-16)
+        assert np.all(np.abs(ref[~kept]) < 1e-16)
+        # the weight left out joins the modes' deficit
+        dropped = math.fsum(np.abs(ref[~kept]) ** 2)
+        base = d_p + d_m - d_p * d_m
+        assert abs((s.norm_deficit - base) - dropped) <= 1e-9 * dropped + 2 * math.ulp(base)
+
+    @given(z_plus=_disk(12.0), z_minus=_disk(12.0), shift_plus=_disk(2.0), shift_minus=_disk(2.0))
+    @settings(max_examples=30, deadline=None)
+    def test_overlap_modulus(self, z_plus, z_minus, shift_plus, shift_minus):
+        z_plus2, z_minus2 = z_plus + shift_plus, z_minus + shift_minus
+        b = ch.canonical_state(z_plus2, z_minus2)
+        a = ch.canonical_state(z_plus, z_minus, b.cutoff)
+        if a.cutoff > b.cutoff:
+            b = ch.canonical_state(z_plus2, z_minus2, a.cutoff)
+        want = ch.canonical_overlap_modulus(z_plus, z_minus, z_plus2, z_minus2)
+        assert abs(ch.overlap(a, b)) == pytest.approx(want, abs=1e-10)
+
+    def test_minor_mode_tail_left_out(self):
+        # the whole (cutoff+1)^2 square used to be stored: 37,636 rows here
+        s = ch.canonical_state(10 + 0.5j, 3 - 1j)
+        assert s.cutoff == 193
+        assert s.amps.size <= 0.28 * (s.cutoff + 1) ** 2
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda x: ch.canonical_state(x, 0.5), "z_plus"),
+        (lambda x: ch.canonical_state(0.5, x), "z_minus"),
+        (lambda x: ch.photon_added_state(x, 0.5, 1, 0), "alpha_plus"),
+        (lambda x: ch.nonlinear_state(0.5, x, abs, abs), "alpha_minus"),
+        (lambda x: ch.su2_state(x, 0.3), "j"),
+        (lambda x: ch.su2_pa_state(1.0, x, 1), "zeta"),
+        (lambda x: ch.su11_bg_state(("two_mode", x), 0.5), "k"),
+        (lambda x: ch.su11_bg_state(("two_mode", 1.0), x), "z"),
+        (lambda x: ch.su11_perelomov_state(("single_mode", x), 0.3), "ell"),
+        (lambda x: ch.su11_perelomov_state(("two_mode", 1.0), x), "eta"),
+        (lambda x: ch.su11_pa_perelomov_state(x, 0.3, 1), "k"),
+        (lambda x: ch.su11_pa_bg_state(1.0, x, 1), "z"),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e300])
+def test_label_out_of_range_is_named(build, name, value):
+    # |label|^2 must be a double: 1e300 overflowed to a bare OverflowError
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        build(value)
+
+
 class TestSu2:
     def test_cutoff_too_small(self):
         with pytest.raises(CutoffTooSmall):

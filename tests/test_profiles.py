@@ -16,7 +16,6 @@ from landau_td.errors import (
     UnsupportedKind,
 )
 from landau_td.profiles import (
-    eval_derived,
     make_profile,
     profile_from_json,
     profile_to_json,
@@ -26,9 +25,8 @@ from landau_td.profiles import (
 def test_constant_profile_derived_frequencies():
     # omega_c = qB/M = 2, Omega = sqrt(1 + 1) = sqrt(2)
     prof = make_profile("constant", {"M": 1.0, "omega": 1.0}, q=1.0, B=2.0)
-    d = eval_derived(prof, 0.5)
-    assert d.omega_c == pytest.approx(2.0, rel=1e-14)
-    assert d.Omega == pytest.approx(np.sqrt(2.0), rel=1e-14)
+    assert prof.omega_c(0.5) == pytest.approx(2.0, rel=1e-14)
+    assert prof.Omega(0.5) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
 def test_omega_relation_all_kinds():
@@ -96,7 +94,7 @@ def test_nonpositive_mass_or_frequency():
 def test_out_of_domain():
     prof = make_profile("constant", {"M": 1.0, "omega": 1.0}, t0=0.0, t1=2.0)
     with pytest.raises(OutOfDomain):
-        eval_derived(prof, 2.5)
+        prof.Omega(2.5)
     with pytest.raises(OutOfDomain):
         prof.omega_c(-0.1)
 

@@ -19,16 +19,13 @@ from landau_td.coherent import weight_spec
 from landau_td.errors import (
     DivergentSeries,
     DomainError,
-    PoleError,
 )
 from landau_td.specfun import (
     bessel,
-    gamma_fn,
     hermite,
     hyp2f1_logarithmic,
     hypergeometric,
     laguerre,
-    laguerre_all,
     meijer_g,
 )
 
@@ -106,19 +103,12 @@ def test_laguerre_generating_function():
     # sum_n L_n^alpha(u) z^n -> (1-z)^{-(1+alpha)} exp(u z/(z-1)) at |z| = 0.5
     for alpha in (0.0, 2.0):
         for u in (0.3, 2.0, 7.5):
-            table = laguerre_all(200, alpha, u)[:, 0]
+            table = np.array([laguerre(n, alpha, u) for n in range(201)])
             for theta in (0.0, 1.1, 2.7):
                 z = 0.5 * np.exp(1j * theta)
                 series = np.sum(table * z ** np.arange(201))
                 closed = np.exp(u * z / (z - 1.0)) / (1.0 - z) ** (1.0 + alpha)
                 assert abs(series - closed) < 1e-8
-
-
-def test_laguerre_all_matches_single_orders():
-    x = np.linspace(0.0, 12.0, 7)
-    table = laguerre_all(8, 1.5, x)
-    for n in range(9):
-        assert np.allclose(table[n], laguerre(n, 1.5, x), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -148,27 +138,8 @@ def test_hermite_parity():
 
 
 # ---------------------------------------------------------------------------
-# Gamma and Bessel
+# Bessel
 # ---------------------------------------------------------------------------
-
-def test_gamma_factorial():
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-12)
-
-
-def test_gamma_half_vs_integral_oracle():
-    # Oracle: Gamma(1/2) = int_0^inf t^{-1/2} e^{-t} dt by adaptive quadrature
-    val, err = integrate.quad(lambda t: math.exp(-t) / math.sqrt(t), 0.0, np.inf)
-    assert err < 1e-10
-    assert gamma_fn(0.5) == pytest.approx(val, rel=1e-10)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-
-def test_gamma_pole():
-    with pytest.raises(PoleError):
-        gamma_fn(0.0)
-    with pytest.raises(PoleError):
-        gamma_fn(-3.0)
-
 
 def test_bessel_at_origin():
     assert bessel("J", 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
