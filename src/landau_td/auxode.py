@@ -63,6 +63,7 @@ from .errors import (
     IntegralNonConvergent,
     NonPositiveMassOrFrequency,
     OutOfDomain,
+    OutOfRange,
     SingularParameter,
     UnsupportedKind,
     ZeroFrequency,
@@ -673,7 +674,8 @@ def classical_trajectory(
     z = A exp(-i omega_+ t) + B exp(+i omega_- t) + E_0/omega^2 with
     omega_+- = Omega +- omega_c/2.  Anything else runs DOP853 knot to knot
     (one piece for the analytic kinds) and samples the grid from the
-    pieces' stacked dense output.
+    pieces' stacked dense output.  OutOfRange when z, z' or the residual
+    leaves the double range, or the closed form's phase reaches 2^52 rad.
     """
     for name, value in (("z0", z0), ("z_dot0", z_dot0)):
         if not cmath.isfinite(value):
@@ -698,6 +700,8 @@ def classical_trajectory(
             z_p = e0 / omega**2
         w_plus = Om + 0.5 * omega_c
         w_minus = Om - 0.5 * omega_c
+        if max(abs(w_plus), abs(w_minus)) * float(np.max(np.abs(grid))) >= 2.0**52:
+            raise OutOfRange("the closed-form phase |omega_pm t| reaches 2^52, no digit of 1 rad")
         ep = np.exp(-1j * w_plus * t_a)
         em = np.exp(1j * w_minus * t_a)
         rhs = np.array([z0 - z_p, z_dot0], dtype=complex)
@@ -717,6 +721,8 @@ def classical_trajectory(
         )
         z, z_dot = _stacked_dense(pieces)[0](grid)
 
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(z_dot))):
+        raise OutOfRange("the classical trajectory leaves the double range")
     out = ClassicalTrajectory(grid=grid, z=z, z_dot=z_dot, max_residual=math.nan)
     if grid.size >= 5 and _is_uniform(grid):
         out.max_residual = _max_residual(classical_residual_pointwise(out, profile))
@@ -730,21 +736,24 @@ def classical_residual_pointwise(
 
     NaN at the two samples on each end and, as in ``ep_residual_pointwise``,
     at every sample whose stencil span holds a knot of a tabulated profile
-    (z'' jumps there with the coefficients).
+    (z'' jumps there with the coefficients).  OutOfRange past the double range.
     """
     grid = traj.grid
     if grid.size < 5:
         raise GridTooShort("residual stencil needs at least 5 grid points")
     h = grid[1] - grid[0]
-    z_dd = _second_derivative_o4(traj.z, h)
     mid = slice(2, -2)
     t = grid[mid]
     omega = np.asarray(profile.omega(t), dtype=float)
     omega_c = np.asarray(profile.omega_c(t), dtype=float)
     res = np.full(grid.size, np.nan)
-    res[mid] = np.abs(
-        z_dd + 1j * omega_c * traj.z_dot[mid] + omega**2 * traj.z[mid] - _drive_e0(profile, t)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_dd = _second_derivative_o4(traj.z, h)
+        res[mid] = np.abs(
+            z_dd + 1j * omega_c * traj.z_dot[mid] + omega**2 * traj.z[mid] - _drive_e0(profile, t)
+        )
+    if not np.all(np.isfinite(res[mid])):
+        raise OutOfRange("the classical equation residual leaves the double range")
     res[mid][_straddles_knot(grid, profile)] = np.nan
     return res
 

@@ -691,7 +691,8 @@ def canonical_overlap_modulus(
 ) -> float:
     """|<z1|z2>| = exp(-|z+1 - z+2|^2/2) exp(-|z-1 - z-2|^2/2)."""
     return math.exp(
-        -0.5 * abs(z_plus1 - z_plus2) ** 2 - 0.5 * abs(z_minus1 - z_minus2) ** 2
+        -0.5 * abs(_label("z_plus1", z_plus1) - _label("z_plus2", z_plus2)) ** 2
+        - 0.5 * abs(_label("z_minus1", z_minus1) - _label("z_minus2", z_minus2)) ** 2
     )
 
 
@@ -703,7 +704,8 @@ def su2_overlap(j: float, zeta1: complex, zeta2: complex) -> complex:
     d = |z1 - z2|^2 / ((1+|z1|^2)(1+|z2|^2)), and the phase 2j arg(1 + conj(z1) z2).
     """
     two_j = _check_spin(j)
-    d = abs(zeta1 - zeta2) ** 2 / ((1.0 + abs(zeta1) ** 2) * (1.0 + abs(zeta2) ** 2))
+    d = abs(_label("zeta1", zeta1) - _label("zeta2", zeta2)) ** 2
+    d /= (1.0 + abs(zeta1) ** 2) * (1.0 + abs(zeta2) ** 2)
     if two_j == 0 or d >= 1.0:  # d = 1: orthogonal labels
         return complex(two_j == 0)
     w = 1.0 + np.conj(zeta1) * zeta2
@@ -714,7 +716,7 @@ def su2_overlap(j: float, zeta1: complex, zeta2: complex) -> complex:
 def bg_overlap(ell: int, z1: float, z2: float) -> float:
     """Real-parameter BG overlap I_l(2 sqrt(z1 z2)) / sqrt(I_l(2z1) I_l(2z2)),
     from the normalization sums at z1, z2 and sqrt(z1 z2)."""
-    if z1 < 0 or z2 < 0:
+    if _label("z1", z1) < 0 or _label("z2", z2) < 0:
         raise DomainError("closed-form BG overlap expects z >= 0")
     k = 0.5 * (abs(ell) + 1)
     return math.exp(
@@ -725,7 +727,7 @@ def bg_overlap(ell: int, z1: float, z2: float) -> float:
 
 def perelomov_overlap(ell: int, eta1: complex, eta2: complex) -> complex:
     """<eta1|eta2> = [(1-|eta1|^2)(1-|eta2|^2)]^{(|l|+1)/2} (1-conj(eta1) eta2)^{-|l|-1}."""
-    if abs(eta1) >= 1 or abs(eta2) >= 1:
+    if abs(_label("eta1", eta1)) >= 1 or abs(_label("eta2", eta2)) >= 1:
         raise EtaOutOfDisk("both parameters must lie inside the unit disk")
     k = 0.5 * (abs(ell) + 1)
     return complex(np.exp(
@@ -770,6 +772,8 @@ def pa_bg_overlap(k: float, n1: int, n2: int, z1: complex, z2: complex) -> compl
     overflows at large |z|; the modulus of each term is that of a lattice
     product |c1 c2|, so the absolute error stays at roundoff.
     """
+    _label("z1", z1)
+    _label("z2", z2)
     if n1 < n2:
         return complex(np.conj(pa_bg_overlap(k, n2, n1, z2, z1)))
     d = n1 - n2

@@ -1,15 +1,16 @@
 """Special functions backing the eigensystem and the coherent-state families.
 
-Polynomials (generalized Laguerre, Hermite) are evaluated by their stable
-three-term recurrences, never by factorial-ratio closed forms (overflow for
-n of a few tens).  Bessel functions delegate to scipy.special behind a
+The orthonormal Laguerre and Hermite functions come from one three-term
+recurrence with a log scale per sample (Gil, Segura & Temme, Numerical Methods
+for Special Functions, ch. 4), never from separately rounded factorials,
+powers and Gaussians.  Bessel functions delegate to scipy.special behind a
 domain-checked wrapper.  The generalized hypergeometric pFq is a partial-sum
 evaluation with a term-ratio stopping rule.
 
 ``scipy.special`` is imported inside the functions that call it (Bessel,
-the logarithmic 2F1 and Meijer G), so it loads on the first such
-call; the polynomials and pFq are numpy only, and importing this module
-loads no scipy.
+the logarithmic 2F1 and Meijer G), so it loads on the first such call; the
+Laguerre and Hermite functions and pFq are numpy only, and importing this
+module loads no scipy.
 
 ``hyp2f1_logarithmic(a, b)`` evaluates 2F1(a, b; a+b; 1-w) on w in (0, 1],
 the logarithmic case c = a+b that the su2_pa and perelomov_pa weights need:
@@ -57,37 +58,53 @@ __all__ = [
 ]
 
 
-def laguerre(n: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_n^alpha(x) by three-term recurrence.
+_RESCALE = 2.0**500  # also caps u and |x|: past it every f_n is 0 in doubles
 
-    Accepts scalar or ndarray x; broadcasts.
-    """
+
+def _scaled_recurrence(n: int, v: np.ndarray, log_scale: np.ndarray, coefficients: Callable):
+    """exp(log_scale) f_n of f_{k+1} = (a_k + b_k v) f_k - c_k f_{k-1}, f_0 = 1, f_-1 = 0,
+    (a_k, b_k, c_k) = coefficients(k) over k < n.  The log scale per sample takes
+    2^500 out of f where |f| passes it and is exponentiated once at the end, so
+    a sample underflows only where its true value does."""
     if n < 0 or n != int(n):
         raise ValueError(f"order n must be a natural number, got {n!r}")
-    n = int(n)
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + alpha + 1 - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur if cur.ndim else float(cur)
+    prev, cur = np.zeros_like(v), np.ones_like(v)
+    for a_k, b_k, c_k in zip(*coefficients(np.arange(int(n), dtype=float))):
+        prev, cur = cur, (a_k + b_k * v) * cur - c_k * prev
+        big = np.abs(cur) > _RESCALE
+        if np.any(big):
+            prev, cur = np.where(big, prev / _RESCALE, prev), np.where(big, cur / _RESCALE, cur)
+            log_scale = log_scale + math.log(_RESCALE) * big
+    with np.errstate(divide="ignore"):  # ln 0 = -inf: an exact zero stays 0
+        out = np.sign(cur) * np.exp(np.log(np.abs(cur)) + log_scale)
+    return out if out.ndim else float(out)
+
+
+def laguerre(n: int, alpha: float, u):
+    """Orthonormal Laguerre function sqrt(n!/Gamma(n+alpha+1)) u^(alpha/2) e^(-u/2)
+    L_n^alpha(u), u >= 0, alpha > -1, by the orthonormal DLMF Table 18.9.1 recurrence
+    sqrt((k+1)(k+1+alpha)) f_{k+1} = (2k+alpha+1-u) f_k - sqrt(k(k+alpha)) f_{k-1}."""
+    u = np.minimum(np.asarray(u, dtype=float), _RESCALE)
+    if not np.all(u >= 0.0):
+        raise DomainError("laguerre needs u >= 0")
+    with np.errstate(divide="ignore"):  # u^alpha = 0 at u = 0 for alpha > 0
+        log_f0 = (0.5 * alpha * np.log(u) if alpha else 0.0) - 0.5 * (u + math.lgamma(alpha + 1))
+
+    def coefficients(k):
+        d = np.sqrt((k + 1.0) * (k + 1.0 + alpha))
+        return (2.0 * k + alpha + 1.0) / d, -1.0 / d, np.sqrt(k * (k + alpha)) / d
+
+    return _scaled_recurrence(n, u, log_f0, coefficients)
 
 
 def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by recurrence."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"order n must be a natural number, got {n!r}")
-    n = int(n)
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 2.0 * x
-    for k in range(1, n):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
-    return cur if cur.ndim else float(cur)
+    """Orthonormal Hermite function H_n(x) e^(-x^2/2) / sqrt(2^n n! sqrt(pi)),
+    by f_{k+1} = sqrt(2/(k+1)) x f_k - sqrt(k/(k+1)) f_{k-1}."""
+    x = np.clip(np.asarray(x, dtype=float), -_RESCALE, _RESCALE)
+    return _scaled_recurrence(
+        n, x, -0.5 * x * x - 0.25 * math.log(math.pi),
+        lambda k: (0.0 * k, np.sqrt(2.0 / (k + 1.0)), np.sqrt(k / (k + 1.0))),
+    )
 
 
 _BESSEL_KINDS = {"J": "jv", "Y": "yv", "I": "iv", "K": "kv"}

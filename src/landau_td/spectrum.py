@@ -22,7 +22,6 @@ set consistent with the adopted L_z.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
@@ -266,14 +265,13 @@ def wavefunction_polar(
 ):
     """Invariant eigenfunction in polar coordinates at time t.
 
-    phi = (-1)^n kappa^{(1+|l|)/2} rho^{-(1+|l|)} pi^{-1/2}
-          sqrt(n! / Gamma(n+|l|+1)) r^{|l|}
-          exp[(i M rho'/rho - kappa/rho^2) r^2 / 2]
-          L_n^{|l|}(kappa r^2 / rho^2) e^{i l theta},
+    phi = (-1)^n sqrt(kappa/pi) / rho  f_n^{|l|}(kappa r^2 / rho^2)
+          exp(i M rho' r^2 / (2 rho)) e^{i l theta},
 
-    with l = n_plus - n_minus and n = min(n_plus, n_minus).  OutOfRange
-    when n!/(n+|l|)!, the constant in front or a sample leaves the double
-    range (a subnormal constant, or an overflow on the way to a sample).
+    with l = n_plus - n_minus, n = min(n_plus, n_minus) and f_n^{|l|} the
+    orthonormal Laguerre function sqrt(n!/(n+|l|)!) u^{|l|/2} e^{-u/2}
+    L_n^{|l|}(u), which carries the r^{|l|}, the Gaussian and the
+    normalisation.  OutOfRange when a sample is not a finite double.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -281,33 +279,14 @@ def wavefunction_polar(
         raise ValueError("radius must be finite and nonnegative")
     rho, rho_dot = map(float, aux.envelope_at(t))
     M = float(profile.mass(t))
-    kap = profile.kappa
-    ell = q.ell
-    n = q.n_radial
-    a_ell = abs(ell)
-
-    # the integer ratio is rounded once
-    ratio = math.factorial(n) / math.factorial(n + a_ell)
-    try:
-        norm = (
-            (-1.0) ** n
-            * kap ** (0.5 * (1 + a_ell))
-            * rho ** (-(1 + a_ell))
-            / math.sqrt(math.pi)
-            * math.sqrt(ratio)
-        )
-    except OverflowError:
-        norm = math.inf
-    tiny = sys.float_info.min
-    if not (ratio >= tiny and tiny <= abs(norm) < math.inf):
-        raise OutOfRange(
-            f"the normalisation of (n, |l|) = ({n}, {a_ell}) leaves the double range "
-            f"(n!/(n+|l|)! = {ratio:.3g}, constant = {norm:.3g})"
-        )
+    kap, n, a_ell = profile.kappa, q.n_radial, abs(q.ell)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = kap * r * r / (rho * rho)
-        envelope = np.exp((1j * M * rho_dot / rho - kap / rho**2) * r * r / 2.0)
-        psi = norm * r**a_ell * envelope * laguerre(n, float(a_ell), u) * np.exp(1j * ell * theta)
+        psi = (
+            (-1.0) ** n * math.sqrt(kap / math.pi) / rho
+            * laguerre(n, float(a_ell), kap * r * r / (rho * rho))
+            * np.exp(0.5j * M * rho_dot / rho * r * r)
+            * np.exp(1j * q.ell * theta)
+        )
     if not np.all(np.isfinite(psi)):
         raise OutOfRange(
             f"the wavefunction of (n, |l|) = ({n}, {a_ell}) overflows a double on r <= {np.max(r):.6g}"
@@ -324,26 +303,18 @@ def wavefunction_cartesian(
     x,
     y,
 ):
-    """Hermite-product eigenfunction sharing the polar envelope."""
-    if n_x < 0 or n_y < 0:
-        raise ValueError("mode indices must be nonnegative")
+    """Hermite-product eigenfunction sharing the polar chirp: sqrt(kappa)/rho
+    h_{n_x}(xi) h_{n_y}(eta) times it, orthonormal h_n, (xi, eta) = sqrt(kappa) (x, y)/rho."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rho, rho_dot = map(float, aux.envelope_at(t))
     M = float(profile.mass(t))
-    kap = profile.kappa
-    root_k = math.sqrt(kap)
-    norm = (
-        math.sqrt(kap / math.pi)
-        / rho
-        / math.sqrt(2.0 ** (n_x + n_y) * math.factorial(n_x) * math.factorial(n_y))
-    )
-    envelope = np.exp((1j * M * rho_dot / rho - kap / rho**2) * (x * x + y * y) / 2.0)
+    root_k = math.sqrt(profile.kappa)
     return (
-        norm
+        root_k / rho
         * hermite(n_x, root_k * x / rho)
         * hermite(n_y, root_k * y / rho)
-        * envelope
+        * np.exp(0.5j * M * rho_dot / rho * (x * x + y * y))
     )
 
 
@@ -358,13 +329,10 @@ def full_solution(
     """psi(t_i) = exp(i gamma(t_i)) phi(r, theta, t_i) along the grid."""
     grid = np.asarray(grid, dtype=float)
     trace = phase_gamma(q, profile, aux, grid)
-    out = []
-    for k, t in enumerate(grid):
-        out.append(
-            np.exp(1j * trace.gamma[k])
-            * wavefunction_polar(q, profile, aux, float(t), r, theta)
-        )
-    return np.asarray(out)
+    return np.asarray([
+        np.exp(1j * gamma) * wavefunction_polar(q, profile, aux, float(t), r, theta)
+        for gamma, t in zip(trace.gamma, grid)
+    ])
 
 
 def uncertainty_product(

@@ -1,6 +1,8 @@
 """Shared test fixtures: one profile of each kind and a tight reference
-integrator that the numeric routes are measured against."""
+integrator that the numeric routes are measured against, and 60-digit
+mpmath values of the orthonormal Laguerre and Hermite functions."""
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -57,3 +59,19 @@ def knot_restarted(rhs, y0, prof, grid):
         out[:, owner == k] = sol.sol(grid[owner == k])
         y = sol.y[:, -1]
     return out
+
+
+@mpmath.workdps(60)
+def laguerre_function_mp(n, alpha, u):
+    """sqrt(n!/Gamma(n+alpha+1)) u^(alpha/2) e^(-u/2) L_n^alpha(u) to 60 digits."""
+    u, alpha = mpmath.mpf(u), mpmath.mpf(alpha)
+    norm = mpmath.sqrt(mpmath.factorial(n) / mpmath.gamma(n + alpha + 1))
+    return norm * u ** (alpha / 2) * mpmath.exp(-u / 2) * mpmath.laguerre(n, alpha, u)
+
+
+@mpmath.workdps(60)
+def hermite_function_mp(n, x):
+    """H_n(x) e^(-x^2/2) / sqrt(2^n n! sqrt(pi)) to 60 digits."""
+    x = mpmath.mpf(x)
+    norm = mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+    return mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm

@@ -16,7 +16,7 @@ from landau_td import __version__, coherent
 from landau_td.cli import main
 from landau_td.profiles import make_profile, profile_to_json
 from landau_td.verify import CheckReport
-from reference import KIND_PARAMS, kind_profile
+from reference import KIND_PARAMS, kind_profile, laguerre_function_mp
 
 
 @pytest.fixture()
@@ -290,6 +290,20 @@ class TestClassical:
             code, out, err = run_cli(capsys, ["classical", "--profile", path, f"{option}={value}"])
             assert (code, out, err) == (1, "", f"error: {option} must be finite, got {value!r}\n")
 
+    @pytest.mark.parametrize("omega, z0, samples", [(1e100, "1", "9"), (1.0, "1e308+1e308i", "5")])
+    def test_unrepresentable_motion_exits_2(self, capsys, tmp_path, omega, z0, samples):
+        # omega t ~ 1e101 leaves the closed-form phase no digit of a radian,
+        # and a start near the top of the double range overflows the residual
+        # stencil: both printed a trajectory and exited 0
+        prof = make_profile("constant", {"M": 1.0, "omega": omega}, kappa=1.0, t0=0.0, t1=10.0)
+        path = tmp_path / "constant.json"
+        path.write_text(profile_to_json(prof))
+        code, out, err = run_cli(
+            capsys, ["classical", "--profile", str(path), f"--z0={z0}", "--samples", samples]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
 
 class TestSpectrum:
     def test_static_ground_trace(self, capsys, static_profile_file):
@@ -413,19 +427,25 @@ class TestWavefunction:
         assert rows[0, 4] == pytest.approx(1.0 / math.pi, rel=1e-10)
 
     @pytest.mark.parametrize("n_plus, n_minus", [("300", "0"), ("200", "3")])
-    def test_normalisation_out_of_range_exits_2(self, capsys, static_profile_file, n_plus, n_minus):
-        # n!/(n+|l|)! is below the normal doubles: a typed failure, not a
-        # column of zeros where the true |psi| is about 1e-137
+    def test_normalisation_past_double_range_exits_0(
+        self, capsys, static_profile_file, n_plus, n_minus
+    ):
+        # n!/(n+|l|)! is below the normal doubles, but the orthonormal
+        # Laguerre function is not: |psi|^2 at r_max = 4 (u = 16) is its
+        # 60-digit value, about 1e-131 at (200, 3) and 1e-261 at (300, 0)
         code, out, err = run_cli(
             capsys,
             [
                 "wavefunction", "--profile", static_profile_file, "--t", "2.0",
-                "--n-plus", n_plus, "--n-minus", n_minus,
+                "--n-plus", n_plus, "--n-minus", n_minus, "--theta-points", "2",
             ],
         )
-        assert code == 2 and out == ""
-        assert err.startswith("numerical failure: ") and err.count("\n") == 1
-        assert "double range" in err
+        assert code == 0 and err == ""
+        rows = parse_csv(out)[1]
+        assert np.all(np.isfinite(rows)) and rows[-1, 0] == 4.0
+        n, a_ell = min(int(n_plus), int(n_minus)), abs(int(n_plus) - int(n_minus))
+        want = float(laguerre_function_mp(n, a_ell, 16.0)) ** 2 / math.pi
+        assert rows[-1, 4] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("r_max", ["nan", "inf", "-inf"])
     def test_nonfinite_radius(self, capsys, static_profile_file, r_max):
@@ -500,6 +520,31 @@ def test_eigenstate_verbs_never_escape(capsys, kind_profile_files, data):
     else:
         assert code in (1, 2) and out == ""
         assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_wavefunction_large_quanta_exit_0(capsys, kind_profile_files, data):
+    # the orthonormal Laguerre function keeps every sample a finite double,
+    # so quanta up to 400 are no numerical failure at any radial extent
+    # whose square (the chirp's phase) is a double
+    path = kind_profile_files[data.draw(st.sampled_from(sorted(kind_profile_files)))]
+    r_max = data.draw(st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e150)))
+    argv = [
+        "wavefunction", "--profile", path,
+        f"--t={data.draw(st.floats(0.0, 12.0))!r}",
+        "--n-plus", str(data.draw(st.integers(0, 400))),
+        "--n-minus", str(data.draw(st.integers(0, 400))),
+        f"--r-max={r_max!r}",
+        "--r-points", "8", "--theta-points", "3",
+    ]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert np.all(np.isfinite(parse_csv(out)[1]))
 
 
 class TestCoherent:
@@ -841,12 +886,14 @@ def test_dynamics_imports_no_scipy_solvers():
 
 def test_eigenstate_verbs_load_no_scipy(kind_profile_files):
     # the spectrum and wavefunction verbs run through without scipy.special
-    # or scipy.sparse on every profile kind: those load only in the calls
-    # that use them (Bessel, 2F1, Meijer G, operator matrices)
+    # or scipy.sparse on every profile kind, at large quanta too: those load
+    # only in the calls that use them (Bessel, 2F1, Meijer G, operator
+    # matrices), and the Laguerre normalisation is math.lgamma
     argvs = []
     for path in kind_profile_files.values():
         argvs.append(["spectrum", "--profile", path, "--n-plus", "2", "--samples", "21"])
         argvs.append(["wavefunction", "--profile", path, "--t", "3.5", "--n-minus", "1"])
+        argvs.append(["wavefunction", "--profile", path, "--t", "3.5", "--n-plus", "300"])
     run = (
         "import contextlib, io\n"
         f"for argv in {argvs!r}:\n"

@@ -397,6 +397,23 @@ def test_label_out_of_range_is_named(build, name, value):
         build(value)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: ch.su2_overlap(1.0, 1e200, 0.0), "zeta1", id="su2"),
+        pytest.param(lambda: ch.canonical_overlap_modulus(1e200, 0, 0, 0), "z_plus1", id="canonical"),
+        pytest.param(lambda: ch.perelomov_overlap(1, math.nan, 0.1), "eta1", id="perelomov"),
+        pytest.param(lambda: ch.bg_overlap(1, math.nan, 1.0), "z1", id="bg-nan"),
+        pytest.param(lambda: ch.bg_overlap(1, math.inf, 1.0), "z1", id="bg-inf"),
+        pytest.param(lambda: ch.pa_bg_overlap(1.0, 0, 0, math.nan, 1.0), "z1", id="pa_bg"),
+    ],
+)
+def test_closed_overlap_label_out_of_range_is_named(call, name):
+    # these raised a bare OverflowError or ValueError, or returned nan+nanj
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        call()
+
+
 class TestSu2:
     def test_cutoff_too_small(self):
         with pytest.raises(CutoffTooSmall):

@@ -6,6 +6,7 @@ before being compared against the library code.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -28,31 +29,44 @@ from landau_td.specfun import (
     laguerre,
     meijer_g,
 )
+from reference import hermite_function_mp, laguerre_function_mp
 
 
 # ---------------------------------------------------------------------------
-# Laguerre
+# Laguerre functions f_n^alpha(u) = sqrt(n!/Gamma(n+alpha+1)) u^(alpha/2)
+# e^(-u/2) L_n^alpha(u)
 # ---------------------------------------------------------------------------
+
+def _laguerre_polynomial(n, alpha, u):
+    """L_n^alpha(u) read back from the orthonormal function."""
+    log_norm = 0.5 * (math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
+    return laguerre(n, alpha, u) * np.exp(0.5 * u + log_norm) * np.power(u, -0.5 * alpha)
+
 
 def test_laguerre_order_zero_is_one():
+    # the order-zero polynomial is one: f_0 = u^(alpha/2) e^(-u/2) / sqrt(Gamma(alpha+1))
     for alpha in (0.0, 1.0, 2.5):
         for x in (0.0, 0.7, 31.0):
-            assert laguerre(0, alpha, x) == 1.0
+            expect = x ** (0.5 * alpha) * math.exp(-0.5 * x) / math.sqrt(math.gamma(alpha + 1.0))
+            assert laguerre(0, alpha, x) == pytest.approx(expect, rel=1e-14, abs=0.0)
+    assert laguerre(0, 0.0, 0.0) == 1.0
 
 
 def test_laguerre_order_one_closed_form():
     # L_1^alpha(x) = 1 + alpha - x; L_1^2(3) = 0
     assert laguerre(1, 2.0, 3.0) == pytest.approx(0.0, abs=1e-15)
+    assert _laguerre_polynomial(1, 2.0, 1.5) == pytest.approx(1.5, rel=1e-14)
 
 
 def test_laguerre_l2_recurrence_oracle():
     # Oracle: one explicit recurrence step from L_0, L_1 at alpha=0, x=1:
-    # 2*L_2 = (2*1 + 0 + 1 - x)*L_1 - (1 + 0)*L_0
+    # 2*L_2 = (2*1 + 0 + 1 - x)*L_1 - (1 + 0)*L_0; at alpha = 0 the
+    # normalisation is 1, so f_2 = e^(-x/2) L_2
     x = 1.0
     l0, l1 = 1.0, 1.0 + 0.0 - x
     l2 = ((3.0 - x) * l1 - 1.0 * l0) / 2.0
     assert l2 == -0.5
-    assert laguerre(2, 0.0, x) == pytest.approx(l2, abs=1e-15)
+    assert laguerre(2, 0.0, x) == pytest.approx(math.exp(-0.5 * x) * l2, rel=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,12 +76,16 @@ def test_laguerre_l2_recurrence_oracle():
     x=st.floats(min_value=0.0, max_value=40.0),
 )
 def test_laguerre_recurrence_residual(n, alpha, x):
-    lm1 = laguerre(n - 1, alpha, x)
-    l0 = laguerre(n, alpha, x)
-    lp1 = laguerre(n + 1, alpha, x)
-    res = (n + 1) * lp1 - (2 * n + alpha + 1 - x) * l0 + (n + alpha) * lm1
-    scale = max(1.0, abs(lm1), abs(l0), abs(lp1))
-    assert abs(res) / scale < 1e-10
+    # sqrt((n+1)(n+1+a)) f_{n+1} = (2n+a+1-x) f_n - sqrt(n(n+a)) f_{n-1}
+    terms = (
+        math.sqrt((n + 1) * (n + 1 + alpha)) * laguerre(n + 1, alpha, x),
+        -(2 * n + alpha + 1 - x) * laguerre(n, alpha, x),
+        math.sqrt(n * (n + alpha)) * laguerre(n - 1, alpha, x),
+    )
+    # relative to the largest term, or to the smallest normal double where
+    # u^(alpha/2) makes the terms subnormal
+    scale = max(abs(v) for v in terms)
+    assert abs(sum(terms)) <= max(1e-10 * scale, sys.float_info.min)
 
 
 @settings(max_examples=100, deadline=None)
@@ -78,32 +96,35 @@ def test_laguerre_recurrence_residual(n, alpha, x):
 )
 @example(n=18, alpha=2.5, x=1.078125)
 def test_laguerre_derivative_identity(n, alpha, x):
-    # x dL/dx = n L_n - (n + alpha) L_{n-1}, with the exact derivative
-    # dL_n^alpha/dx = -L_{n-1}^{alpha+1}
+    # x dL/dx = n L_n - (n + alpha) L_{n-1} with dL_n^alpha/dx = -L_{n-1}^{alpha+1};
+    # times u^(alpha/2) e^(-u/2) sqrt((n-1)!/Gamma(n+alpha+1)) it reads
+    # sqrt(x) f_{n-1}^{alpha+1} + sqrt(n) f_n^alpha - sqrt(n+alpha) f_{n-1}^alpha = 0
     terms = (
-        -x * laguerre(n - 1, alpha + 1.0, x),
-        -n * laguerre(n, alpha, x),
-        (n + alpha) * laguerre(n - 1, alpha, x),
+        math.sqrt(x) * laguerre(n - 1, alpha + 1.0, x),
+        math.sqrt(n) * laguerre(n, alpha, x),
+        -math.sqrt(n + alpha) * laguerre(n - 1, alpha, x),
     )
     assert abs(sum(terms)) / max(abs(v) for v in terms) < 1e-12
 
 
 def test_laguerre_orthogonality_gauss_quadrature():
-    # int_0^inf e^{-u} u^alpha L_n L_m du = delta_{nm} Gamma(alpha+n+1)/n!
+    # int_0^inf f_n f_m du = delta_nm; f_n f_m is u^alpha e^(-u) times a
+    # polynomial, which the generalised Gauss-Laguerre rule integrates exactly
     for alpha in (0.0, 2.0):
         nodes, weights = roots_genlaguerre(64, alpha)
+        weights = weights * np.exp(nodes) * nodes ** (-alpha)
         for n in range(5):
             for m in range(5):
                 val = float(np.dot(weights, laguerre(n, alpha, nodes) * laguerre(m, alpha, nodes)))
-                expect = math.gamma(alpha + n + 1) / math.factorial(n) if n == m else 0.0
-                assert abs(val - expect) < 1e-8 * max(1.0, expect)
+                assert abs(val - (n == m)) < 1e-8
 
 
 def test_laguerre_generating_function():
     # sum_n L_n^alpha(u) z^n -> (1-z)^{-(1+alpha)} exp(u z/(z-1)) at |z| = 0.5
+    u_values = np.array([0.3, 2.0, 7.5])
     for alpha in (0.0, 2.0):
-        for u in (0.3, 2.0, 7.5):
-            table = np.array([laguerre(n, alpha, u) for n in range(201)])
+        tables = np.array([_laguerre_polynomial(n, alpha, u_values) for n in range(201)])
+        for u, table in zip(u_values, tables.T):
             for theta in (0.0, 1.1, 2.7):
                 z = 0.5 * np.exp(1j * theta)
                 series = np.sum(table * z ** np.arange(201))
@@ -111,13 +132,66 @@ def test_laguerre_generating_function():
                 assert abs(series - closed) < 1e-8
 
 
+def _check_against_mpmath(got, want, turning):
+    """Error at most 1e-12 of the largest |want|, at most 1e-10 of |want|
+    past the turning point, and no zero where want is a normal double."""
+    want = np.array([float(v) for v in want])
+    err = np.abs(got - want)
+    assert np.all(err <= 1e-12 * np.max(np.abs(want)))
+    normal = np.abs(want) >= sys.float_info.min
+    assert np.all(got[normal] != 0.0)
+    past = normal & turning
+    assert np.all(err[past] <= 1e-10 * np.abs(want[past]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(0, 400),
+    alpha=st.integers(0, 400),
+    offset=st.floats(0.0, 1.0),
+    extra=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4),
+)
+@example(n=0, alpha=300, offset=0.5, extra=[0.0])
+@example(n=3, alpha=197, offset=0.1, extra=[1e-3])
+@example(n=100, alpha=150, offset=0.9, extra=[2.9])
+@example(n=400, alpha=0, offset=0.0, extra=[1.0])
+def test_laguerre_matches_mpmath(n, alpha, offset, extra):
+    # eight evenly spaced samples and a few drawn ones on [0, 3 u+], with u+
+    # = (sqrt(n+alpha+1) + sqrt(n))^2 the turning point, where the parts
+    # sqrt(n!/Gamma), u^(alpha/2), e^(-u/2) and L_n can each leave the
+    # double range while f does not
+    top = (math.sqrt(n + alpha + 1) + math.sqrt(n)) ** 2
+    u = 3.0 * top * np.concatenate([(np.arange(8) + offset) / 8.0, np.array(extra) / 3.0])
+    want = [laguerre_function_mp(n, alpha, v) for v in u]
+    _check_against_mpmath(laguerre(n, float(alpha), u), want, u > top)
+
+
+def test_laguerre_far_tail_and_domain():
+    # e^(-u/2) alone underflows at u = 1500, f_100 does not; far past the
+    # turning point the functions are 0 in doubles, with no overflowing step
+    assert laguerre(100, 0.0, 1500.0) == pytest.approx(
+        float(laguerre_function_mp(100, 0, 1500)), rel=1e-12
+    )
+    assert np.all(laguerre(3, 2.0, [1e300, math.inf]) == 0.0)
+    assert np.all(hermite(3, [1e200, -math.inf]) == 0.0)
+    with pytest.raises(DomainError, match="u >= 0"):
+        laguerre(2, 0.0, [1.0, -0.5])
+    with pytest.raises(ValueError, match="natural number"):
+        laguerre(-1, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
-# Hermite
+# Hermite functions h_n(x) = H_n(x) e^(-x^2/2) / sqrt(2^n n! sqrt(pi))
 # ---------------------------------------------------------------------------
 
+def _hermite_weight(n, x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+
+
 def test_hermite_base_cases():
-    assert hermite(0, 0.3) == 1.0
-    assert hermite(1, 1.5) == 3.0
+    # H_0 = 1, H_1(1.5) = 3
+    assert hermite(0, 0.3) == pytest.approx(_hermite_weight(0, 0.3), rel=1e-15)
+    assert hermite(1, 1.5) == pytest.approx(3.0 * _hermite_weight(1, 1.5), rel=1e-15)
 
 
 def test_hermite_h3_recurrence_oracle():
@@ -127,7 +201,7 @@ def test_hermite_h3_recurrence_oracle():
     h2 = 2.0 * x * h1 - 2.0 * h0
     h3 = 2.0 * x * h2 - 4.0 * h1
     assert h3 == 40.0
-    assert hermite(3, x) == pytest.approx(h3, abs=1e-12)
+    assert hermite(3, x) == pytest.approx(h3 * _hermite_weight(3, x), rel=1e-14)
 
 
 def test_hermite_parity():
@@ -135,6 +209,25 @@ def test_hermite_parity():
     for n in range(8):
         sign = (-1.0) ** n
         assert hermite(n, -x) == pytest.approx(sign * hermite(n, x), rel=1e-12)
+    assert hermite(3, 0.0) == 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(0, 400),
+    offset=st.floats(0.0, 1.0),
+    extra=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+)
+@example(n=400, offset=0.5, extra=[3.0])
+@example(n=170, offset=0.0, extra=[0.0])
+def test_hermite_matches_mpmath(n, offset, extra):
+    # eight evenly spaced samples and a few drawn ones on [-3 x+, 3 x+],
+    # x+ = sqrt(2n+1) the turning point; 2^n n! leaves the double range at
+    # n = 171
+    top = math.sqrt(2 * n + 1)
+    x = 3.0 * top * np.concatenate([(np.arange(8) + offset) / 4.0 - 1.0, np.array(extra) / 3.0])
+    want = [hermite_function_mp(n, v) for v in x]
+    _check_against_mpmath(hermite(n, x), want, np.abs(x) > top)
 
 
 # ---------------------------------------------------------------------------

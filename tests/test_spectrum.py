@@ -10,7 +10,13 @@ from landau_td import auxode, spectrum
 from landau_td.errors import CutoffTooSmall, IntegralNonConvergent, OutOfRange
 from landau_td.profiles import make_profile
 from landau_td.spectrum import HelicityQuanta
-from reference import KIND_PARAMS, ep_rates, kind_profile, knot_restarted
+from reference import (
+    KIND_PARAMS,
+    ep_rates,
+    kind_profile,
+    knot_restarted,
+    laguerre_function_mp,
+)
 
 
 def _static_setup(M=1.0, omega=1.0, q=0.0, B=0.0, kappa=1.0, E1=0.0, E2=0.0):
@@ -222,24 +228,36 @@ class TestWavefunctions:
             spectrum.wavefunction_polar(HelicityQuanta(0, 0), prof, aux, 0.0, [0.0, r], 0.0)
 
     def test_large_quanta_normalisation(self):
-        # sqrt(n!/(n+|l|)!) from the integer ratio: exactly 1 at n = 171,
-        # where n! alone is past the double range (phi(0) = (-1)^n/sqrt(pi))
+        # sqrt(n!/(n+|l|)!), r^|l| and e^(-u/2) ride inside the orthonormal
+        # Laguerre function, so quanta where they leave the double range give
+        # the true samples: with rho = kappa = 1 and rho' = 0 here,
+        # phi(r, 0) = (-1)^n f_n^|l|(r^2) / sqrt(pi)
         prof, aux = _static_setup()
-        val = spectrum.wavefunction_polar(HelicityQuanta(171, 171), prof, aux, 0.0, 0.0, 0.0)
-        assert val == -1.0 / math.sqrt(math.pi)
-        # 1/170! is the last normal ratio; 1/171! is subnormal, and the true
-        # |phi| ~ 1e-137 at (300, 0) is no reason to return zeros
-        spectrum.wavefunction_polar(HelicityQuanta(170, 0), prof, aux, 0.0, 1.0, 0.0)
-        for quanta in ((171, 0), (300, 0), (200, 3), (3, 200)):
-            with pytest.raises(OutOfRange, match="double range"):
-                spectrum.wavefunction_polar(HelicityQuanta(*quanta), prof, aux, 0.0, 1.0, 0.0)
+        for quanta in ((171, 171), (170, 0), (171, 0), (300, 0), (200, 3), (3, 200)):
+            q = HelicityQuanta(*quanta)
+            n, a_ell = q.n_radial, abs(q.ell)
+            top = math.sqrt(n + a_ell + 1) + math.sqrt(n)  # the turning radius
+            r = np.array([0.0, 1.0, 0.5 * top, top])
+            got = spectrum.wavefunction_polar(q, prof, aux, 0.0, r, 0.0)
+            want = [(-1) ** n * float(laguerre_function_mp(n, a_ell, v * v)) for v in r]
+            np.testing.assert_allclose(got, np.array(want) / math.sqrt(math.pi), rtol=1e-12)
+            assert np.all(got[1:] != 0.0)
 
     def test_overflowing_sample_raises(self):
-        # r^170 overflows at r = 1e3 while exp(-r^2/2) underflows: not a NaN
+        # r^170 overflows at r = 1e3 while exp(-r^2/2) underflows: the sample
+        # is the true value, 0, with r = 1 next to it at its orthonormal value
         prof, aux = _static_setup()
-        with pytest.raises(OutOfRange, match=r"r <= 1000"):
+        got = spectrum.wavefunction_polar(
+            HelicityQuanta(170, 0), prof, aux, 0.0, np.array([1.0, 1e3]), 0.0
+        )
+        want = float(laguerre_function_mp(0, 170, 1.0)) / math.sqrt(math.pi)
+        assert got[0] == pytest.approx(want, rel=1e-12) and got[1] == 0.0
+        # where r^2 leaves the double range, a moving envelope's chirp has no
+        # phase: no sample
+        prof, aux = _moving_setup()
+        with pytest.raises(OutOfRange, match=r"r <= 1e\+160"):
             spectrum.wavefunction_polar(
-                HelicityQuanta(170, 0), prof, aux, 0.0, np.array([1.0, 1e3]), 0.0
+                HelicityQuanta(1, 0), prof, aux, 0.9, np.array([1.0, 1e160]), 0.0
             )
 
     def test_cartesian_origin_and_parity(self):
