@@ -80,7 +80,6 @@ __all__ = [
     "ep_closed_form",
     "closed_form_solution",
     "stationary_solution",
-    "ep_residual",
     "ep_residual_pointwise",
     "classical_trajectory",
     "classical_residual_pointwise",
@@ -162,22 +161,20 @@ class AuxiliarySolution:
     ``envelope_fn(t)`` returns the pair (rho, rho_dot) at t, each shaped
     like t, from one evaluation (ODE dense output, the closed form, or the
     stationary constants); ``rho``/``rho_dot`` are that pair on ``grid``.
-    ``theta_fn`` gives theta(t) = integral of kappa/(M rho^2) from grid[0]
-    to t; a solution without one has no phase.  ``panels`` are the ends of
-    the intervals on which the evaluators are smooth (solver steps and
-    profile knots, or the grid), for Gauss quadrature along the solution.
-    ``kappa`` is carried along because the invariant eigensystem is built
-    from (rho, rho_dot, kappa) alone.
+    ``theta_fn(t)`` gives theta(t) = integral of kappa/(M rho^2) from
+    grid[0] to t.  ``panels`` are the ends of the intervals on which the
+    evaluators are smooth (solver steps and profile knots, or the grid), for
+    Gauss quadrature along the solution.  ``kappa`` is carried along because
+    the invariant eigensystem is built from (rho, rho_dot, kappa) alone.
+    ``ep_residual_pointwise`` gives the equation's residual on the samples.
     """
 
     grid: np.ndarray
     rho: np.ndarray
     rho_dot: np.ndarray
-    provenance: str
-    max_residual: float
     kappa: float
     envelope_fn: Callable = field(repr=False)
-    theta_fn: Optional[Callable] = field(default=None, repr=False)
+    theta_fn: Callable = field(repr=False)
     panels: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -188,18 +185,8 @@ class AuxiliarySolution:
             raise BlowUp("auxiliary solution must keep rho > 0 on the grid")
         self.panels = np.asarray(self.grid if self.panels is None else self.panels, dtype=float)
 
-    def envelope_at(self, t):
-        """(rho(t), rho_dot(t)) from one evaluation."""
-        return self.envelope_fn(t)
-
     def rho_at(self, t):
         return self.envelope_fn(t)[0]
-
-    def theta_at(self, t):
-        """theta(t) = integral of kappa/(M rho^2) from grid[0] to t."""
-        if self.theta_fn is None:
-            raise ValueError("this auxiliary solution carries no phase evaluator")
-        return self.theta_fn(t)
 
 
 @dataclass
@@ -209,7 +196,23 @@ class ClassicalTrajectory:
     grid: np.ndarray
     z: np.ndarray
     z_dot: np.ndarray
-    max_residual: float
+
+
+def _check_grid(grid, profile: ParameterProfile) -> np.ndarray:
+    """The grid as a float array, checked for both equations of motion.
+
+    GridTooShort unless it is 1-D with at least 2 points; ValueError unless
+    it is finite and strictly increasing (so grid[0] is where the initial
+    state sits); OutOfDomain unless both ends lie in the profile's window.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise GridTooShort("need a 1-D grid of at least 2 points")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise ValueError("grid must be finite and strictly increasing")
+    profile.check_time(grid[0])
+    profile.check_time(grid[-1])
+    return grid
 
 
 def default_initial_conditions(profile: ParameterProfile) -> tuple:
@@ -315,7 +318,8 @@ def solve_ep_numeric(
     rho_dot0: float,
     grid,
 ) -> AuxiliarySolution:
-    """Integrate the auxiliary equation and sample it on the grid.
+    """Integrate the auxiliary equation from (rho0, rho_dot0) at grid[0] and
+    sample it on the grid (checked by ``_check_grid``).
 
     DOP853 runs knot to knot (one piece for the analytic kinds), so no
     solver step straddles a knot of a tabulated profile, and one stacked
@@ -331,14 +335,7 @@ def solve_ep_numeric(
         raise ValueError(f"rho0 must be positive and finite, got {rho0}")
     if not math.isfinite(rho_dot0):
         raise ValueError(f"rho_dot0 must be finite, got {rho_dot0}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise GridTooShort("need at least 2 grid points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    profile.check_time(grid[0])
-    profile.check_time(grid[-1])
-
+    grid = _check_grid(grid, profile)
     pieces = _solve_pieces(
         _ep_rhs(profile),
         [float(rho0), float(rho_dot0)],
@@ -349,20 +346,15 @@ def solve_ep_numeric(
     envelope, panels = _stacked_dense(pieces)
     rho, rho_dot = envelope(grid)
     kappa, mass = profile.kappa, profile.mass
-    out = AuxiliarySolution(
+    return AuxiliarySolution(
         grid=grid,
         rho=rho,
         rho_dot=rho_dot,
-        provenance="numeric",
-        max_residual=math.nan,
         kappa=kappa,
         envelope_fn=envelope,
         theta_fn=running_integral(lambda t: kappa / (mass(t) * envelope(t)[0] ** 2), panels),
         panels=panels,
     )
-    if grid.size >= 5 and _is_uniform(grid):
-        out.max_residual = ep_residual(out, profile)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +501,7 @@ def ep_closed_form(kind: str, params: Mapping, t):
     return rho, rho_dot
 
 
-def closed_form_solution(
-    kind: str,
-    params: Mapping,
-    grid,
-    profile: Optional[ParameterProfile] = None,
-) -> AuxiliarySolution:
+def closed_form_solution(kind: str, params: Mapping, grid) -> AuxiliarySolution:
     """Package a closed-form family as an AuxiliarySolution on a grid."""
     grid = np.asarray(grid, dtype=float)
     rho, rho_dot, theta = _closed_form(kind, params, grid)
@@ -523,19 +510,14 @@ def closed_form_solution(
         kappa = float(params["kappa"]) if "kappa" in params else float(params["nu"]) * tau
     else:
         kappa = float(params.get("kappa", 1.0))
-    out = AuxiliarySolution(
+    return AuxiliarySolution(
         grid=grid,
         rho=rho,
         rho_dot=rho_dot,
-        provenance=kind,
-        max_residual=math.nan,
         kappa=kappa,
         envelope_fn=lambda t: ep_closed_form(kind, params, t),
         theta_fn=lambda t: np.reshape(_closed_form(kind, params, t)[2] - theta[0], np.shape(t)),
     )
-    if profile is not None and grid.size >= 5 and _is_uniform(grid):
-        out.max_residual = ep_residual(out, profile)
-    return out
 
 
 def stationary_solution(profile: ParameterProfile, grid) -> AuxiliarySolution:
@@ -552,8 +534,6 @@ def stationary_solution(profile: ParameterProfile, grid) -> AuxiliarySolution:
         grid=grid,
         rho=np.full_like(grid, rho0),
         rho_dot=np.zeros_like(grid),
-        provenance="numeric",
-        max_residual=0.0,
         kappa=profile.kappa,
         envelope_fn=envelope,
         theta_fn=lambda t: rate * (np.asarray(t, dtype=float) - grid[0]),
@@ -564,9 +544,15 @@ def stationary_solution(profile: ParameterProfile, grid) -> AuxiliarySolution:
 # residuals
 # ---------------------------------------------------------------------------
 
-def _is_uniform(grid: np.ndarray) -> bool:
+def _stencil_step(grid: np.ndarray) -> float:
+    """Spacing h of a grid that the 5-point residual stencil can read:
+    GridTooShort below 5 points, ValueError unless the grid is uniform."""
+    if grid.size < 5:
+        raise GridTooShort("residual stencil needs at least 5 grid points")
     steps = np.diff(grid)
-    return bool(np.max(np.abs(steps - steps[0])) <= 1e-9 * abs(steps[0]))
+    if not np.max(np.abs(steps - steps[0])) <= 1e-9 * abs(steps[0]):
+        raise ValueError("residual stencil expects a uniform grid")
+    return grid[1] - grid[0]
 
 
 def _second_derivative_o4(values: np.ndarray, h: float) -> np.ndarray:
@@ -587,12 +573,6 @@ def _straddles_knot(grid: np.ndarray, profile: ParameterProfile) -> np.ndarray:
     )
 
 
-def _max_residual(res: np.ndarray) -> float:
-    """Largest residual that is not NaN; NaN, without a warning, if none is."""
-    res = res[~np.isnan(res)]
-    return float(res.max()) if res.size else math.nan
-
-
 def ep_residual_pointwise(sol: AuxiliarySolution, profile: ParameterProfile) -> np.ndarray:
     """Per-sample |rho'' + (M'/M) rho' + Omega^2 rho - kappa^2/(M^2 rho^3)|.
 
@@ -602,11 +582,7 @@ def ep_residual_pointwise(sol: AuxiliarySolution, profile: ParameterProfile) -> 
     report its own truncation, not the solution's error.
     """
     grid = sol.grid
-    if grid.size < 5:
-        raise GridTooShort("residual stencil needs at least 5 grid points")
-    if not _is_uniform(grid):
-        raise ValueError("residual stencil expects a uniform grid")
-    h = grid[1] - grid[0]
+    h = _stencil_step(grid)
     rho_dd = _second_derivative_o4(sol.rho, h)
     mid = slice(2, -2)
     t = grid[mid]
@@ -622,12 +598,6 @@ def ep_residual_pointwise(sol: AuxiliarySolution, profile: ParameterProfile) -> 
     )
     res[mid][_straddles_knot(grid, profile)] = np.nan
     return res
-
-
-def ep_residual(sol: AuxiliarySolution, profile: ParameterProfile) -> float:
-    """Max-norm auxiliary-equation residual over the interior grid, away
-    from the knots; NaN when no stencil is left."""
-    return _max_residual(ep_residual_pointwise(sol, profile))
 
 
 # ---------------------------------------------------------------------------
@@ -668,22 +638,20 @@ def classical_trajectory(
     z_dot0: complex,
     grid,
 ) -> ClassicalTrajectory:
-    """Solve z'' + i omega_c z' + omega^2 z = E_0 on the grid.
+    """Solve z'' + i omega_c z' + omega^2 z = E_0 from (z0, z_dot0) at
+    grid[0] on the grid (checked by ``_check_grid``).
 
     Constant-coefficient profiles use the closed form
     z = A exp(-i omega_+ t) + B exp(+i omega_- t) + E_0/omega^2 with
     omega_+- = Omega +- omega_c/2.  Anything else runs DOP853 knot to knot
     (one piece for the analytic kinds) and samples the grid from the
-    pieces' stacked dense output.  OutOfRange when z, z' or the residual
-    leaves the double range, or the closed form's phase reaches 2^52 rad.
+    pieces' stacked dense output.  OutOfRange when z or z' leaves the
+    double range, or the closed form's phase reaches 2^52 rad.
     """
     for name, value in (("z0", z0), ("z_dot0", z_dot0)):
         if not cmath.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    grid = np.asarray(grid, dtype=float)
-    profile.check_time(grid[0])
-    profile.check_time(grid[-1])
-
+    grid = _check_grid(grid, profile)
     if profile.kind == "constant":
         t_a = grid[0]
         omega = float(profile.omega(t_a))
@@ -723,10 +691,7 @@ def classical_trajectory(
 
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(z_dot))):
         raise OutOfRange("the classical trajectory leaves the double range")
-    out = ClassicalTrajectory(grid=grid, z=z, z_dot=z_dot, max_residual=math.nan)
-    if grid.size >= 5 and _is_uniform(grid):
-        out.max_residual = _max_residual(classical_residual_pointwise(out, profile))
-    return out
+    return ClassicalTrajectory(grid=grid, z=z, z_dot=z_dot)
 
 
 def classical_residual_pointwise(
@@ -739,9 +704,7 @@ def classical_residual_pointwise(
     (z'' jumps there with the coefficients).  OutOfRange past the double range.
     """
     grid = traj.grid
-    if grid.size < 5:
-        raise GridTooShort("residual stencil needs at least 5 grid points")
-    h = grid[1] - grid[0]
+    h = _stencil_step(grid)
     mid = slice(2, -2)
     t = grid[mid]
     omega = np.asarray(profile.omega(t), dtype=float)

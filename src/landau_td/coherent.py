@@ -847,7 +847,7 @@ def single_mode_wavefunction(
         raise ValueError("u must be nonnegative")
     a_ell = abs(int(ell))
     k = 0.5 * (a_ell + 1)
-    rho, rho_dot = map(float, aux.envelope_at(t))
+    rho, rho_dot = map(float, aux.envelope_fn(t))
     M = float(profile.mass(t))
     kap = profile.kappa
     beta = 1.0 - 1j * M * rho * rho_dot / kap

@@ -174,7 +174,7 @@ def hamiltonian_expectation(
 ):
     """<H(t)> on the invariant eigenstate labelled by q; t scalar or array."""
     profile.check_time(t)
-    return _energy(q, profile, t, *aux.envelope_at(t))
+    return _energy(q, profile, t, *aux.envelope_fn(t))
 
 
 def evolution_params(profile: ParameterProfile, aux: AuxiliarySolution, t) -> EvolutionParams:
@@ -182,7 +182,7 @@ def evolution_params(profile: ParameterProfile, aux: AuxiliarySolution, t) -> Ev
     from .coherent import EvolutionParams
 
     return EvolutionParams(
-        T1=_radial_energy(profile, t, *aux.envelope_at(t)),
+        T1=_radial_energy(profile, t, *aux.envelope_fn(t)),
         T2=0.5 * float(profile.omega_c(t)),
         lam=_drive_energy(profile, t),
     )
@@ -216,7 +216,7 @@ def phase_gamma(
         + q^2 E^2 / (2 M omega),
 
     so gamma = -(n+ + n- + 1) theta + the integral of the last two terms.
-    theta comes from ``aux.theta_at``; the profile terms are integrated on
+    theta comes from ``aux.theta_fn``; the profile terms are integrated on
     the solution's panels plus the profile knots, with the same certified
     Gauss rule.  The envelope is read once on the grid; the integrand and
     <i d/dt> - <H> both come from it and must agree (InconsistentPhase).
@@ -231,14 +231,14 @@ def phase_gamma(
     def field_rate(t):
         return 0.5 * ell_z * profile.omega_c(t) + _drive_energy(profile, t)
 
-    rho, rho_dot = aux.envelope_at(grid)
+    rho, rho_dot = aux.envelope_fn(grid)
     integrand = -profile.kappa * n_sum / (profile.mass(grid) * rho**2) + field_rate(grid)
     energy = _energy(q, profile, grid, rho, rho_dot)
     defining = _i_dt_expectation(q, profile, grid, rho, rho_dot) - energy
     if np.max(np.abs(defining - integrand)) > 1e-9 * max(1.0, float(np.max(np.abs(integrand)))):
         raise InconsistentPhase("phase integrand disagrees with <i d/dt> - <H>")
 
-    theta = aux.theta_at(grid)
+    theta = aux.theta_fn(grid)
     field = running_integral(field_rate, _panel_edges(aux.panels, profile))(grid)
     radial = n_sum * (theta - theta[0])
     field = field - field[0]
@@ -271,27 +271,31 @@ def wavefunction_polar(
     with l = n_plus - n_minus, n = min(n_plus, n_minus) and f_n^{|l|} the
     orthonormal Laguerre function sqrt(n!/(n+|l|)!) u^{|l|/2} e^{-u/2}
     L_n^{|l|}(u), which carries the r^{|l|}, the Gaussian and the
-    normalisation.  OutOfRange when a sample is not a finite double.
+    normalisation.  A sample is 0 where f is 0 in doubles, even where the
+    chirp's phase overflows; OutOfRange when any other sample is not a
+    finite double.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if not np.all((r >= 0) & (r < math.inf)):
         raise ValueError("radius must be finite and nonnegative")
-    rho, rho_dot = map(float, aux.envelope_at(t))
+    rho, rho_dot = map(float, aux.envelope_fn(t))
     M = float(profile.mass(t))
     kap, n, a_ell = profile.kappa, q.n_radial, abs(q.ell)
     with np.errstate(over="ignore", invalid="ignore"):
+        f = laguerre(n, float(a_ell), kap * r * r / (rho * rho))
         psi = (
-            (-1.0) ** n * math.sqrt(kap / math.pi) / rho
-            * laguerre(n, float(a_ell), kap * r * r / (rho * rho))
+            (-1.0) ** n * math.sqrt(kap / math.pi) / rho * f
             * np.exp(0.5j * M * rho_dot / rho * r * r)
             * np.exp(1j * q.ell * theta)
         )
-    if not np.all(np.isfinite(psi)):
+    # exp(i inf) is NaN where the chirp's phase overflows; psi is 0 wherever f is
+    lost = ~np.isfinite(psi)
+    if np.any(lost & (f != 0.0)):
         raise OutOfRange(
             f"the wavefunction of (n, |l|) = ({n}, {a_ell}) overflows a double on r <= {np.max(r):.6g}"
         )
-    return psi
+    return np.where(lost, 0.0, psi) if np.any(lost) else psi
 
 
 def wavefunction_cartesian(
@@ -307,7 +311,7 @@ def wavefunction_cartesian(
     h_{n_x}(xi) h_{n_y}(eta) times it, orthonormal h_n, (xi, eta) = sqrt(kappa) (x, y)/rho."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rho, rho_dot = map(float, aux.envelope_at(t))
+    rho, rho_dot = map(float, aux.envelope_fn(t))
     M = float(profile.mass(t))
     root_k = math.sqrt(profile.kappa)
     return (
@@ -341,7 +345,7 @@ def uncertainty_product(
     """Delta x Delta p_x = (2n+|l|+1)/2 sqrt(1 + M^2 rho'^2 rho^2 / kappa^2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rho, rho_dot = map(float, aux.envelope_at(t))
+    rho, rho_dot = map(float, aux.envelope_fn(t))
     M = float(profile.mass(t))
     kap = profile.kappa
     return 0.5 * (2 * n + abs(ell) + 1) * math.sqrt(1.0 + (M * rho_dot * rho / kap) ** 2)
@@ -400,7 +404,7 @@ def build_operator_matrices(
     a_p_dag = a_p.conj().T.tocsr()
     a_m_dag = a_m.conj().T.tocsr()
 
-    rho, rho_dot = map(float, aux.envelope_at(t))
+    rho, rho_dot = map(float, aux.envelope_fn(t))
     M = float(profile.mass(t))
     kap = profile.kappa
     root_k = math.sqrt(kap)

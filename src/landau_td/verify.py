@@ -323,7 +323,7 @@ def lr_invariant_check(
     cross = x @ px + px @ x + y @ py + py @ y
 
     def invariant_at(tp: float):
-        rho, rho_dot = map(float, aux.envelope_at(tp))
+        rho, rho_dot = map(float, aux.envelope_fn(tp))
         mass = float(profile.mass(tp))
         a = kap * kap / rho**2 + (mass * rho_dot) ** 2
         return 0.5 * (a * q2 + rho**2 * p2 - mass * rho * rho_dot * cross)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
@@ -23,7 +23,7 @@ from landau_td.errors import (
     ZeroFrequencyParticular,
 )
 from landau_td.profiles import ParameterProfile, make_profile
-from reference import KIND_PARAMS, ep_rates, kind_profile, knot_restarted
+from reference import KIND_PARAMS, ep_rates, kind_profile, knot_restarted, max_residual
 
 
 def _const_profile(M=1.0, omega=1.0, q=0.0, B=0.0, kappa=1.0, E1=0.0, E2=0.0, t1=10.0):
@@ -58,7 +58,7 @@ class TestAuxiliaryNumeric:
         grid = np.linspace(0.0, 2 * math.pi, 400)
         sol = auxode.solve_ep_numeric(prof, rho0, rho_dot0, grid)
         assert np.max(np.abs(sol.rho - 1.0)) < 1e-11
-        assert sol.max_residual < 1e-10
+        assert max_residual(auxode.ep_residual_pointwise(sol, prof)) < 1e-10
 
     def test_default_initial_conditions_scaling(self):
         prof = _const_profile(M=2.0, omega=2.0, kappa=1.0)
@@ -122,7 +122,7 @@ class TestClosedForms:
         prof = _const_profile(omega=1.0, kappa=2.0)
         grid = np.linspace(0.0, 2 * math.pi, 400)
         closed = auxode.closed_form_solution(
-            "pinney_constant", {"omega": 1.0, "nu": 2.0}, grid, profile=prof
+            "pinney_constant", {"omega": 1.0, "nu": 2.0}, grid
         )
         numeric = auxode.solve_ep_numeric(prof, closed.rho[0], closed.rho_dot[0], grid)
         assert np.max(np.abs(closed.rho - numeric.rho) / closed.rho) < 1e-6
@@ -148,9 +148,9 @@ class TestClosedForms:
         sol = auxode.closed_form_solution(
             "bessel_exponential",
             {"tau": tau, "alpha": alpha, "A1": a1, "kappa": kappa},
-            grid, profile=prof,
+            grid,
         )
-        assert sol.max_residual < 1e-8
+        assert max_residual(auxode.ep_residual_pointwise(sol, prof)) < 1e-8
 
     def test_bessel_exponential_closed_vs_numeric(self):
         # generic A1 (strongly oscillating member of the family)
@@ -162,7 +162,7 @@ class TestClosedForms:
         sol = auxode.closed_form_solution(
             "bessel_exponential",
             {"tau": tau, "alpha": alpha, "A1": 1.0, "kappa": 1.0},
-            grid, profile=prof,
+            grid,
         )
         numeric = auxode.solve_ep_numeric(prof, sol.rho[0], sol.rho_dot[0], grid)
         assert np.max(np.abs(sol.rho - numeric.rho) / sol.rho) < 1e-7
@@ -201,8 +201,8 @@ class TestClosedForms:
             kappa=kap, t0=0.0, t1=2.1,
         )
         grid = np.linspace(0.0, 2.0, 400)
-        sol = auxode.closed_form_solution("yermakov_dissipative", params, grid, profile=prof)
-        assert sol.max_residual < 1e-7
+        sol = auxode.closed_form_solution("yermakov_dissipative", params, grid)
+        assert max_residual(auxode.ep_residual_pointwise(sol, prof)) < 1e-7
         numeric = auxode.solve_ep_numeric(prof, sol.rho[0], sol.rho_dot[0], grid)
         assert np.max(np.abs(sol.rho - numeric.rho) / sol.rho) < 1e-7
 
@@ -281,10 +281,10 @@ class TestPhase:
         t = np.linspace(0.0, t_end, 321)
         sol = auxode.closed_form_solution(kind, params, t)
         ref = _composite_gauss_theta(kind, params, mass, t)
-        assert np.max(np.abs(sol.theta_at(t) - ref)) < 1e-12 * max(1.0, ref[-1])
+        assert np.max(np.abs(sol.theta_fn(t) - ref)) < 1e-12 * max(1.0, ref[-1])
         # theta is taken from grid[0], whatever the times asked at
-        assert sol.theta_at(t[0]) == 0.0
-        np.testing.assert_array_equal(sol.theta_at(t[::37]), sol.theta_at(t)[::37])
+        assert sol.theta_fn(t[0]) == 0.0
+        np.testing.assert_array_equal(sol.theta_fn(t[::37]), sol.theta_fn(t)[::37])
 
     @pytest.mark.parametrize("kind, params, mass", _CLOSED_CASES)
     def test_closed_form_rho_dot_is_the_derivative(self, kind, params, mass):
@@ -305,13 +305,13 @@ class TestPhase:
             "pinney_constant", {"omega": 1.3, "nu": 2.0, "c2": 0.35}, grid
         )
         numeric = auxode.solve_ep_numeric(prof, closed.rho[0], closed.rho_dot[0], grid)
-        assert np.max(np.abs(numeric.theta_at(grid) - closed.theta_at(grid))) < 1e-9
+        assert np.max(np.abs(numeric.theta_fn(grid) - closed.theta_fn(grid))) < 1e-9
         # whole panels are summed once, so a time's theta does not depend on
         # the other times asked at
         t = np.array([0.0, 3.3, 7.77, 10.0])
-        np.testing.assert_array_equal(numeric.theta_at(t)[1:3], numeric.theta_at(t[1:3]))
+        np.testing.assert_array_equal(numeric.theta_fn(t)[1:3], numeric.theta_fn(t[1:3]))
         with pytest.raises(OutOfDomain):
-            numeric.theta_at(10.5)
+            numeric.theta_fn(10.5)
 
     def test_panel_rule_refuses_a_kink(self):
         f = lambda t: np.abs(t - 0.3)  # noqa: E731
@@ -319,17 +319,6 @@ class TestPhase:
             auxode.running_integral(f, [0.0, 1.0])
         F = auxode.running_integral(f, [0.0, 0.3, 1.0])
         assert F(1.0) == pytest.approx(0.045 + 0.245, rel=1e-14)
-
-    def test_solution_without_theta_fn_has_no_phase(self):
-        grid = np.linspace(0.0, 1.0, 5)
-        sol = auxode.AuxiliarySolution(
-            grid=grid, rho=np.ones(5), rho_dot=np.zeros(5), provenance="numeric",
-            max_residual=math.nan, kappa=1.0,
-            envelope_fn=lambda t: (np.ones_like(t), np.zeros_like(t)),
-        )
-        assert sol.rho_at(0.5) == 1.0
-        with pytest.raises(ValueError):
-            sol.theta_at(0.5)
 
 
 class TestEnvelope:
@@ -344,7 +333,7 @@ class TestEnvelope:
             auxode.stationary_solution(_const_profile(), grid),
         ]
         for aux in solutions:
-            rho, rho_dot = aux.envelope_at(aux.grid)
+            rho, rho_dot = aux.envelope_fn(aux.grid)
             np.testing.assert_array_equal(rho, aux.rho)
             np.testing.assert_array_equal(rho_dot, aux.rho_dot)
             np.testing.assert_array_equal(aux.rho_at(aux.grid), aux.rho)
@@ -452,7 +441,7 @@ class TestStackedDenseOutput:
         grid = np.linspace(0.0, 12.0, 41)
         aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
         np.testing.assert_array_equal(aux.panels, ends)
-        np.testing.assert_array_equal(np.stack(aux.envelope_at(ends)), evaluate(ends))
+        np.testing.assert_array_equal(np.stack(aux.envelope_fn(ends)), evaluate(ends))
         np.testing.assert_array_equal(aux.rho, evaluate(grid)[0])
 
 
@@ -526,12 +515,21 @@ class TestTabulatedFloatPath:
         y0 = auxode.default_initial_conditions(fast)
         a = auxode.solve_ep_numeric(fast, *y0, self.grid)
         b = auxode.solve_ep_numeric(slow, *y0, self.grid)
-        for x, y in ((a.rho, b.rho), (a.rho_dot, b.rho_dot), (a.max_residual, b.max_residual)):
+        for x, y in (
+            (a.rho, b.rho),
+            (a.rho_dot, b.rho_dot),
+            (auxode.ep_residual_pointwise(a, fast), auxode.ep_residual_pointwise(b, slow)),
+        ):
             np.testing.assert_array_equal(x, y)
-        np.testing.assert_array_equal(a.theta_at(self.grid), b.theta_at(self.grid))
+        np.testing.assert_array_equal(a.theta_fn(self.grid), b.theta_fn(self.grid))
         za = auxode.classical_trajectory(fast, 0.8 - 0.3j, 0.2 + 0.5j, self.grid)
         zb = auxode.classical_trajectory(slow, 0.8 - 0.3j, 0.2 + 0.5j, self.grid)
-        for x, y in ((za.z, zb.z), (za.z_dot, zb.z_dot), (za.max_residual, zb.max_residual)):
+        for x, y in (
+            (za.z, zb.z),
+            (za.z_dot, zb.z_dot),
+            (auxode.classical_residual_pointwise(za, fast),
+             auxode.classical_residual_pointwise(zb, slow)),
+        ):
             np.testing.assert_array_equal(x, y)
 
 
@@ -540,17 +538,17 @@ class TestResidual:
         prof = _const_profile()
         sol = auxode.stationary_solution(prof, np.linspace(0.0, 1.0, 3))
         with pytest.raises(GridTooShort):
-            auxode.ep_residual(sol, prof)
+            auxode.ep_residual_pointwise(sol, prof)
 
     def test_residual_detects_perturbation(self):
         prof = _const_profile(omega=1.0, kappa=2.0)
         grid = np.linspace(0.0, 2 * math.pi, 400)
         sol = auxode.closed_form_solution(
-            "pinney_constant", {"omega": 1.0, "nu": 2.0}, grid, profile=prof
+            "pinney_constant", {"omega": 1.0, "nu": 2.0}, grid
         )
-        base = sol.max_residual
+        base = max_residual(auxode.ep_residual_pointwise(sol, prof))
         sol.rho = sol.rho * (1.0 + 1e-4 * np.sin(5.0 * grid))
-        assert auxode.ep_residual(sol, prof) > 100.0 * max(base, 1e-9)
+        assert max_residual(auxode.ep_residual_pointwise(sol, prof)) > 100.0 * max(base, 1e-9)
 
     def test_pointwise_layout(self):
         prof = _const_profile()
@@ -575,8 +573,7 @@ class TestResidual:
         for res in (auxode.ep_residual_pointwise(aux, prof),
                     auxode.classical_residual_pointwise(traj, prof)):
             np.testing.assert_array_equal(np.isnan(res[2:-2]), crosses)
-        assert aux.max_residual <= 1e-6
-        assert traj.max_residual <= 1e-6
+            assert max_residual(res) <= 1e-6
 
     def test_no_stencil_left_gives_nan_without_warning(self):
         prof = kind_profile("tabulated")
@@ -585,7 +582,88 @@ class TestResidual:
             warnings.simplefilter("error")
             aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
             traj = auxode.classical_trajectory(prof, 1.0, 0.0, grid)
-        assert math.isnan(aux.max_residual) and math.isnan(traj.max_residual)
+            res_aux = auxode.ep_residual_pointwise(aux, prof)
+            res_traj = auxode.classical_residual_pointwise(traj, prof)
+            assert math.isnan(max_residual(res_aux)) and math.isnan(max_residual(res_traj))
+
+
+# grids in hundredths of the kind profiles' window [0, 12], strictly increasing
+def _ticks(min_size, max_size=12):
+    return st.lists(st.integers(0, 1200), min_size=min_size, max_size=max_size, unique=True).map(
+        sorted
+    )
+
+
+@st.composite
+def _malformed_grid(draw):
+    """(grid, the error it must raise), one draw per way a grid is malformed."""
+    grid = [k / 100 for k in draw(_ticks(3))]
+    how = draw(st.sampled_from(["nonfinite", "decreasing", "unsorted", "repeated", "1 point", "2-D"]))
+    if how == "nonfinite":
+        i = draw(st.integers(0, len(grid) - 1))
+        grid[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif how == "decreasing":
+        grid = grid[::-1]
+    elif how == "unsorted":
+        grid = draw(st.permutations(grid).filter(lambda g: g != sorted(g)))
+    elif how == "repeated":
+        i = draw(st.integers(0, len(grid) - 1))
+        grid.insert(i, grid[i])
+    elif how == "1 point":
+        return np.array(grid[:1]), GridTooShort
+    else:
+        return np.array(grid)[:, None], GridTooShort
+    return np.array(grid), ValueError
+
+
+def _solve_both(prof, grid):
+    aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
+    traj = auxode.classical_trajectory(prof, 0.8 - 0.3j, 0.2 + 0.5j, grid)
+    return aux, traj
+
+
+class TestGridContract:
+    """One grid rule for both equations of motion, and one stencil rule for
+    both residuals, on every profile kind."""
+
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    @settings(max_examples=30, deadline=None)
+    @given(case=_malformed_grid())
+    @example(case=(np.linspace(6.0, 0.0, 61), ValueError))
+    @example(case=(np.array([0.0, math.nan, 2.0, 3.0, 4.0]), ValueError))
+    @example(case=(np.array([0.5]), GridTooShort))
+    def test_malformed_grid_is_an_input_error(self, kind, case):
+        grid, error = case
+        prof = kind_profile(kind)
+        with pytest.raises(error):
+            auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
+        with pytest.raises(error):
+            auxode.classical_trajectory(prof, 0.8 - 0.3j, 0.2 + 0.5j, grid)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    @settings(max_examples=8, deadline=None)
+    @given(ticks=_ticks(2))
+    def test_the_start_is_the_state_at_the_first_time(self, kind, ticks):
+        prof = kind_profile(kind)
+        aux, traj = _solve_both(prof, np.array(ticks) / 100)
+        assert (aux.rho[0], aux.rho_dot[0]) == auxode.default_initial_conditions(prof)
+        # the stepper starts from the given state; the constant kind's closed
+        # form rounds it
+        assert traj.z[0] == pytest.approx(0.8 - 0.3j, rel=1e-15, abs=0)
+        assert traj.z_dot[0] == pytest.approx(0.2 + 0.5j, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    @settings(max_examples=8, deadline=None)
+    @given(ticks=st.one_of(_ticks(2, 4), _ticks(5).filter(lambda k: len(set(np.diff(k))) > 1)))
+    @example(ticks=sorted(set(range(0, 1201, 100)) | set(range(31, 1201, 100))))
+    def test_residual_stencil_needs_five_uniform_samples(self, kind, ticks):
+        prof = kind_profile(kind)
+        aux, traj = _solve_both(prof, np.array(ticks) / 100)
+        error = GridTooShort if len(ticks) < 5 else ValueError
+        with pytest.raises(error):
+            auxode.ep_residual_pointwise(aux, prof)
+        with pytest.raises(error):
+            auxode.classical_residual_pointwise(traj, prof)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +678,7 @@ class TestClassical:
         grid = np.linspace(0.0, math.pi, 201)
         traj = auxode.classical_trajectory(prof, 1.0, -1.0j, grid)
         assert traj.z[-1] == pytest.approx(-1.0, abs=1e-12)
-        assert traj.max_residual < 1e-8
+        assert max_residual(auxode.classical_residual_pointwise(traj, prof)) < 1e-8
 
     def test_static_drive_fixed_point(self):
         # z_p = E0/omega^2 = 1 and matching initial data freeze the motion
@@ -636,7 +714,7 @@ class TestClassical:
         traj = auxode.classical_trajectory(prof, 1.0 + 0.5j, -0.3j, grid)
         # the bound is the stencil truncation floor (h^4/90) |z^(6)|, not
         # integrator accuracy; the modulated drive pumps high harmonics
-        assert traj.max_residual < 1e-6
+        assert max_residual(auxode.classical_residual_pointwise(traj, prof)) < 1e-6
 
     def test_zero_frequency_particular_guard(self):
         prof = _degenerate_zero_omega_profile()

@@ -60,7 +60,7 @@ def _moving_setup(q=1.0, B=0.6, kappa=2.0):
     )
     grid = np.linspace(0.0, 2 * math.pi, 200)
     aux = closed_form_solution(
-        "pinney_constant", {"omega": 1.0, "nu": 2.0}, grid, profile=prof
+        "pinney_constant", {"omega": 1.0, "nu": 2.0}, grid
     )
     return prof, aux
 
@@ -684,7 +684,7 @@ class TestSingleModeWavefunction:
         )
         grid = np.linspace(0.0, 6.0, 301)
         aux = closed_form_solution(
-            "pinney_constant", {"omega": 1.1, "nu": 2.0, "c2": 0.35}, grid, profile=prof
+            "pinney_constant", {"omega": 1.1, "nu": 2.0, "c2": 0.35}, grid
         )
         return prof, aux
 
@@ -724,7 +724,7 @@ class TestSingleModeWavefunction:
     @staticmethod
     def _mp_reference(family, ell, param, prof, aux, t, u, theta):
         """The closed forms in 50-digit mpmath."""
-        rho, rho_dot = map(float, aux.envelope_at(t))
+        rho, rho_dot = map(float, aux.envelope_fn(t))
         M, kap = float(prof.mass(t)), prof.kappa
         with mp.workdps(50):
             beta = 1 - 1j * mp.mpf(M) * rho * rho_dot / kap

@@ -49,7 +49,7 @@ def _moving_setup():
     prof = make_profile("constant", {"M": 1.0, "omega": 1.0}, kappa=2.0, t0=0.0, t1=10.0)
     grid = np.linspace(0.0, 2 * math.pi, 200)
     aux = auxode.closed_form_solution(
-        "pinney_constant", {"omega": 1.0, "nu": 2.0}, grid, profile=prof
+        "pinney_constant", {"omega": 1.0, "nu": 2.0}, grid
     )
     return prof, aux
 
@@ -253,12 +253,18 @@ class TestWavefunctions:
         want = float(laguerre_function_mp(0, 170, 1.0)) / math.sqrt(math.pi)
         assert got[0] == pytest.approx(want, rel=1e-12) and got[1] == 0.0
         # where r^2 leaves the double range, a moving envelope's chirp has no
-        # phase: no sample
+        # phase, but the Laguerre factor and so the sample are 0 in doubles
         prof, aux = _moving_setup()
-        with pytest.raises(OutOfRange, match=r"r <= 1e\+160"):
-            spectrum.wavefunction_polar(
-                HelicityQuanta(1, 0), prof, aux, 0.9, np.array([1.0, 1e160]), 0.0
-            )
+        q = HelicityQuanta(1, 0)
+        got = spectrum.wavefunction_polar(q, prof, aux, 0.9, np.array([1.0, 1e160]), 0.0)
+        assert np.isfinite(got[0]) and got[0] != 0.0 and got[1] == 0.0
+        # a chirp phase of 4.5e308 overflows where the factor is still 1.7e-194:
+        # that sample has no phase and is refused
+        prof, aux = _static_setup()
+        fast = dataclasses.replace(aux, envelope_fn=lambda t: (1.0, 1e306))
+        assert spectrum.laguerre(0, 1.0, 900.0) > 1e-195
+        with pytest.raises(OutOfRange, match=r"r <= 30"):
+            spectrum.wavefunction_polar(q, prof, fast, 0.0, np.array([1.0, 30.0]), 0.0)
 
     def test_cartesian_origin_and_parity(self):
         prof, aux = _static_setup()

@@ -68,13 +68,13 @@ def flat_aux():
         grid=grid,
         rho=ones,
         rho_dot=np.zeros_like(grid),
-        provenance="numeric",
-        max_residual=math.nan,
         kappa=1.0,
         envelope_fn=lambda t: (
             np.ones_like(np.asarray(t, dtype=float)),
             np.zeros_like(np.asarray(t, dtype=float)),
         ),
+        # kappa/(M rho^2) at M = 1
+        theta_fn=lambda t: np.asarray(t, dtype=float) - grid[0],
     )
 
 
@@ -248,7 +248,6 @@ class TestSchrodingerResidual:
             "pinney_constant",
             {"omega": big_omega, "nu": 2.0, "c2": 0.35, "kappa": 2.0},
             np.linspace(0.0, 10.0, 401),
-            profile=prof,
         )
         rep = verify.schrodinger_residual_check(
             HelicityQuanta(1, 0),
