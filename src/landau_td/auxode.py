@@ -69,7 +69,7 @@ from .errors import (
     ZeroFrequency,
     ZeroFrequencyParticular,
 )
-from .profiles import ParameterProfile
+from .profiles import ParameterProfile, check_window
 from .specfun import bessel
 
 __all__ = [
@@ -130,16 +130,14 @@ def running_integral(f: Callable, edges) -> Callable:
     partial, is integrated at two Gauss-Legendre orders, and
     IntegralNonConvergent is raised where they disagree.  So F(t) does not
     depend on which other times it is asked at.  Times outside
-    [edges[0], edges[-1]] raise OutOfDomain.
+    [edges[0], edges[-1]] raise OutOfDomain (``check_window``).
     """
     edges = np.asarray(edges, dtype=float)
     cumulative = np.concatenate(([0.0], np.cumsum(_panel_integrals(f, edges[:-1], edges[1:]))))
-    tol = 1e-12 * max(1.0, abs(edges[0]), abs(edges[-1]))
 
     def F(t):
+        check_window(t, edges[0], edges[-1], "the panels")
         t = np.asarray(t, dtype=float)
-        if not np.all((t >= edges[0] - tol) & (t <= edges[-1] + tol)):
-            raise OutOfDomain(f"t={t!r} outside the panels [{edges[0]}, {edges[-1]}]")
         flat = t.ravel()
         k = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, edges.size - 2)
         return (cumulative[k] + _panel_integrals(f, edges[k], flat)).reshape(t.shape)
@@ -167,6 +165,10 @@ class AuxiliarySolution:
     Gauss quadrature along the solution.  ``kappa`` is carried along because
     the invariant eigensystem is built from (rho, rho_dot, kappa) alone.
     ``ep_residual_pointwise`` gives the equation's residual on the samples.
+
+    Construction binds ``envelope_fn`` and ``theta_fn`` to the span solved,
+    [grid[0], grid[-1]]: they, ``rho_at`` and every reader raise OutOfDomain
+    at any other time, NaN and infinite times included (``check_window``).
     """
 
     grid: np.ndarray
@@ -184,6 +186,14 @@ class AuxiliarySolution:
         if np.any(self.rho <= 0.0):
             raise BlowUp("auxiliary solution must keep rho > 0 on the grid")
         self.panels = np.asarray(self.grid if self.panels is None else self.panels, dtype=float)
+        envelope, theta = self.envelope_fn, self.theta_fn
+        self.envelope_fn = lambda t: envelope(self._on_span(t))
+        self.theta_fn = lambda t: theta(self._on_span(t))
+
+    def _on_span(self, t):
+        """t, unless it lies outside [grid[0], grid[-1]] (OutOfDomain)."""
+        check_window(t, self.grid[0], self.grid[-1], "solution grid")
+        return t
 
     def rho_at(self, t):
         return self.envelope_fn(t)[0]
@@ -198,20 +208,20 @@ class ClassicalTrajectory:
     z_dot: np.ndarray
 
 
-def _check_grid(grid, profile: ParameterProfile) -> np.ndarray:
-    """The grid as a float array, checked for both equations of motion.
+def _check_grid(grid, profile: Optional[ParameterProfile]) -> np.ndarray:
+    """The grid as a float array, checked for every solution and trajectory.
 
     GridTooShort unless it is 1-D with at least 2 points; ValueError unless
     it is finite and strictly increasing (so grid[0] is where the initial
-    state sits); OutOfDomain unless both ends lie in the profile's window.
+    state sits); OutOfDomain unless both ends lie in the profile's window (if given).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise GridTooShort("need a 1-D grid of at least 2 points")
     if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
         raise ValueError("grid must be finite and strictly increasing")
-    profile.check_time(grid[0])
-    profile.check_time(grid[-1])
+    if profile is not None:
+        profile.check_time(grid[[0, -1]])
     return grid
 
 
@@ -502,8 +512,8 @@ def ep_closed_form(kind: str, params: Mapping, t):
 
 
 def closed_form_solution(kind: str, params: Mapping, grid) -> AuxiliarySolution:
-    """Package a closed-form family as an AuxiliarySolution on a grid."""
-    grid = np.asarray(grid, dtype=float)
+    """Package a closed-form family as an AuxiliarySolution on a checked grid."""
+    grid = _check_grid(grid, None)
     rho, rho_dot, theta = _closed_form(kind, params, grid)
     if kind == "pinney_constant":
         tau = float(params.get("tau", 1.0))
@@ -521,8 +531,8 @@ def closed_form_solution(kind: str, params: Mapping, grid) -> AuxiliarySolution:
 
 
 def stationary_solution(profile: ParameterProfile, grid) -> AuxiliarySolution:
-    """Constant rho = sqrt(kappa/(M Omega)) for a static profile."""
-    grid = np.asarray(grid, dtype=float)
+    """Constant rho = sqrt(kappa/(M Omega)) for a static profile, on a checked grid."""
+    grid = _check_grid(grid, profile)
     rho0, _ = default_initial_conditions(profile)
     rate = profile.kappa / (float(profile.mass(profile.t0)) * rho0 * rho0)
 

@@ -333,48 +333,30 @@ def coherent_cmd(
     """Construct a coherent state and emit its JSON document."""
     from . import coherent as coh
 
-    if family == "canonical":
-        state = coh.canonical_state(
-            _parse_complex(_need(z_plus, "--z-plus"), "--z-plus"),
-            _parse_complex(_need(z_minus, "--z-minus"), "--z-minus"),
-            cutoff,
-        )
-    elif family == "pa_canonical":
-        state = coh.photon_added_state(
-            _parse_complex(_need(z_plus, "--z-plus"), "--z-plus"),
-            _parse_complex(_need(z_minus, "--z-minus"), "--z-minus"),
-            m_plus,
-            m_minus,
+    def label(value, flag: str) -> complex:
+        return _parse_complex(_need(value, flag), flag)
+
+    # options are read in argument order: the first missing one is named
+    builders = {
+        "canonical": lambda: coh.canonical_state(
+            label(z_plus, "--z-plus"), label(z_minus, "--z-minus"), cutoff
+        ),
+        "pa_canonical": lambda: coh.photon_added_state(
+            label(z_plus, "--z-plus"), label(z_minus, "--z-minus"), m_plus, m_minus,
             cutoff if cutoff is not None else 40,
-        )
-    elif family == "su2":
-        state = coh.su2_state(
-            _need(j, "--j"), _parse_complex(_need(zeta, "--zeta"), "--zeta"), cutoff
-        )
-    elif family == "su2_pa":
-        state = coh.su2_pa_state(
-            _need(j, "--j"), _parse_complex(_need(zeta, "--zeta"), "--zeta"), p, cutoff
-        )
-    elif family == "bg":
-        state = coh.su11_bg_state(
-            ("two_mode", _need(k, "--k")),
-            _parse_complex(_need(z, "--z"), "--z"),
-            cutoff,
-        )
-    elif family == "perelomov":
-        state = coh.su11_perelomov_state(
-            ("two_mode", _need(k, "--k")),
-            _parse_complex(_need(eta, "--eta"), "--eta"),
-            cutoff,
-        )
-    elif family == "pa_bg":
-        state = coh.su11_pa_bg_state(
-            _need(k, "--k"), _parse_complex(_need(z, "--z"), "--z"), n_add, cutoff
-        )
-    else:
-        state = coh.su11_pa_perelomov_state(
-            _need(k, "--k"), _parse_complex(_need(eta, "--eta"), "--eta"), l_add, cutoff
-        )
+        ),
+        "su2": lambda: coh.su2_state(_need(j, "--j"), label(zeta, "--zeta"), cutoff),
+        "su2_pa": lambda: coh.su2_pa_state(_need(j, "--j"), label(zeta, "--zeta"), p, cutoff),
+        "bg": lambda: coh.su11_bg_state(("two_mode", _need(k, "--k")), label(z, "--z"), cutoff),
+        "perelomov": lambda: coh.su11_perelomov_state(
+            ("two_mode", _need(k, "--k")), label(eta, "--eta"), cutoff
+        ),
+        "pa_bg": lambda: coh.su11_pa_bg_state(_need(k, "--k"), label(z, "--z"), n_add, cutoff),
+        "pa_perelomov": lambda: coh.su11_pa_perelomov_state(
+            _need(k, "--k"), label(eta, "--eta"), l_add, cutoff
+        ),
+    }
+    state = builders[family]()
     _emit(coh.state_to_json(state) + "\n", out)
 
 

@@ -55,6 +55,7 @@ from .errors import (
 
 __all__ = [
     "ParameterProfile",
+    "check_window",
     "make_profile",
     "profile_to_json",
     "profile_from_json",
@@ -70,6 +71,15 @@ PROFILE_KINDS = (
 
 # Number of samples used to certify positivity of M and omega on [t0, t1].
 _POSITIVITY_SAMPLES = 2001
+
+
+def check_window(t, lo: float, hi: float, what: str) -> None:
+    """Raise OutOfDomain unless every t (scalar or array) lies in [lo, hi],
+    up to 1e-12 max(1, |lo|, |hi|).  NaN and infinite times are outside."""
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    times = np.asarray(t, dtype=float)
+    if not np.all((times >= lo - tol) & (times <= hi + tol)):
+        raise OutOfDomain(f"t={t!r} outside {what} [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -114,22 +124,8 @@ class ParameterProfile:
         return t[(t > self.t0) & (t < self.t1)]
 
     def check_time(self, t) -> None:
-        """Raise OutOfDomain unless t (scalar or array) lies in [t0, t1].
-
-        NaN and infinite times are outside.  A scalar is checked with plain
-        float comparisons: this runs in every ODE right-hand side.
-        """
-        tol = 1e-12 * max(1.0, abs(self.t0), abs(self.t1))
-        lo, hi = self.t0 - tol, self.t1 + tol
-        if isinstance(t, (float, int)):
-            inside = lo <= t <= hi
-        else:
-            t = np.asarray(t, dtype=float)
-            inside = bool(np.all((t >= lo) & (t <= hi)))
-        if not inside:
-            raise OutOfDomain(
-                f"t={t!r} outside profile window [{self.t0}, {self.t1}]"
-            )
+        """Raise OutOfDomain unless t (scalar or array) lies in [t0, t1]."""
+        check_window(t, self.t0, self.t1, "profile window")
 
     def omega_c(self, t):
         """Cyclotron frequency q B / M(t)."""
@@ -159,12 +155,13 @@ def _require(params: Mapping[str, object], *names: str) -> list:
     return out
 
 
-def _has_bool(value) -> bool:
-    """Whether value is a bool or a list or tuple holding one: JSON true
-    and false are not numbers, though numpy reads them as 1 and 0."""
+def _not_a_number(value) -> bool:
+    """Whether value is a bool or a string, or a list or tuple holding one:
+    JSON true, false and "1" are not numbers, though numpy reads them so."""
     if isinstance(value, (list, tuple)):
-        return any(map(_has_bool, value))
-    return isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == np.bool_
+        return any(map(_not_a_number, value))
+    dtype = getattr(value, "dtype", None)
+    return isinstance(value, (bool, str)) or (dtype is not None and dtype.kind in "bUS")
 
 
 def _real(value, name: str, ndim: int = 0):
@@ -174,7 +171,7 @@ def _real(value, name: str, ndim: int = 0):
         out = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         out = np.array(np.nan)
-    if out.ndim != ndim or not np.all(np.isfinite(out)) or _has_bool(value):
+    if out.ndim != ndim or not np.all(np.isfinite(out)) or _not_a_number(value):
         what = "a 1-D table of finite real numbers" if ndim else "a finite real number"
         raise MissingParameter(f"profile entry {name!r} must be {what}, got {value!r}")
     return out if ndim else float(out)
@@ -310,7 +307,9 @@ def make_profile(
     UnsupportedKind
         Unknown ``kind`` tag.
     MissingParameter
-        A parameter the kind needs is absent, or an entry is not finite.
+        A parameter the kind needs is absent, an entry is not a finite
+        number, or E1^2 + E2^2 or the drive energy q^2 |E|^2 / (2 M omega)
+        leaves the double range on [t0, t1].
     NonPositiveMassOrFrequency
         M or omega fails strict positivity anywhere on [t0, t1]
         (certified on a dense sample).
@@ -425,6 +424,20 @@ def make_profile(
         raise NonPositiveMassOrFrequency(
             "Omega(t) = sqrt(omega^2 + (q B / M)^2 / 4) must be finite and > 0 on the "
             "window: 'omega' or q B / M is too large or too small to square"
+        )
+    # |E|^2 and the drive energy, formed as spectrum forms them, on the sample
+    # and at a field table's own samples (a non-finite |E|^2 spoils both)
+    if t_tab is not None:
+        sample = np.concatenate((sample, t_tab[(t_tab >= t0) & (t_tab <= t1)]))
+    with np.errstate(all="ignore"):
+        e_sq = profile.efield_sq(sample)
+        drive = np.float64(q) ** 2 * e_sq / (2.0 * mass(sample) * omega_fn(sample))
+    if not np.all(np.isfinite(drive)):
+        e1_max, e2_max = np.max(np.abs(e1(sample))), np.max(np.abs(e2(sample)))
+        name = "q" if np.all(np.isfinite(e_sq)) else "E1" if e1_max >= e2_max else "E2"
+        raise MissingParameter(
+            f"profile entry {name!r} is too large: |E|^2 = E1^2 + E2^2 or the drive energy "
+            "q^2 |E|^2 / (2 M omega) leaves the double range on the window"
         )
     return profile
 

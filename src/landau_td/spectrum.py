@@ -173,7 +173,6 @@ def hamiltonian_expectation(
     q: HelicityQuanta, profile: ParameterProfile, aux: AuxiliarySolution, t
 ):
     """<H(t)> on the invariant eigenstate labelled by q; t scalar or array."""
-    profile.check_time(t)
     return _energy(q, profile, t, *aux.envelope_fn(t))
 
 
@@ -224,7 +223,6 @@ def phase_gamma(
     the Schroedinger-residual check adjudicates between the two.
     """
     grid = np.asarray(grid, dtype=float)
-    profile.check_time(grid)
     ell_z = lz_eigenvalue(q)
     n_sum = q.total + 1
 
@@ -394,7 +392,6 @@ def build_operator_matrices(
 
     if cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
-    profile.check_time(t)
     side = cutoff + 1
     dim = side * side
     eye = sparse.identity(side, format="csr", dtype=complex)

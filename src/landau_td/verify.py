@@ -150,7 +150,6 @@ def orthonormality_check(
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    profile.check_time(t)
 
     states = [
         HelicityQuanta(np_, nm_)
@@ -201,7 +200,7 @@ def schrodinger_residual_check(
     """Residual max |i d(psi)/dt - H psi| / max |psi| at sample points.
 
     ``sample_points`` is a sequence of (t, r, theta) triples strictly inside
-    the domain (r > 0, t away from the window ends by the time step).  The
+    the domain (r > 0, t away from the solution grid's ends by the time step).  The
     residual is evaluated under three phase conventions: the integrated
     phase (authoritative), the halved-first-term closed form (comparison),
     and gamma = 0 (control).  ``max_residual`` reports the integrated one;
@@ -222,8 +221,6 @@ def schrodinger_residual_check(
         if r <= 0.0:
             raise ValueError("sample radius must be positive")
         h_t = _time_step(profile, t)
-        profile.check_time(t - h_t)
-        profile.check_time(t + h_t)
 
         rho = float(aux.rho_at(t))
         M = float(profile.mass(t))
@@ -311,8 +308,6 @@ def lr_invariant_check(
     if cutoff < 10:
         raise CutoffTooSmall(f"cutoff must be >= 10, got {cutoff}")
     h = _time_step(profile, t)
-    profile.check_time(t - h)
-    profile.check_time(t + h)
 
     mats = build_operator_matrices(profile, aux, t, cutoff)
     x, y, px, py, ham, inv, lz = (mats[k] for k in ("x", "y", "px", "py", "H", "I", "Lz"))

@@ -1,6 +1,7 @@
 """Tests for the auxiliary equation and the classical trajectory."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -664,6 +665,121 @@ class TestGridContract:
             auxode.ep_residual_pointwise(aux, prof)
         with pytest.raises(error):
             auxode.classical_residual_pointwise(traj, prof)
+
+
+# the three closed forms, each valid on [0, 2]
+_SPAN_CLOSED = {
+    "pinney_constant": {"omega": 1.3, "nu": 2.0, "kappa": 2.0, "c2": 0.35},
+    "bessel_exponential": {"tau": 1.0, "alpha": 0.3, "A1": 1.0, "kappa": 1.0},
+    "yermakov_dissipative": {"alpha": 1.0, "kappa": 1.3, "d1": 0.7, "e1": 1.0, "e2": 0.5},
+}
+SPAN_LABELS = sorted(KIND_PARAMS) + sorted(_SPAN_CLOSED) + ["stationary"]
+
+
+def span_solution(label, grid):
+    """The solution called ``label`` on ``grid``: the numeric route on a
+    profile kind (window [0, 12]), a closed form, or the stationary solution
+    of a constant profile on [0, 12]."""
+    if label in KIND_PARAMS:
+        prof = kind_profile(label)
+        return auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
+    if label in _SPAN_CLOSED:
+        return auxode.closed_form_solution(label, _SPAN_CLOSED[label], grid)
+    return auxode.stationary_solution(_const_profile(t1=12.0), grid)
+
+
+def _sub_span_grid(label):
+    """A grid well inside its model's window: [1.5, 4.5], or [0.2, 1.8] for
+    the closed forms."""
+    return np.linspace(0.2, 1.8, 17) if label in _SPAN_CLOSED else np.linspace(1.5, 4.5, 31)
+
+
+@functools.lru_cache(maxsize=None)
+def sub_span_solution(label):
+    return span_solution(label, _sub_span_grid(label))
+
+
+def _theta_reference(label, sol, t):
+    """theta at t inside the span, formed as the builder forms it."""
+    lo = sol.grid[0]
+    if label in KIND_PARAMS:
+        prof = kind_profile(label)
+        kappa, mass, envelope = prof.kappa, prof.mass, sol.envelope_fn
+        return auxode.running_integral(
+            lambda s: kappa / (mass(s) * envelope(s)[0] ** 2), sol.panels
+        )(t)
+    if label in _SPAN_CLOSED:
+        theta = auxode._closed_form(label, _SPAN_CLOSED[label], np.array([lo, t]))[2]
+        return theta[1] - theta[0]
+    prof = _const_profile(t1=12.0)
+    rho0 = auxode.default_initial_conditions(prof)[0]
+    return prof.kappa / (float(prof.mass(prof.t0)) * rho0 * rho0) * (t - lo)
+
+
+class TestSpanContract:
+    """A solution answers only on the span it was solved on, whichever
+    builder made it, and every builder applies the one grid rule."""
+
+    @pytest.mark.parametrize("label", SPAN_LABELS)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        past=st.one_of(
+            st.floats(1e-9, 1e300).flatmap(lambda d: st.sampled_from([-d, d])),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+        ),
+        as_array=st.booleans(),
+    )
+    @example(past=math.nan, as_array=False)
+    @example(past=1e-9, as_array=False)
+    def test_times_off_the_span_are_refused(self, label, past, as_array):
+        sol = sub_span_solution(label)
+        lo, hi = sol.grid[0], sol.grid[-1]
+        t = (hi if past >= 0 else lo) + past if math.isfinite(past) else past
+        # one bad time among good ones spoils the array
+        times = np.array([lo, t, hi]) if as_array else t
+        for read in (sol.envelope_fn, sol.theta_fn, sol.rho_at):
+            with pytest.raises(OutOfDomain, match="outside solution grid"):
+                read(times)
+
+    @pytest.mark.parametrize("label", SPAN_LABELS)
+    @settings(max_examples=6, deadline=None)
+    @given(u=st.floats(0.0, 1.0), edge=st.sampled_from([0.0, -0.5, 0.5]))
+    def test_times_on_the_span_keep_their_values(self, label, u, edge):
+        sol = sub_span_solution(label)
+        lo, hi = sol.grid[0], sol.grid[-1]
+        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+        t = float(min(max(lo + u * (hi - lo), lo), hi))
+        # the samples of a solution on a grid through t are the builder's
+        # own evaluator at t, bit for bit
+        other = span_solution(label, np.union1d(sol.grid, [t]))
+        k = int(np.searchsorted(other.grid, t))
+        assert tuple(map(float, sol.envelope_fn(t))) == (other.rho[k], other.rho_dot[k])
+        assert float(sol.rho_at(t)) == other.rho[k]
+        assert float(sol.theta_fn(t)) == float(_theta_reference(label, sol, t))
+        # within the window rule's tolerance of an end is still on the span
+        for end in (lo - edge * tol, hi + edge * tol):
+            sol.envelope_fn(end)
+            sol.theta_fn(np.array([end]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_malformed_grid())
+    @example(case=(np.array([0.0, math.nan, 2.0]), ValueError))
+    @example(case=(np.array([0.0, math.nan, 20.0]), ValueError))
+    @example(case=(np.linspace(2.0, 0.0, 5), ValueError))
+    @example(case=(np.array([1.0]), GridTooShort))
+    def test_every_builder_applies_the_grid_rule(self, case):
+        grid, error = case
+        with pytest.raises(error):
+            auxode.closed_form_solution("pinney_constant", {"omega": 1.0, "nu": 2.0}, grid)
+        with pytest.raises(error):
+            auxode.stationary_solution(_const_profile(t1=12.0), grid)
+
+    def test_stationary_grid_must_lie_in_the_window(self):
+        prof = _const_profile(t1=12.0)
+        with pytest.raises(OutOfDomain, match="outside profile window"):
+            auxode.stationary_solution(prof, [0.0, 1.0, 20.0])
+        with pytest.raises(OutOfDomain, match="outside profile window"):
+            auxode.stationary_solution(prof, [-1.0, 1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

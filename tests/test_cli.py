@@ -157,6 +157,29 @@ def _tabulated(**tables):
     return {"kind": "tabulated", "params": {**_TABLES, **tables}, "t1": 3.0}
 
 
+# valid scalar entries of each analytic kind, and of the window
+_KIND_SCALARS = {
+    "constant": {"M": 1.0, "omega": 1.0, "E1": 0.1, "E2": 0.1},
+    "exponential-mass": {"M0": 1.0, "alpha": 0.1, "omega": 1.0},
+    "exponential-frequency": {"M": 1.0, "tau": 1.0, "alpha": 0.1},
+    "sinusoidal": {"M": 1.0, "omega0": 1.0, "depth": 0.3, "rate": 0.7},
+}
+_WINDOW = {"q": 0.5, "B": 0.5, "kappa": 1.0, "t0": 0.0, "t1": 5.0}
+
+
+def _string_entries():
+    """Every scalar entry, and a table sample, given as a JSON string of a
+    valid number: numpy reads "1" as 1, JSON does not."""
+    for kind, params in _KIND_SCALARS.items():
+        for name, value in params.items():
+            doc = {"kind": kind, "params": {**params, name: str(value)}, **_WINDOW}
+            yield pytest.param(doc, name, id=f"{kind}-{name}-string")
+    for name, value in _WINDOW.items():
+        doc = {"kind": "constant", "params": _KIND_SCALARS["constant"], **_WINDOW, name: str(value)}
+        yield pytest.param(doc, name, id=f"{name}-string")
+    yield pytest.param(_tabulated(M=[1.0, "1.0", 1.0, 1.0]), "M", id="tabulated-M-string")
+
+
 @pytest.mark.parametrize(
     "doc, entry",
     [
@@ -195,6 +218,8 @@ def _tabulated(**tables):
         ),
         pytest.param({**_BASE_PROFILE, "kappa": False}, "kappa", id="kappa-false"),
         pytest.param(_tabulated(M=[1.0, True, 1.0, 1.0]), "M", id="tabulated-M-true"),
+        # JSON strings are not numbers either
+        *_string_entries(),
         # the secants of a finite table overflow
         pytest.param(_tabulated(E1=[1e308, -1e308, 0.0, 0.0]), "E1", id="tabulated-E1-overflow"),
         # Omega = sqrt(omega^2 + ...) overflows although omega is finite
@@ -211,6 +236,21 @@ def _tabulated(**tables):
         # and omega^2 underflows to 0 although omega > 0
         pytest.param(
             {**_BASE_PROFILE, "params": {"M": 1.0, "omega": 1e-200}}, "omega", id="Omega-underflow"
+        ),
+        # |E|^2 or the drive energy q^2 |E|^2 / (2 M omega) overflows
+        pytest.param(
+            {**_BASE_PROFILE, "params": {"M": 1.0, "omega": 1.0, "E1": 1e200}}, "E1", id="E1-squared"
+        ),
+        pytest.param(
+            {**_BASE_PROFILE, "params": {"M": 1.0, "omega": 1.0, "E1": 1.0, "E2": -1e160}},
+            "E2",
+            id="E2-squared",
+        ),
+        pytest.param(_tabulated(E1=[0.0, 1e200, 0.0, 0.0]), "E1", id="tabulated-E1-squared"),
+        pytest.param(
+            {**_BASE_PROFILE, "params": {"M": 1.0, "omega": 1.0, "E1": 1e100}, "q": 1e110},
+            "q",
+            id="drive-energy-overflow",
         ),
         # kappa^2 overflows in the envelope equation
         pytest.param({**_BASE_PROFILE, "kappa": 1e160}, "kappa", id="kappa-squared-overflow"),
@@ -230,6 +270,25 @@ def test_malformed_profile_is_an_input_error(capsys, tmp_path, doc, entry):
     # one error line naming the entry, and nothing else: no traceback, no warning
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert f"'{entry}'" in err
+
+
+@pytest.mark.parametrize("verb", ["aux", "classical", "spectrum", "verify"])
+def test_overflowing_field_is_an_input_error_without_warnings(tmp_path, verb):
+    # a cold process, so numpy's warnings reach stderr as a user sees them
+    import landau_td
+
+    doc = {**_BASE_PROFILE, "params": {"M": 1.0, "omega": 1.0, "E1": 1e200}, "q": 1.0}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(landau_td.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "landau_td.cli", verb, "--profile", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "Warning" not in done.stderr
+    assert done.stderr.startswith("error: profile entry 'E1'")
 
 
 @pytest.mark.parametrize("verb", ["aux", "spectrum", "verify"])

@@ -124,8 +124,8 @@ def test_non_finite_entry_rejected(bad):
 
 @given(t=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-5, 5)))
 def test_scalar_and_array_time_checks_agree(t):
-    # the scalar path uses float comparisons, the array path numpy's; the
-    # window edges carry the same 1e-12 tolerance in both
+    # a scalar and an array go through the one window rule, with the same
+    # 1e-12 tolerance at the edges
     prof = make_profile("constant", {"M": 1.0, "omega": 1.0}, t0=-1.0, t1=2.5)
 
     def rejects(value) -> bool:

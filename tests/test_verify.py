@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from landau_td import verify
+from landau_td import spectrum, verify
 from landau_td.auxode import (
     AuxiliarySolution,
     closed_form_solution,
@@ -17,7 +17,7 @@ from landau_td.auxode import (
     solve_ep_numeric,
     stationary_solution,
 )
-from landau_td.coherent import WeightSpec, weight_spec
+from landau_td.coherent import WeightSpec, single_mode_wavefunction, weight_spec
 from landau_td.errors import (
     CutoffTooSmall,
     IntegralNonConvergent,
@@ -26,7 +26,7 @@ from landau_td.errors import (
 )
 from landau_td.profiles import make_profile
 from landau_td.spectrum import HelicityQuanta, basis_index, build_operator_matrices
-from reference import KIND_PARAMS
+from reference import KIND_PARAMS, kind_profile
 
 
 @pytest.fixture(scope="module")
@@ -490,3 +490,57 @@ class TestSuite:
         prof, aux = static_pair
         with pytest.raises(ValueError):
             verify.standard_suite(prof, aux, checks=["algebra", "spectral_gap"])
+
+
+# every reader of an auxiliary solution, called at time t
+_READERS = {
+    "hamiltonian_expectation": lambda p, a, t: spectrum.hamiltonian_expectation(
+        HelicityQuanta(0, 0), p, a, t
+    ),
+    "wavefunction_polar": lambda p, a, t: spectrum.wavefunction_polar(
+        HelicityQuanta(1, 0), p, a, t, 0.8, 0.3
+    ),
+    "wavefunction_cartesian": lambda p, a, t: spectrum.wavefunction_cartesian(
+        1, 0, p, a, t, 0.5, 0.2
+    ),
+    "uncertainty_product": lambda p, a, t: spectrum.uncertainty_product(0, 0, p, a, t),
+    "evolution_params": lambda p, a, t: spectrum.evolution_params(p, a, t),
+    "build_operator_matrices": lambda p, a, t: build_operator_matrices(p, a, t, 4),
+    "single_mode_wavefunction": lambda p, a, t: single_mode_wavefunction(
+        "bg", 1, 0.5, p, a, t, np.array([0.5]), 0.0
+    ),
+    "orthonormality_check": lambda p, a, t: verify.orthonormality_check(p, a, t, n_max=1),
+    "schrodinger_residual_check": lambda p, a, t: verify.schrodinger_residual_check(
+        HelicityQuanta(1, 0), p, a, [(t, 0.8, 0.4)]
+    ),
+    "lr_invariant_check": lambda p, a, t: verify.lr_invariant_check(p, a, t, cutoff=10),
+}
+
+
+@pytest.fixture(scope="module")
+def sub_span_pair():
+    """The sinusoidal kind's profile on [0, 12] and its envelope solved on [2, 5] only."""
+    prof = kind_profile("sinusoidal")
+    grid = np.linspace(2.0, 5.0, 31)
+    return prof, solve_ep_numeric(prof, *default_initial_conditions(prof), grid)
+
+
+class TestReadersStayOnTheSpan:
+    """A time inside the profile's window but past the solution's span is
+    refused by every reader, through the solution's own evaluators."""
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @pytest.mark.parametrize("t", [1.0, 8.0])
+    def test_past_the_span(self, sub_span_pair, reader, t):
+        prof, aux = sub_span_pair
+        with pytest.raises(OutOfDomain, match="outside solution grid"):
+            _READERS[reader](prof, aux, t)
+
+    @pytest.mark.parametrize("check", ["schrodinger_residual_check", "lr_invariant_check"])
+    @pytest.mark.parametrize("t", [2.0, 5.0])
+    def test_the_time_step_past_the_span(self, sub_span_pair, check, t):
+        # t is an end of the span, so t - h or t + h lies past it, inside the window
+        prof, aux = sub_span_pair
+        _READERS["wavefunction_polar"](prof, aux, t)
+        with pytest.raises(OutOfDomain, match="outside solution grid"):
+            _READERS[check](prof, aux, t)
