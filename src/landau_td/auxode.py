@@ -162,8 +162,8 @@ class AuxiliarySolution:
     ``theta_fn(t)`` gives theta(t) = integral of kappa/(M rho^2) from
     grid[0] to t.  ``panels`` are the ends of the intervals on which the
     evaluators are smooth (solver steps and profile knots, or the grid), for
-    Gauss quadrature along the solution.  ``kappa`` is carried along because
-    the invariant eigensystem is built from (rho, rho_dot, kappa) alone.
+    Gauss quadrature along the solution.  It carries no kappa: every reader
+    takes ``profile.kappa``.
     ``ep_residual_pointwise`` gives the equation's residual on the samples.
 
     Construction binds ``envelope_fn`` and ``theta_fn`` to the span solved,
@@ -174,7 +174,6 @@ class AuxiliarySolution:
     grid: np.ndarray
     rho: np.ndarray
     rho_dot: np.ndarray
-    kappa: float
     envelope_fn: Callable = field(repr=False)
     theta_fn: Callable = field(repr=False)
     panels: Optional[np.ndarray] = field(default=None, repr=False)
@@ -360,7 +359,6 @@ def solve_ep_numeric(
         grid=grid,
         rho=rho,
         rho_dot=rho_dot,
-        kappa=kappa,
         envelope_fn=envelope,
         theta_fn=running_integral(lambda t: kappa / (mass(t) * envelope(t)[0] ** 2), panels),
         panels=panels,
@@ -515,16 +513,10 @@ def closed_form_solution(kind: str, params: Mapping, grid) -> AuxiliarySolution:
     """Package a closed-form family as an AuxiliarySolution on a checked grid."""
     grid = _check_grid(grid, None)
     rho, rho_dot, theta = _closed_form(kind, params, grid)
-    if kind == "pinney_constant":
-        tau = float(params.get("tau", 1.0))
-        kappa = float(params["kappa"]) if "kappa" in params else float(params["nu"]) * tau
-    else:
-        kappa = float(params.get("kappa", 1.0))
     return AuxiliarySolution(
         grid=grid,
         rho=rho,
         rho_dot=rho_dot,
-        kappa=kappa,
         envelope_fn=lambda t: ep_closed_form(kind, params, t),
         theta_fn=lambda t: np.reshape(_closed_form(kind, params, t)[2] - theta[0], np.shape(t)),
     )
@@ -544,7 +536,6 @@ def stationary_solution(profile: ParameterProfile, grid) -> AuxiliarySolution:
         grid=grid,
         rho=np.full_like(grid, rho0),
         rho_dot=np.zeros_like(grid),
-        kappa=profile.kappa,
         envelope_fn=envelope,
         theta_fn=lambda t: rate * (np.asarray(t, dtype=float) - grid[0]),
     )

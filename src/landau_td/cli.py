@@ -85,7 +85,7 @@ def _need(value, flag: str):
 
 
 def _load_profile(path: str, t0: Optional[float], t1: Optional[float]):
-    from .profiles import profile_from_json
+    from .profiles import profile_from_doc
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -99,7 +99,7 @@ def _load_profile(path: str, t0: Optional[float], t1: Optional[float]):
         doc["t0"] = t0
     if t1 is not None:
         doc["t1"] = t1
-    return profile_from_json(json.dumps(doc))
+    return profile_from_doc(doc)
 
 
 def _grid(profile, samples: int):

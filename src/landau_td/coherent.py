@@ -842,13 +842,14 @@ def single_mode_wavefunction(
     (Laguerre generating-function form, |eta| < 1).  Every constant is
     taken in logs, with the lattice states' normalizers.
     """
+    from .spectrum import _frozen
+
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
         raise ValueError("u must be nonnegative")
     a_ell = abs(int(ell))
     k = 0.5 * (a_ell + 1)
-    rho, rho_dot = map(float, aux.envelope_fn(t))
-    M = float(profile.mass(t))
+    rho, rho_dot, M = _frozen(profile, aux, t)
     kap = profile.kappa
     beta = 1.0 - 1j * M * rho * rho_dot / kap
     pref = math.sqrt(kap / (math.pi * rho * rho)) * np.exp(1j * ell * np.asarray(theta))

@@ -59,6 +59,7 @@ __all__ = [
     "make_profile",
     "profile_to_json",
     "profile_from_json",
+    "profile_from_doc",
 ]
 
 PROFILE_KINDS = (
@@ -469,6 +470,11 @@ def profile_from_json(text: str) -> ParameterProfile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MissingParameter(f"profile JSON does not parse: {exc}") from exc
+    return profile_from_doc(doc)
+
+
+def profile_from_doc(doc) -> ParameterProfile:
+    """The profile of an already parsed CLI JSON document."""
     if not isinstance(doc, dict):
         raise MissingParameter("profile JSON must be an object")
     if "kind" not in doc:

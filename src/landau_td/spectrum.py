@@ -8,15 +8,13 @@ from helicity ladder operators
 
 with (rho, rho') an auxiliary-equation solution carried by an
 AuxiliarySolution.  States are labelled by occupation pairs (n_plus,
-n_minus); derived labels: ell = n_plus - n_minus (the angular index of the
-polar wavefunctions), angular momentum l = n_minus - n_plus, SU(2) pair
+n_minus); derived labels: ell = n_plus - n_minus, SU(2) pair
 (j, m) = ((n+ + n-)/2, (n+ - n-)/2) and the single-mode su(1,1) Bargmann
 index k = (|ell| + 1)/2.
 
-Sign conventions: L_z = a-^dag a- - a+^dag a+ (so that the eigenvalue is
-n_minus - n_plus) and J_3 = (a+^dag a+ - a-^dag a-)/2 = -L_z/2.  The
-commutators then close as [L_z, a_pm] = +-a_pm; this is the unique sign
-set consistent with the adopted L_z.
+Sign conventions: L_z = x p_y - y p_x = -i d/dtheta, with eigenvalue ell on
+e^{i ell theta}, so L_z = a+^dag a+ - a-^dag a-.  H holds +(omega_c/2) L_z,
+[L_z, a_pm] = -+a_pm and J_3 = L_z/2.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ __all__ = [
     "Invariant3dTrace",
     "DEFAULT_CUTOFF",
     "invariant_eigenvalue",
-    "lz_eigenvalue",
     "hamiltonian_expectation",
     "evolution_params",
     "phase_gamma",
@@ -77,7 +74,7 @@ class HelicityQuanta:
 
     @property
     def ell(self) -> int:
-        """Angular index of the polar wavefunction, n_plus - n_minus."""
+        """L_z eigenvalue n_plus - n_minus, the angular index of e^{i ell theta}."""
         return self.n_plus - self.n_minus
 
     @property
@@ -132,11 +129,6 @@ def invariant_eigenvalue(q: HelicityQuanta, kappa: float) -> float:
     return kappa * (q.total + 1)
 
 
-def lz_eigenvalue(q: HelicityQuanta) -> int:
-    """Angular-momentum eigenvalue n_minus - n_plus."""
-    return q.n_minus - q.n_plus
-
-
 def _radial_energy(profile: ParameterProfile, t, rho, rho_dot):
     """(1/2 kappa)(M rho'^2 + kappa^2/(M rho^2) + M Omega^2 rho^2) at the
     times t, where the envelope is (rho, rho_dot)."""
@@ -164,9 +156,17 @@ def _energy(q: HelicityQuanta, profile: ParameterProfile, t, rho, rho_dot):
     """<H> on the eigenstate at the times t, where the envelope is (rho, rho_dot)."""
     return (
         _radial_energy(profile, t, rho, rho_dot) * (q.total + 1)
-        - 0.5 * profile.omega_c(t) * lz_eigenvalue(q)
+        + 0.5 * profile.omega_c(t) * q.ell
         - _drive_energy(profile, t)
     )
+
+
+def _frozen(profile: ParameterProfile, aux: AuxiliarySolution, t: float) -> tuple:
+    """(rho, rho_dot, M) as floats at the one time t, which must lie in the
+    profile's window (OutOfDomain) as well as on the solution's span."""
+    profile.check_time(t)
+    rho, rho_dot = map(float, aux.envelope_fn(t))
+    return rho, rho_dot, float(profile.mass(t))
 
 
 def hamiltonian_expectation(
@@ -211,7 +211,7 @@ def phase_gamma(
     The authoritative gamma integrates <i d/dt> - <H>; after the analytic
     cancellation the integrand is
 
-        -kappa (n+ + n- + 1) / (M rho^2) + (omega_c/2)(n- - n+)
+        -kappa (n+ + n- + 1) / (M rho^2) - (omega_c/2) ell
         + q^2 E^2 / (2 M omega),
 
     so gamma = -(n+ + n- + 1) theta + the integral of the last two terms.
@@ -223,11 +223,10 @@ def phase_gamma(
     the Schroedinger-residual check adjudicates between the two.
     """
     grid = np.asarray(grid, dtype=float)
-    ell_z = lz_eigenvalue(q)
     n_sum = q.total + 1
 
     def field_rate(t):
-        return 0.5 * ell_z * profile.omega_c(t) + _drive_energy(profile, t)
+        return -0.5 * q.ell * profile.omega_c(t) + _drive_energy(profile, t)
 
     rho, rho_dot = aux.envelope_fn(grid)
     integrand = -profile.kappa * n_sum / (profile.mass(grid) * rho**2) + field_rate(grid)
@@ -277,8 +276,7 @@ def wavefunction_polar(
     theta = np.asarray(theta, dtype=float)
     if not np.all((r >= 0) & (r < math.inf)):
         raise ValueError("radius must be finite and nonnegative")
-    rho, rho_dot = map(float, aux.envelope_fn(t))
-    M = float(profile.mass(t))
+    rho, rho_dot, M = _frozen(profile, aux, t)
     kap, n, a_ell = profile.kappa, q.n_radial, abs(q.ell)
     with np.errstate(over="ignore", invalid="ignore"):
         f = laguerre(n, float(a_ell), kap * r * r / (rho * rho))
@@ -309,8 +307,7 @@ def wavefunction_cartesian(
     h_{n_x}(xi) h_{n_y}(eta) times it, orthonormal h_n, (xi, eta) = sqrt(kappa) (x, y)/rho."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rho, rho_dot = map(float, aux.envelope_fn(t))
-    M = float(profile.mass(t))
+    rho, rho_dot, M = _frozen(profile, aux, t)
     root_k = math.sqrt(profile.kappa)
     return (
         root_k / rho
@@ -343,8 +340,7 @@ def uncertainty_product(
     """Delta x Delta p_x = (2n+|l|+1)/2 sqrt(1 + M^2 rho'^2 rho^2 / kappa^2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rho, rho_dot = map(float, aux.envelope_fn(t))
-    M = float(profile.mass(t))
+    rho, rho_dot, M = _frozen(profile, aux, t)
     kap = profile.kappa
     return 0.5 * (2 * n + abs(ell) + 1) * math.sqrt(1.0 + (M * rho_dot * rho / kap) ** 2)
 
@@ -382,11 +378,12 @@ def build_operator_matrices(
     Keys: a+, a-, a+dag, a-dag, x, y, px, py, Lz, I, H, J+, J-, J3,
     K+, K-, K0.  Position and momentum come from the ladder inversion
 
-        x + i y    = (i rho / sqrt(kappa)) (a-dag - a+)
-        p_x + i p_y = (i M rho' / sqrt(kappa)) (a-dag - a+)
-                      - (sqrt(kappa)/rho)(a+ + a-dag)
+        x + i y    = (i rho / sqrt(kappa)) (a+dag - a-)
+        p_x + i p_y = (i M rho' / sqrt(kappa)) (a+dag - a-)
+                      - (sqrt(kappa)/rho)(a- + a+dag)
 
-    and H is composed from x, y, p_x, p_y, L_z with profile scalars.
+    and H is composed from x, y, p_x, p_y, L_z = n+ - n- with profile
+    scalars, holding +(omega_c/2) L_z.
     """
     from scipy import sparse
 
@@ -401,15 +398,14 @@ def build_operator_matrices(
     a_p_dag = a_p.conj().T.tocsr()
     a_m_dag = a_m.conj().T.tocsr()
 
-    rho, rho_dot = map(float, aux.envelope_fn(t))
-    M = float(profile.mass(t))
+    rho, rho_dot, M = _frozen(profile, aux, t)
     kap = profile.kappa
     root_k = math.sqrt(kap)
 
-    w_plus = (1j * rho / root_k) * (a_m_dag - a_p)          # x + i y
+    w_plus = (1j * rho / root_k) * (a_p_dag - a_m)          # x + i y
     w_minus = w_plus.conj().T.tocsr()                        # x - i y
-    v_plus = (1j * M * rho_dot / root_k) * (a_m_dag - a_p) - (root_k / rho) * (
-        a_p + a_m_dag
+    v_plus = (1j * M * rho_dot / root_k) * (a_p_dag - a_m) - (root_k / rho) * (
+        a_m + a_p_dag
     )                                                        # p_x + i p_y
     v_minus = v_plus.conj().T.tocsr()
 
@@ -421,7 +417,7 @@ def build_operator_matrices(
     n_p = (a_p_dag @ a_p).tocsr()
     n_m = (a_m_dag @ a_m).tocsr()
     ident = sparse.identity(dim, format="csr", dtype=complex)
-    lz = (n_m - n_p).tocsr()
+    lz = (n_p - n_m).tocsr()
     inv = kap * (n_p + n_m + ident)
 
     omega_c = float(profile.omega_c(t))
@@ -429,13 +425,13 @@ def build_operator_matrices(
     ham = (
         (px_op @ px_op + py_op @ py_op) / (2.0 * M)
         + 0.5 * M * Om**2 * (x_op @ x_op + y_op @ y_op)
-        - 0.5 * omega_c * lz
+        + 0.5 * omega_c * lz
         - _drive_energy(profile, t) * ident
     ).tocsr()
 
     j_plus = (a_p_dag @ a_m).tocsr()
     j_minus = (a_m_dag @ a_p).tocsr()
-    j3 = (0.5 * (n_p - n_m)).tocsr()
+    j3 = (0.5 * lz).tocsr()
     k_plus = (a_p_dag @ a_m_dag).tocsr()
     k_minus = (a_p @ a_m).tocsr()
     k0 = (0.5 * (n_p + n_m + ident)).tocsr()
@@ -481,7 +477,7 @@ def casimir_su11(ell: int) -> float:
 
 
 def invariant3d_diagnostic(
-    q: HelicityQuanta, p: float, aux: AuxiliarySolution, grid
+    q: HelicityQuanta, p: float, profile: ParameterProfile, aux: AuxiliarySolution, grid
 ) -> Invariant3dTrace:
     """Axial-extension eigenvalue trace: how far alpha(t) drifts.
 
@@ -491,7 +487,7 @@ def invariant3d_diagnostic(
     """
     grid = np.asarray(grid, dtype=float)
     rho = np.asarray(aux.rho_at(grid), dtype=float)
-    alpha = 0.5 * rho**2 * p**2 + aux.kappa * (q.total + 1)
+    alpha = 0.5 * rho**2 * p**2 + profile.kappa * (q.total + 1)
     return Invariant3dTrace(
         grid=grid, alpha=alpha, variation=float(np.max(alpha) - np.min(alpha))
     )

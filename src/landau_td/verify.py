@@ -47,6 +47,7 @@ from .profiles import ParameterProfile, make_profile
 from .spectrum import (
     HelicityQuanta,
     _drive_energy,
+    _frozen,
     basis_index,
     basis_labels,
     build_operator_matrices,
@@ -222,8 +223,7 @@ def schrodinger_residual_check(
             raise ValueError("sample radius must be positive")
         h_t = _time_step(profile, t)
 
-        rho = float(aux.rho_at(t))
-        M = float(profile.mass(t))
+        rho, _, M = _frozen(profile, aux, t)
         Om = float(profile.Omega(t))
         omega_c = float(profile.omega_c(t))
         drive = _drive_energy(profile, t)
@@ -241,8 +241,8 @@ def schrodinger_residual_check(
         d2t = _C2 @ psi_th / h_theta**2
         d1t = _C1 @ psi_th / h_theta
         laplacian = d2r + d1r / r + d2t / r**2
-        # the rotation generator has eigenvalue n- - n+ on exp(i(n+ - n-)theta),
-        # so its differential representation here is +i d/dtheta
+        # L_z is -i d/dtheta (eigenvalue n+ - n- on exp(i(n+ - n-)theta)),
+        # and H holds +(omega_c/2) L_z = -(omega_c/2) i d/dtheta
         h_psi = (
             -laplacian / (2.0 * M)
             + 0.5 * M * Om * Om * r * r * psi_0
@@ -318,8 +318,7 @@ def lr_invariant_check(
     cross = x @ px + px @ x + y @ py + py @ y
 
     def invariant_at(tp: float):
-        rho, rho_dot = map(float, aux.envelope_fn(tp))
-        mass = float(profile.mass(tp))
+        rho, rho_dot, mass = _frozen(profile, aux, tp)
         a = kap * kap / rho**2 + (mass * rho_dot) ** 2
         return 0.5 * (a * q2 + rho**2 * p2 - mass * rho * rho_dot * cross)
 
@@ -392,7 +391,7 @@ def algebra_check(cutoff: int = 20, tol: float = 1e-10) -> CheckReport:
     """Commutator and Casimir identities on the truncated two-mode basis.
 
     Checks the canonical pairs, the rotation generator acting on the
-    helicity ladders ([Lz, a+-] = +-a+-), the su(2) and su(1,1) triples,
+    helicity ladders ([Lz, a+-] = -+a+-), the su(2) and su(1,1) triples,
     [I, Lz] = 0, the su(1,1) Casimir K0^2 - (K+K- + K-K+)/2 against
     (l+1)(l-1)/4 on fixed-l subspaces, and the lowest nontrivial su(2)
     raising amplitude.  Residuals are interior-block max-abs values.
@@ -431,8 +430,8 @@ def algebra_check(cutoff: int = 20, tol: float = 1e-10) -> CheckReport:
         ("[px, py]", comm(mats["px"], mats["py"])),
         ("[x, py]", comm(mats["x"], mats["py"])),
         ("[y, px]", comm(mats["y"], mats["px"])),
-        ("[Lz, a+] - a+", comm(mats["Lz"], mats["a+"]) - mats["a+"]),
-        ("[Lz, a-] + a-", comm(mats["Lz"], mats["a-"]) + mats["a-"]),
+        ("[Lz, a+] + a+", comm(mats["Lz"], mats["a+"]) + mats["a+"]),
+        ("[Lz, a-] - a-", comm(mats["Lz"], mats["a-"]) - mats["a-"]),
         ("[J3, J+] - J+", comm(mats["J3"], mats["J+"]) - mats["J+"]),
         ("[J3, J-] + J-", comm(mats["J3"], mats["J-"]) + mats["J-"]),
         ("[J+, J-] - 2 J3", comm(mats["J+"], mats["J-"]) - 2.0 * mats["J3"]),

@@ -471,8 +471,8 @@ def test_criterion_11_generating_function_cross_check(breathing_pair):
 # ---------------------------------------------------------------------------
 
 def test_criterion_12_axial_eigenvalue_variation(breathing_pair):
-    _, aux = breathing_pair
-    trace = spectrum.invariant3d_diagnostic(HelicityQuanta(0, 0), 1.0, aux, aux.grid)
+    prof, aux = breathing_pair
+    trace = spectrum.invariant3d_diagnostic(HelicityQuanta(0, 0), 1.0, prof, aux, aux.grid)
     expected = 0.5 * (np.max(aux.rho**2) - np.min(aux.rho**2))
     err = abs(trace.variation - expected)
     ok = err < 1e-8

@@ -15,7 +15,7 @@ from scipy.special import gammaln, iv
 
 from landau_td import coherent as ch
 from landau_td import spectrum
-from landau_td.auxode import closed_form_solution, stationary_solution
+from landau_td.auxode import closed_form_solution, ep_residual_pointwise, stationary_solution
 from landau_td.errors import (
     CutoffMismatch,
     CutoffOverflow,
@@ -32,6 +32,7 @@ from landau_td.errors import (
 )
 from landau_td.profiles import make_profile
 from landau_td.spectrum import HelicityQuanta
+from reference import max_residual
 
 SU11_K = (0.5, 1.0, 1.5, 2.0)
 
@@ -55,13 +56,15 @@ def _max_diff(a, b):
 
 
 def _moving_setup(q=1.0, B=0.6, kappa=2.0):
+    # a breathing envelope of the profile's own frequency Omega = sqrt(1 + (qB)^2/4)
     prof = make_profile(
         "constant", {"M": 1.0, "omega": 1.0}, q=q, B=B, kappa=kappa, t0=0.0, t1=10.0
     )
-    grid = np.linspace(0.0, 2 * math.pi, 200)
+    grid = np.linspace(0.0, 2 * math.pi, 800)
     aux = closed_form_solution(
-        "pinney_constant", {"omega": 1.0, "nu": 2.0}, grid
+        "pinney_constant", {"omega": float(prof.Omega(0.0)), "nu": kappa}, grid
     )
+    assert max_residual(ep_residual_pointwise(aux, prof)) <= 1e-6
     return prof, aux
 
 
@@ -141,7 +144,7 @@ class TestCanonical:
             assert np.max(np.abs(resid)) < 1e-8
 
     def test_rotation_generator_action(self):
-        # expm(i alpha Lz) |z+, z-> = |e^{-i alpha} z+, e^{+i alpha} z->
+        # expm(i alpha Lz) |z+, z-> = |e^{+i alpha} z+, e^{-i alpha} z->
         prof, aux = _moving_setup()
         mats = _matrices(prof, aux)
         z_p, z_m = 0.8, 0.5 + 0.3j
@@ -149,7 +152,7 @@ class TestCanonical:
         alpha = 0.7
         rotated = expm_multiply(1j * alpha * mats["Lz"].tocsc(), s.coeffs.reshape(-1))
         target = ch.canonical_state(
-            np.exp(-1j * alpha) * z_p, np.exp(1j * alpha) * z_m, cutoff=24
+            np.exp(1j * alpha) * z_p, np.exp(-1j * alpha) * z_m, cutoff=24
         )
         assert np.max(np.abs(rotated - target.coeffs.reshape(-1))) < 1e-8
 
@@ -682,10 +685,11 @@ class TestSingleModeWavefunction:
             t0=0.0,
             t1=6.0,
         )
-        grid = np.linspace(0.0, 6.0, 301)
+        grid = np.linspace(0.0, 6.0, 601)
         aux = closed_form_solution(
-            "pinney_constant", {"omega": 1.1, "nu": 2.0, "c2": 0.35}, grid
+            "pinney_constant", {"omega": float(prof.Omega(0.0)), "nu": 2.0, "c2": 0.35}, grid
         )
+        assert max_residual(ep_residual_pointwise(aux, prof)) <= 1e-6
         return prof, aux
 
     @staticmethod

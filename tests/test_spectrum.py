@@ -16,6 +16,7 @@ from reference import (
     kind_profile,
     knot_restarted,
     laguerre_function_mp,
+    max_residual,
 )
 
 
@@ -31,14 +32,14 @@ def _static_setup(M=1.0, omega=1.0, q=0.0, B=0.0, kappa=1.0, E1=0.0, E2=0.0):
 def _reference_gamma(prof, q, grid):
     """gamma by the knot-restarted reference, carried as a third component
     next to (rho, rho_dot)."""
-    kap, n_sum, ell_z = prof.kappa, q.total + 1, spectrum.lz_eigenvalue(q)
+    kap, n_sum = prof.kappa, q.total + 1
 
     def rhs(t, y):
         M = float(prof.mass(t))
         drive = prof.q**2 * float(prof.efield_sq(t)) / (2.0 * M * float(prof.omega(t)))
         return [
             *ep_rates(prof, t, y[0], y[1]),
-            -kap * n_sum / (M * y[0] ** 2) + 0.5 * ell_z * float(prof.omega_c(t)) + drive,
+            -kap * n_sum / (M * y[0] ** 2) - 0.5 * q.ell * float(prof.omega_c(t)) + drive,
         ]
 
     return knot_restarted(rhs, [*auxode.default_initial_conditions(prof), 0.0], prof, grid)[2]
@@ -60,11 +61,6 @@ class TestScalarSpectra:
         assert spectrum.invariant_eigenvalue(HelicityQuanta(0, 0), 1.7) == 1.7
         assert spectrum.invariant_eigenvalue(HelicityQuanta(1, 0), 2.0) == 4.0
 
-    def test_lz_eigenvalue(self):
-        assert spectrum.lz_eigenvalue(HelicityQuanta(0, 0)) == 0
-        assert spectrum.lz_eigenvalue(HelicityQuanta(1, 4)) == 3
-        assert spectrum.lz_eigenvalue(HelicityQuanta(4, 1)) == -3
-
     def test_quanta_derived_labels(self):
         q = HelicityQuanta(3, 1)
         assert q.ell == 2
@@ -80,7 +76,7 @@ class TestScalarSpectra:
 
     def test_hamiltonian_expectation_with_field(self):
         # omega_c = qB/M = 2, Omega = sqrt(2), stationary rho = 2^{-1/4}:
-        # radial part 2 sqrt(2), angular part -(omega_c/2)(n- - n+) = +1
+        # radial part 2 sqrt(2), angular part +(omega_c/2) ell = +1
         prof, aux = _static_setup(q=1.0, B=2.0)
         val = spectrum.hamiltonian_expectation(HelicityQuanta(1, 0), prof, aux, 0.5)
         assert val == pytest.approx(2.0 * math.sqrt(2.0) + 1.0, rel=1e-12)
@@ -375,8 +371,8 @@ class TestOperatorMatrices:
     def test_lz_ladder_commutators(self):
         lz = self._dense("Lz")
         a_p, a_m = self._dense("a+"), self._dense("a-")
-        assert self._interior_norm(lz @ a_p - a_p @ lz - a_p) < 1e-12
-        assert self._interior_norm(lz @ a_m - a_m @ lz + a_m) < 1e-12
+        assert self._interior_norm(lz @ a_p - a_p @ lz + a_p) < 1e-12
+        assert self._interior_norm(lz @ a_m - a_m @ lz - a_m) < 1e-12
 
     def test_su2_su11_commutators(self):
         jp, jm, j3 = self._dense("J+"), self._dense("J-"), self._dense("J3")
@@ -434,6 +430,126 @@ class TestOperatorMatrices:
         assert len(edge) == 2 * (self.N + 1) - 1
 
 
+# 6th-order central first-derivative stencil on 7 points
+_C1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+_OFFSETS = np.arange(-3, 4, dtype=float)
+
+
+def _driven_static_setup():
+    # stationary envelope of a profile with a field and a drive
+    return _static_setup(q=1.0, B=0.8, kappa=2.0, omega=1.1, E1=0.3, E2=-0.2)
+
+
+def _driven_breathing_setup():
+    # the same profile carried by an off-equilibrium closed-form envelope
+    prof, _ = _driven_static_setup()
+    grid = np.linspace(0.0, 6.0, 601)
+    aux = auxode.closed_form_solution(
+        "pinney_constant", {"omega": float(prof.Omega(0.0)), "nu": 2.0, "c2": 0.35}, grid
+    )
+    assert max_residual(auxode.ep_residual_pointwise(aux, prof)) <= 1e-6
+    return prof, aux
+
+
+def _position_space_elements(prof, aux, t, states):
+    """<a|O|b> of x, y, p_x, p_y, L_z = -i d/dtheta and H between the polar
+    eigenfunctions, by a rule exact for these integrands: Gauss-Laguerre in
+    u = kappa r^2 / rho^2 and the trapezoid in theta.  Derivatives are
+    6th-order central differences; H is taken in its gradient form
+    |grad phi|^2 / 2M + M Omega^2 r^2 / 2 + (omega_c/2) L_z - q^2 E^2 / 2 M omega."""
+    rho, kap, M = float(aux.rho_at(t)), prof.kappa, float(prof.mass(t))
+    u, w_u = np.polynomial.laguerre.laggauss(24)
+    n_theta = 16
+    r = (rho * np.sqrt(u / kap))[:, None]
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)[None, :]
+    weight = (rho * rho / (2.0 * kap)) * (w_u * np.exp(u))[:, None] * (2.0 * math.pi / n_theta)
+    h_r, h_theta = 1e-3 * rho / math.sqrt(kap), 1e-3
+
+    def phi(q, rr, th):
+        return spectrum.wavefunction_polar(q, prof, aux, t, rr, th)
+
+    vals = np.array([phi(q, r, theta) for q in states])
+    d_r = np.array([
+        sum(c * phi(q, r + h_r * o, theta) for c, o in zip(_C1, _OFFSETS)) / h_r
+        for q in states
+    ])
+    d_theta = np.array([
+        sum(c * phi(q, r, theta + h_theta * o) for c, o in zip(_C1, _OFFSETS)) / h_theta
+        for q in states
+    ])
+
+    def between(bra, ket, w=weight):
+        return np.einsum("ij,aij,bij->ab", w, bra.conj(), ket)
+
+    cos, sin = np.cos(theta), np.sin(theta)
+    lz = between(vals, -1j * d_theta)
+    grad_sq = between(d_r, d_r) + between(d_theta, d_theta, weight / (r * r))
+    return {
+        "x": between(vals, r * cos * vals),
+        "y": between(vals, r * sin * vals),
+        "px": between(vals, -1j * (cos * d_r - sin / r * d_theta)),
+        "py": between(vals, -1j * (sin * d_r + cos / r * d_theta)),
+        "Lz": lz,
+        "H": grad_sq / (2.0 * M)
+        + 0.5 * M * float(prof.Omega(t)) ** 2 * between(vals, r * r * vals)
+        + 0.5 * float(prof.omega_c(t)) * lz
+        - spectrum._drive_energy(prof, t) * np.eye(len(states)),
+    }
+
+
+class TestOrientation:
+    """The operator matrices stand for the operators on the polar
+    eigenfunctions e^{i ell theta}, with L_z = -i d/dtheta of eigenvalue
+    ell = n+ - n-, and their H moves z = y + i x along the classical path."""
+
+    @pytest.mark.parametrize(
+        "setup, t",
+        [
+            (_driven_static_setup, 0.5),
+            (_driven_static_setup, 4.0),
+            (_driven_breathing_setup, 1.3),
+            (_driven_breathing_setup, 3.9),
+            (_driven_breathing_setup, 5.2),
+        ],
+    )
+    def test_matrices_are_the_position_space_operators(self, setup, t):
+        prof, aux = setup()
+        cutoff = 8
+        states = [HelicityQuanta(a, b) for a in range(5) for b in range(5 - a)]
+        rows = [spectrum.basis_index(q.n_plus, q.n_minus, cutoff) for q in states]
+        mats = spectrum.build_operator_matrices(prof, aux, t, cutoff)
+        # the basis state |n+, n-> is (-i)^(n+ + n-) times the polar eigenfunction
+        phase = np.array([(-1j) ** q.total for q in states])
+        for key, elements in _position_space_elements(prof, aux, t, states).items():
+            want = np.conj(phase)[:, None] * phase[None, :] * elements
+            got = mats[key].toarray()[np.ix_(rows, rows)]
+            assert np.max(np.abs(got - want)) < 1e-10, key
+        np.testing.assert_allclose(
+            mats["Lz"].diagonal()[rows], [q.ell for q in states], rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("qB", [0.9, -0.9, 2.5, -2.5])
+    def test_heisenberg_motion_is_the_classical_path(self, qB):
+        # constant profile, E = 0: z = y + i x obeys z'' + i omega_c z' + omega^2 z = 0
+        omega, cutoff = 0.7, 16
+        prof = make_profile(
+            "constant", {"M": 1.0, "omega": omega}, q=1.0, B=qB, kappa=1.0, t0=0.0, t1=10.0
+        )
+        grid = np.linspace(0.0, 10.0, 401)
+        aux = auxode.solve_ep_numeric(prof, 1.2 * auxode.default_initial_conditions(prof)[0], 0.3, grid)
+        mats = spectrum.build_operator_matrices(prof, aux, 2.0, cutoff)
+        ham = mats["H"]
+        z = mats["y"] + 1j * mats["x"]
+        z_dot = 1j * (ham @ z - z @ ham)
+        z_ddot = 1j * (ham @ z_dot - z_dot @ ham)
+        omega_c = float(prof.omega_c(2.0))
+        residual = (z_ddot + 1j * omega_c * z_dot + omega**2 * z).toarray()
+        # H couples shells two apart, so the double commutator is exact on
+        # rows five shells below the truncation edge
+        inside = spectrum.interior_mask(cutoff, band=5)
+        assert np.max(np.abs(residual[np.ix_(inside, inside)])) < 1e-11
+
+
 class TestRelabelings:
     def test_su2(self):
         assert spectrum.su2_relabel(HelicityQuanta(1, 0)) == (0.5, 0.5)
@@ -450,17 +566,17 @@ class TestRelabelings:
 
 class TestInvariant3d:
     def test_axial_rest_is_constant(self):
-        _, aux = _moving_setup()
+        prof, aux = _moving_setup()
         trace = spectrum.invariant3d_diagnostic(
-            HelicityQuanta(1, 1), 0.0, aux, np.linspace(0.0, 6.0, 100)
+            HelicityQuanta(1, 1), 0.0, prof, aux, np.linspace(0.0, 6.0, 100)
         )
         assert trace.variation == 0.0
-        np.testing.assert_allclose(trace.alpha, aux.kappa * 3.0, rtol=1e-14)
+        np.testing.assert_allclose(trace.alpha, prof.kappa * 3.0, rtol=1e-14)
 
     def test_moving_variation_value(self):
-        _, aux = _moving_setup()
+        prof, aux = _moving_setup()
         grid = np.linspace(0.0, 2 * math.pi, 400)
-        trace = spectrum.invariant3d_diagnostic(HelicityQuanta(0, 0), 1.0, aux, grid)
+        trace = spectrum.invariant3d_diagnostic(HelicityQuanta(0, 0), 1.0, prof, aux, grid)
         rho_sq = np.asarray(aux.rho_at(grid)) ** 2
         expected = 0.5 * (np.max(rho_sq) - np.min(rho_sq))
         assert trace.variation == pytest.approx(expected, rel=1e-12)
@@ -468,6 +584,6 @@ class TestInvariant3d:
     def test_stationary_profile_constant(self):
         prof, aux = _static_setup()
         trace = spectrum.invariant3d_diagnostic(
-            HelicityQuanta(2, 0), 1.3, aux, np.linspace(0.0, 9.0, 50)
+            HelicityQuanta(2, 0), 1.3, prof, aux, np.linspace(0.0, 9.0, 50)
         )
         assert trace.variation < 1e-14

@@ -68,7 +68,6 @@ def flat_aux():
         grid=grid,
         rho=ones,
         rho_dot=np.zeros_like(grid),
-        kappa=1.0,
         envelope_fn=lambda t: (
             np.ones_like(np.asarray(t, dtype=float)),
             np.zeros_like(np.asarray(t, dtype=float)),
@@ -523,6 +522,42 @@ def sub_span_pair():
     prof = kind_profile("sinusoidal")
     grid = np.linspace(2.0, 5.0, 31)
     return prof, solve_ep_numeric(prof, *default_initial_conditions(prof), grid)
+
+
+@pytest.fixture(scope="module")
+def wide_span_pair():
+    """A constant profile on [0, 10] and a closed-form envelope on [0, 12]:
+    the solution's span covers times outside the profile's window."""
+    prof = make_profile("constant", {"M": 1.0, "omega": 1.0}, kappa=2.0, t0=0.0, t1=10.0)
+    grid = np.linspace(0.0, 12.0, 241)
+    return prof, closed_form_solution("pinney_constant", {"omega": 1.0, "nu": 2.0}, grid)
+
+
+class TestReadersStayInTheWindow:
+    """A time on the solution's span but outside the profile's window is
+    refused by every reader that reads the profile at one frozen time."""
+
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            "wavefunction_polar",
+            "wavefunction_cartesian",
+            "uncertainty_product",
+            "single_mode_wavefunction",
+            "orthonormality_check",
+        ],
+    )
+    def test_past_the_window(self, wide_span_pair, reader):
+        prof, aux = wide_span_pair
+        with pytest.raises(OutOfDomain, match="outside profile window"):
+            _READERS[reader](prof, aux, 11.0)
+
+    def test_the_time_step_past_the_window(self, wide_span_pair):
+        # t is the window's end, so the invariant read at t + h lies past it
+        prof, aux = wide_span_pair
+        _READERS["wavefunction_polar"](prof, aux, 10.0)
+        with pytest.raises(OutOfDomain, match="outside profile window"):
+            _READERS["lr_invariant_check"](prof, aux, 10.0)
 
 
 class TestReadersStayOnTheSpan:
