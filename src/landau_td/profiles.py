@@ -182,6 +182,8 @@ def _const_fn(value, name: str) -> Callable:
     value = _real(value, name)
 
     def fn(t):
+        if isinstance(t, float):
+            return value
         t = np.asarray(t, dtype=float)
         return np.broadcast_to(np.float64(value), t.shape).copy() if t.ndim else np.float64(value)
 

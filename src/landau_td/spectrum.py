@@ -19,6 +19,7 @@ e^{i ell theta}, so L_z = a+^dag a+ - a-^dag a-.  H holds +(omega_c/2) L_z,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
@@ -367,6 +368,50 @@ def interior_mask(cutoff: int, band: int = 2) -> np.ndarray:
     return (labels[:, 0] <= cutoff - band) & (labels[:, 1] <= cutoff - band)
 
 
+@functools.lru_cache(maxsize=4)
+def _ladder_skeleton(cutoff: int) -> Dict[str, sparse.csr_matrix]:
+    """The time-independent matrices at one cutoff, built once per process:
+    the ladders, a+dag - a-, a- + a+dag, n+ + n- + 1 and the rotation, su(2)
+    and su(1,1) generators.  Their arrays are read-only, so no caller can
+    change them for the next one."""
+    from scipy import sparse
+
+    side = cutoff + 1
+    dim = side * side
+    eye = sparse.identity(side, format="csr", dtype=complex)
+    low = sparse.diags(np.sqrt(np.arange(1.0, side)), offsets=1, format="csr", dtype=complex)
+    a_p = sparse.kron(low, eye, format="csr")
+    a_m = sparse.kron(eye, low, format="csr")
+    a_p_dag = a_p.conj().T.tocsr()
+    a_m_dag = a_m.conj().T.tocsr()
+    n_p = (a_p_dag @ a_p).tocsr()
+    n_m = (a_m_dag @ a_m).tocsr()
+    ident = sparse.identity(dim, format="csr", dtype=complex)
+    lz = (n_p - n_m).tocsr()
+    n_sum = n_p + n_m + ident
+    skeleton = {
+        "a+": a_p,
+        "a-": a_m,
+        "a+dag": a_p_dag,
+        "a-dag": a_m_dag,
+        "a+dag - a-": a_p_dag - a_m,
+        "a- + a+dag": a_m + a_p_dag,
+        "identity": ident,
+        "Lz": lz,
+        "n+ + n- + 1": n_sum,
+        "J+": (a_p_dag @ a_m).tocsr(),
+        "J-": (a_m_dag @ a_p).tocsr(),
+        "J3": (0.5 * lz).tocsr(),
+        "K+": (a_p_dag @ a_m_dag).tocsr(),
+        "K-": (a_p @ a_m).tocsr(),
+        "K0": (0.5 * n_sum).tocsr(),
+    }
+    for mat in skeleton.values():
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.flags.writeable = False
+    return skeleton
+
+
 def build_operator_matrices(
     profile: ParameterProfile,
     aux: AuxiliarySolution,
@@ -383,42 +428,30 @@ def build_operator_matrices(
                       - (sqrt(kappa)/rho)(a- + a+dag)
 
     and H is composed from x, y, p_x, p_y, L_z = n+ - n- with profile
-    scalars, holding +(omega_c/2) L_z.
+    scalars, holding +(omega_c/2) L_z.  The time-independent matrices come
+    from a skeleton built once per cutoff per process and are returned
+    read-only; x, y, px, py, I and H are new at each call.
     """
-    from scipy import sparse
-
     if cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
-    side = cutoff + 1
-    dim = side * side
-    eye = sparse.identity(side, format="csr", dtype=complex)
-    low = sparse.diags(np.sqrt(np.arange(1.0, side)), offsets=1, format="csr", dtype=complex)
-    a_p = sparse.kron(low, eye, format="csr")
-    a_m = sparse.kron(eye, low, format="csr")
-    a_p_dag = a_p.conj().T.tocsr()
-    a_m_dag = a_m.conj().T.tocsr()
+    sk = _ladder_skeleton(cutoff)
+    ident, lz, ladder = sk["identity"], sk["Lz"], sk["a+dag - a-"]
 
     rho, rho_dot, M = _frozen(profile, aux, t)
     kap = profile.kappa
     root_k = math.sqrt(kap)
 
-    w_plus = (1j * rho / root_k) * (a_p_dag - a_m)          # x + i y
+    w_plus = (1j * rho / root_k) * ladder                   # x + i y
     w_minus = w_plus.conj().T.tocsr()                        # x - i y
-    v_plus = (1j * M * rho_dot / root_k) * (a_p_dag - a_m) - (root_k / rho) * (
-        a_m + a_p_dag
-    )                                                        # p_x + i p_y
+    v_plus = (1j * M * rho_dot / root_k) * ladder - (root_k / rho) * sk[
+        "a- + a+dag"
+    ]                                                        # p_x + i p_y
     v_minus = v_plus.conj().T.tocsr()
 
     x_op = 0.5 * (w_plus + w_minus)
     y_op = (w_plus - w_minus) / 2j
     px_op = 0.5 * (v_plus + v_minus)
     py_op = (v_plus - v_minus) / 2j
-
-    n_p = (a_p_dag @ a_p).tocsr()
-    n_m = (a_m_dag @ a_m).tocsr()
-    ident = sparse.identity(dim, format="csr", dtype=complex)
-    lz = (n_p - n_m).tocsr()
-    inv = kap * (n_p + n_m + ident)
 
     omega_c = float(profile.omega_c(t))
     Om = float(profile.Omega(t))
@@ -429,32 +462,10 @@ def build_operator_matrices(
         - _drive_energy(profile, t) * ident
     ).tocsr()
 
-    j_plus = (a_p_dag @ a_m).tocsr()
-    j_minus = (a_m_dag @ a_p).tocsr()
-    j3 = (0.5 * lz).tocsr()
-    k_plus = (a_p_dag @ a_m_dag).tocsr()
-    k_minus = (a_p @ a_m).tocsr()
-    k0 = (0.5 * (n_p + n_m + ident)).tocsr()
-
-    return {
-        "a+": a_p,
-        "a-": a_m,
-        "a+dag": a_p_dag,
-        "a-dag": a_m_dag,
-        "x": x_op,
-        "y": y_op,
-        "px": px_op,
-        "py": py_op,
-        "Lz": lz,
-        "I": inv,
-        "H": ham,
-        "J+": j_plus,
-        "J-": j_minus,
-        "J3": j3,
-        "K+": k_plus,
-        "K-": k_minus,
-        "K0": k0,
-    }
+    mats = {key: sk[key] for key in ("a+", "a-", "a+dag", "a-dag")}
+    mats.update(x=x_op, y=y_op, px=px_op, py=py_op, Lz=lz, I=kap * sk["n+ + n- + 1"], H=ham)
+    mats.update((key, sk[key]) for key in ("J+", "J-", "J3", "K+", "K-", "K0"))
+    return mats
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared test fixtures: one profile of each kind and a tight reference
 integrator that the numeric routes are measured against, the maximum of a
-pointwise residual, and 60-digit mpmath values of the orthonormal Laguerre
-and Hermite functions."""
+pointwise residual, 60-digit mpmath values of the orthonormal Laguerre
+and Hermite functions, and the invariant transport check formed by general
+sparse products, which the package's check must match bit for bit."""
 
 import math
 
@@ -10,6 +11,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from landau_td.profiles import make_profile
+from landau_td.spectrum import build_operator_matrices, interior_mask
 
 _KNOTS = np.linspace(0.0, 12.0, 25)
 _FIELD = {"E1": 0.2, "E2": -0.1}
@@ -85,3 +87,53 @@ def hermite_function_mp(n, x):
     x = mpmath.mpf(x)
     norm = mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
     return mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm
+
+
+def lr_invariant_reference(prof, aux, t, cutoff):
+    """(max_residual, details row) of ``verify.lr_invariant_check`` by
+    general sparse algebra on the ``build_operator_matrices`` output: the
+    commutators as sparse products, the interior blocks copied out by fancy
+    indexing and duplicate-summed."""
+    h = 1e-5 * prof.span
+    mats = build_operator_matrices(prof, aux, t, cutoff)
+    x, y, px, py, ham, inv, lz = (mats[k] for k in ("x", "y", "px", "py", "H", "I", "Lz"))
+    kap = prof.kappa
+
+    q2 = x @ x + y @ y
+    p2 = px @ px + py @ py
+    cross = x @ px + px @ x + y @ py + py @ y
+
+    def invariant_at(tp):
+        rho, rho_dot = map(float, aux.envelope_fn(tp))
+        mass = float(prof.mass(tp))
+        a = kap * kap / rho**2 + (mass * rho_dot) ** 2
+        return 0.5 * (a * q2 + rho**2 * p2 - mass * rho * rho_dot * cross)
+
+    didt = (invariant_at(t + h) - invariant_at(t - h)) / (2.0 * h)
+    commutator = (inv @ ham - ham @ inv) / 1j
+    idx = np.nonzero(interior_mask(cutoff, 2))[0]
+
+    def block(mat):
+        return mat.tocsr()[idx][:, idx]
+
+    def frobenius(mat):
+        sub = block(mat)
+        sub.sum_duplicates()
+        return float(np.linalg.norm(sub.data))
+
+    def max_abs(mat):
+        sub = block(mat)
+        return float(np.max(np.abs(sub.data))) if sub.nnz else 0.0
+
+    inv_norm = frobenius(inv)
+    row = {
+        "step_t": float(h),
+        "band": 2,
+        "interior_dim": int(idx.size),
+        "invariant_norm": inv_norm,
+        "transport_norm": frobenius(didt),
+        "commutator_norm": frobenius(commutator),
+        "frozen_reconstruction": max_abs(invariant_at(t) - inv),
+        "lz_commutator": max_abs(inv @ lz - lz @ inv),
+    }
+    return frobenius(didt + commutator) / inv_norm, row

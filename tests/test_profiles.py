@@ -20,6 +20,7 @@ from landau_td.profiles import (
     profile_from_json,
     profile_to_json,
 )
+from reference import KIND_PARAMS, kind_profile
 
 
 def test_constant_profile_derived_frequencies():
@@ -236,6 +237,21 @@ def test_tabulated_evaluator_input_types():
         assert fn(np.array([1.3, 2.0])).shape == (2,)
         assert fn(t.reshape(13, 1)).shape == (13, 1)
         assert _bits(fn(1.3)) == _bits(fn(np.array(1.3)))
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+def test_constant_entries_answer_a_float_in_plain_floats(kind):
+    prof = kind_profile(kind)
+    entries = [
+        fn
+        for fn in (prof.mass, prof.mass_rate, prof.omega, prof.efield1, prof.efield2)
+        if fn.__qualname__.startswith("_const_fn.")
+    ]
+    assert entries
+    for fn in entries:
+        assert type(fn(2.0)) is float
+        assert _bits(fn(2.0)) == _bits(float(fn(np.array(2.0))))
+        assert _bits(fn(np.float64(2.0))) == _bits(fn(2.0))
 
 
 def test_tabulated_field_table_from_json():

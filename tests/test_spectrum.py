@@ -422,6 +422,32 @@ class TestOperatorMatrices:
             assert sel.size == n + 1
             np.testing.assert_allclose(sel, self.prof.kappa * (n + 1), rtol=1e-14)
 
+    def test_cached_skeleton_is_isolated(self):
+        # calls interleaved over two profiles and times at one cutoff give
+        # the bits of calls that build the skeleton afresh
+        other, other_aux = _static_setup(q=1.0, B=2.0, E1=0.3)
+        calls = [(self.prof, self.aux, 0.8), (other, other_aux, 0.5), (self.prof, self.aux, 1.9)]
+        interleaved = [spectrum.build_operator_matrices(*call, self.N) for call in calls * 2]
+        for call, got in zip(calls * 2, interleaved):
+            spectrum._ladder_skeleton.cache_clear()
+            fresh = spectrum.build_operator_matrices(*call, self.N)
+            assert list(got) == list(fresh)
+            for key, mat in got.items():
+                for part in ("data", "indices", "indptr"):
+                    assert getattr(mat, part).tobytes() == getattr(fresh[key], part).tobytes(), key
+
+    def test_returned_matrices_cannot_change_a_later_call(self):
+        before = {k: m.toarray() for k, m in self.mats.items()}
+        for key, mat in self.mats.items():
+            try:
+                mat.data *= 3.0
+            except ValueError:
+                continue
+            assert key in ("x", "y", "px", "py", "I", "H"), key
+        later = spectrum.build_operator_matrices(self.prof, self.aux, self.t, self.N)
+        for key, mat in later.items():
+            assert np.array_equal(mat.toarray(), before[key]), key
+
     def test_edge_band_contents(self):
         labels = spectrum.basis_labels(self.N)
         edge = np.nonzero(~spectrum.interior_mask(self.N, 1))[0]

@@ -26,7 +26,7 @@ from landau_td.errors import (
 )
 from landau_td.profiles import make_profile
 from landau_td.spectrum import HelicityQuanta, basis_index, build_operator_matrices
-from reference import KIND_PARAMS, kind_profile
+from reference import KIND_PARAMS, kind_profile, lr_invariant_reference
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +318,70 @@ class TestLRInvariant:
         prof, aux = static_pair
         with pytest.raises(CutoffTooSmall):
             verify.lr_invariant_check(prof, aux, 5.0, cutoff=9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(KIND_PARAMS)),
+        fraction=st.floats(0.02, 0.98),
+        cutoff=st.integers(10, 40),
+    )
+    def test_same_bits_as_general_sparse_products(self, kind, fraction, cutoff):
+        prof, aux = _kind_pair(kind)
+        t = prof.t0 + fraction * prof.span
+        rep = verify.lr_invariant_check(prof, aux, t, cutoff=cutoff)
+        residual, row = lr_invariant_reference(prof, aux, t, cutoff)
+        assert rep.max_residual == residual
+        assert rep.details == [row]
+
+    @pytest.mark.parametrize("cutoff", [10, 24])
+    def test_same_bits_on_the_stationary_and_non_solution_cases(
+        self, static_pair, varying_pair, flat_aux, cutoff
+    ):
+        for prof, aux, t in ((*static_pair, 5.0), (varying_pair[0], flat_aux, 2.0)):
+            rep = verify.lr_invariant_check(prof, aux, t, cutoff=cutoff)
+            residual, row = lr_invariant_reference(prof, aux, t, cutoff)
+            assert rep.max_residual == residual
+            assert rep.details == [row]
+
+    def test_builds_the_matrices_once(self, varying_pair, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_operator_matrices(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "build_operator_matrices", counting)
+        prof, aux = varying_pair
+        for n, cutoff in enumerate((10, 16, 16), start=1):
+            verify.lr_invariant_check(prof, aux, 2.0, cutoff=cutoff)
+            assert len(calls) == n
+
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_pair(kind):
+    prof = kind_profile(kind)
+    grid = np.linspace(prof.t0, prof.t1, 241)
+    return prof, solve_ep_numeric(prof, *default_initial_conditions(prof), grid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(3, 40), keep=st.integers(1, 2**40))
+def test_interior_entries_are_the_sorted_block(seed, size, keep):
+    # a product leaves each row's columns unsorted; the block copied out by
+    # fancy indexing and duplicate-summed lists the same entries
+    from scipy import sparse
+
+    rng = np.random.default_rng(seed)
+    a = sparse.random(size, size, density=0.3, format="csr", rng=rng, dtype=complex)
+    b = sparse.random(size, size, density=0.3, format="csr", rng=rng, dtype=complex)
+    a.data += 1j * rng.standard_normal(a.nnz)
+    mat = a @ b
+    mask = np.array([(keep >> (i % 40)) & 1 for i in range(size)], dtype=bool)
+    block = mat[np.nonzero(mask)[0]][:, np.nonzero(mask)[0]]
+    block.sum_duplicates()
+    got = verify._interior_entries(mat, mask)
+    assert got.tobytes() == block.data.tobytes()
 
 
 class TestAlgebra:
