@@ -384,8 +384,11 @@ def _ladder_skeleton(cutoff: int) -> Dict[str, sparse.csr_matrix]:
     a_m = sparse.kron(eye, low, format="csr")
     a_p_dag = a_p.conj().T.tocsr()
     a_m_dag = a_m.conj().T.tocsr()
-    n_p = (a_p_dag @ a_p).tocsr()
-    n_m = (a_m_dag @ a_m).tocsr()
+    # the number operators from their integer diagonals, not as a+-dag a+-,
+    # so Lz, I, J3 and K0 carry no roundoff
+    count = sparse.diags(np.arange(float(side)), format="csr", dtype=complex)
+    n_p = sparse.kron(count, eye, format="csr")
+    n_m = sparse.kron(eye, count, format="csr")
     ident = sparse.identity(dim, format="csr", dtype=complex)
     lz = (n_p - n_m).tocsr()
     n_sum = n_p + n_m + ident
