@@ -438,17 +438,15 @@ def build_operator_matrices(
     if cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
     sk = _ladder_skeleton(cutoff)
-    ident, lz, ladder = sk["identity"], sk["Lz"], sk["a+dag - a-"]
+    ladder_diff, ladder_sum = sk["a+dag - a-"], sk["a- + a+dag"]
 
     rho, rho_dot, M = _frozen(profile, aux, t)
     kap = profile.kappa
     root_k = math.sqrt(kap)
 
-    w_plus = (1j * rho / root_k) * ladder                   # x + i y
-    w_minus = w_plus.conj().T.tocsr()                        # x - i y
-    v_plus = (1j * M * rho_dot / root_k) * ladder - (root_k / rho) * sk[
-        "a- + a+dag"
-    ]                                                        # p_x + i p_y
+    w_plus = (1j * rho / root_k) * ladder_diff                                     # x + i y
+    w_minus = w_plus.conj().T.tocsr()                                               # x - i y
+    v_plus = (1j * M * rho_dot / root_k) * ladder_diff - (root_k / rho) * ladder_sum  # p_x + i p_y
     v_minus = v_plus.conj().T.tocsr()
 
     x_op = 0.5 * (w_plus + w_minus)
@@ -461,12 +459,12 @@ def build_operator_matrices(
     ham = (
         (px_op @ px_op + py_op @ py_op) / (2.0 * M)
         + 0.5 * M * Om**2 * (x_op @ x_op + y_op @ y_op)
-        + 0.5 * omega_c * lz
-        - _drive_energy(profile, t) * ident
+        + 0.5 * omega_c * sk["Lz"]
+        - _drive_energy(profile, t) * sk["identity"]
     ).tocsr()
 
     mats = {key: sk[key] for key in ("a+", "a-", "a+dag", "a-dag")}
-    mats.update(x=x_op, y=y_op, px=px_op, py=py_op, Lz=lz, I=kap * sk["n+ + n- + 1"], H=ham)
+    mats.update(x=x_op, y=y_op, px=px_op, py=py_op, Lz=sk["Lz"], I=kap * sk["n+ + n- + 1"], H=ham)
     mats.update((key, sk[key]) for key in ("J+", "J-", "J3", "K+", "K-", "K0"))
     return mats
 

@@ -318,13 +318,12 @@ def lr_invariant_check(
                       + rho'^2 (px^2 + py^2)
                       - M' rho' rho_dot' ({x,px} + {y,py}) ],
 
-    so the central time difference acts on scalar coefficients only.  As
-    I(t) = diag(nu), the commutator is formed on H's stored entries,
-    [I, H]_ij = nu_i H_ij - H_ij nu_j, each term the single product the
-    sparse product would form, and exact zeros are not stored.  For the
-    same reason [I, L_z] is zero by construction, I and L_z both being
-    diagonal: ``lz_commutator`` is reported as 0.  The residual is reported
-    relative to the Frobenius norm of I.
+    so the central time difference acts on scalar coefficients only.  I(t)
+    is diag(nu), so [I, H] is formed on H's stored entries as nu_i H_ij -
+    H_ij nu_j (the single products a sparse product forms; exact zeros not
+    stored), and [I, L_z], of two diagonal matrices, is zero by
+    construction: ``lz_commutator`` is reported as 0.  The residual is
+    reported relative to the Frobenius norm of I.
     """
     if cutoff < 10:
         raise CutoffTooSmall(f"cutoff must be >= 10, got {cutoff}")
