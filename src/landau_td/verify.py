@@ -336,6 +336,9 @@ def lr_invariant_check(
     q2 = x @ x + y @ y
     p2 = px @ px + py @ py
     cross = x @ px + px @ x + y @ py + py @ y
+    # sorted once, the sums below take scipy's canonical path and leave the
+    # interior reader nothing to sort; no entry changes
+    cross.sort_indices()
 
     def invariant_at(tp: float):
         rho, rho_dot, mass = _frozen(profile, aux, tp)
