@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -296,20 +297,37 @@ def _stacked_dense(pieces) -> tuple:
     ends, as in the stepper).  The evaluator maps times of any shape to an
     array of shape (n_state, *t.shape): it finds every time's step with one
     sorted search (a time at a step end takes the earlier step) and runs the
-    DOP853 Horner scheme on all of them at once.  Each value is the same
-    bits as the one-step evaluation of its step.  Returns (evaluator, step
-    ends).
+    DOP853 Horner scheme on all of them at once.  A single float time takes
+    the same search and Horner steps in Python arithmetic, which gives the
+    same bits without the array calls.  Each value is the same bits as the
+    one-step evaluation of its step.  Returns (evaluator, step ends).
     """
-    ends = np.array(pieces[0].t[:1] + [t for run in pieces for t in run.t[1:]])
+    ends_f = pieces[0].t[:1] + [t for run in pieces for t in run.t[1:]]
+    starts_f = [y for run in pieces for y in run.y[:-1]]
+    rows_f = [rows for run in pieces for rows in run.F]
+    ends = np.array(ends_f)
     t_old, h = ends[:-1], np.diff(ends)
-    y_old = np.array([y for run in pieces for y in run.y[:-1]])
+    y_old = np.array(starts_f)
     # Horner order: the last coefficient row first
-    F = np.array([rows for run in pieces for rows in run.F])[:, ::-1]
+    F = np.array(rows_f)[:, ::-1]
+    zero, last = y_old.dtype.type(0).item(), h.size - 1
 
     def evaluate(t):
+        if isinstance(t, float):
+            t = float(t)
+            k = min(max(bisect_left(ends_f, t) - 1, 0), last)
+            x = (t - ends_f[k]) / (ends_f[k + 1] - ends_f[k])
+            out = []
+            for i, start in enumerate(starts_f[k]):
+                y = zero
+                for j, row in enumerate(reversed(rows_f[k])):
+                    y += row[i]
+                    y *= x if j % 2 == 0 else 1 - x
+                out.append(y + start)
+            return np.array(out, dtype=y_old.dtype)
         t = np.asarray(t, dtype=float)
         flat = t.reshape(-1)
-        k = np.clip(np.searchsorted(ends, flat, side="left") - 1, 0, h.size - 1)
+        k = np.clip(np.searchsorted(ends, flat, side="left") - 1, 0, last)
         x = ((flat - t_old[k]) / h[k])[:, None]
         y = np.zeros((flat.size, y_old.shape[1]), dtype=y_old.dtype)
         for i in range(F.shape[1]):

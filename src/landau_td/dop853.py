@@ -5,7 +5,7 @@ Equations I: Nonstiff Problems*, Sec. II.10, run on Python floats or complex
 numbers: the systems solved here have two components, where array calls
 would cost more than the arithmetic.  The step-size control, the
 initial-step rule and the dense output follow scipy's ``DOP853`` (BSD); the
-tableau is the one in its ``dop853_coefficients``.
+tableau is the one in its ``dop853_coefficients``, kept sparse.
 
 One run (``solve_ivp``) integrates forward over one interval and keeps, for
 every accepted step, the seven rows F of the dense output, so that
@@ -13,13 +13,22 @@ every accepted step, the seven rows F of the dense output, so that
     y(t_old + x h) = y_old + x (F0 + (1 - x) (F1 + x (F2 + (1 - x) (F3 + ...))))
 
 reproduces the step between its two ends.
+
+The step itself has no loop over stages or tableau rows.  On the first run
+with a given number of components, ``_source`` writes one straight-line
+function for a step attempt and one for its dense output, every stage and
+component a local name and every coefficient a literal, and they are
+compiled once per process.  Each weighted sum over the stages is written
+out as sum() adds it, left to right from 0, with the zero coefficients left
+out: while the stages are finite that is the same bits as the generic loop
+over whole tableau rows, which the tests keep as the reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = ["Run", "solve_ivp"]
@@ -245,16 +254,14 @@ _D_SPARSE = (
 )
 
 
-def _dense(row: dict, size: int) -> List[float]:
-    return [row.get(j, 0.0) for j in range(size)]
-
-
-# dense rows: row s of A has the s coefficients of the stages before it
-A = [_dense(_A_SPARSE.get(s, {}), s) for s in range(N_STAGES_EXTENDED)]
-B = A[N_STAGES]
-E5 = _dense(_E5_SPARSE, N_STAGES + 1)
-E3 = [b - _E3_SHIFT.get(j, 0.0) for j, b in enumerate(B)] + [0.0]
-D = [_dense(row, N_STAGES_EXTENDED) for row in _D_SPARSE]
+# the order-3 estimator over the same stages: B less the shift
+_E3_SPARSE = {j: b - _E3_SHIFT.get(j, 0.0) for j, b in _A_SPARSE[N_STAGES].items()}
+# the stages of a step that its dense output reads, f(t + h, y_new) included
+_KEPT = sorted(
+    {0, N_STAGES}
+    | {j for s in range(N_STAGES + 1, N_STAGES_EXTENDED) for j in _A_SPARSE[s] if j <= N_STAGES}
+    | {j for row in _D_SPARSE for j in row if j <= N_STAGES}
+)
 
 
 @dataclass
@@ -264,15 +271,18 @@ class Run:
     ``t`` are the step ends and ``y`` the states there (lists of floats or
     complex numbers); ``F[k]`` are the seven dense-output rows of step k,
     each with one entry per component.  ``nfev`` counts every call of the
-    right-hand side, dense-output stages included.  ``status`` is 0 when the
-    run reached the end of its interval, 1 when y[0] left the band and -1
-    when the step size collapsed; ``message`` says which.
+    right-hand side, dense-output stages included, and ``n_rejected`` the
+    attempts whose error estimate failed, so nfev = 2 + 12 (len(t) - 1 +
+    n_rejected) + 3 (len(t) - 1).  ``status`` is 0 when the run reached the
+    end of its interval, 1 when y[0] left the band and -1 when the step
+    size collapsed; ``message`` says which.
     """
 
     t: List[float]
     y: List[list]
     F: List[list]
     nfev: int
+    n_rejected: int
     status: int
     message: str
 
@@ -304,11 +314,82 @@ def _initial_step(fun, t0, y0, f0, interval) -> float:
     return min(100 * h0, h1, interval)
 
 
-def _stage(fun, t, y, K, s, h):
-    """Stage s: the right-hand side at t + C[s] h from the stages before it.
-    ``K`` holds the stages per component."""
-    a = A[s]
-    return fun(t + C[s] * h, [yi + sum(map(mul, Ki, a)) * h for yi, Ki in zip(y, K)])
+# ---------------------------------------------------------------------------
+# the straight-line step
+# ---------------------------------------------------------------------------
+
+def _sum(row: dict, i: int) -> str:
+    """Source of sum(k_j[i] * row[j] for every stage j), as sum() adds it:
+    left to right from 0.  Zero coefficients are left out, which keeps the
+    bits while the stages are finite (x + ±0.0 is x, and the running sum
+    from 0 is never -0.0)."""
+    return "(0" + "".join(f" + k{j}_{i} * {c!r}" for j, c in sorted(row.items())) + ")"
+
+
+def _source(n: int) -> str:
+    """Source of ``attempt`` and ``dense`` for n components.  Stage j of
+    component i is the local k<j>_<i>, the state y<i> at the step start
+    and z<i> at its end."""
+    comps = range(n)
+
+    def names(prefix: str) -> str:
+        return "".join(f"{prefix}{i}, " for i in comps)
+
+    def stage(s: int) -> str:
+        args = ", ".join(f"y{i} + {_sum(_A_SPARSE[s], i)} * h" for i in comps)
+        return f"    {names(f'k{s}_')}= fun(t + {C[s]!r} * h, [{args}])"
+
+    kept = "".join(names(f"k{j}_") for j in _KEPT)
+    new = ", ".join(f"y{i} + h * {_sum(_A_SPARSE[N_STAGES], i)}" for i in comps)
+    lines = ["def attempt(fun, t, t_new, h, y, f):", f"    {names('y')}= y", f"    {names('k0_')}= f"]
+    lines += [stage(s) for s in range(1, N_STAGES)]
+    lines += [f"    y_new = [{new}]", f"    {names('z')}= y_new"]
+    lines.append(f"    {names(f'k{N_STAGES}_')}= fun(t_new, y_new)")
+    for i in comps:
+        lines += [
+            f"    sc = {ATOL!r} + max(abs(y{i}), abs(z{i})) * {RTOL!r}",
+            f"    e5_{i} = {_sum(_E5_SPARSE, i)} / sc",
+            f"    e3_{i} = {_sum(_E3_SPARSE, i)} / sc",
+        ]
+    # the loop adds these to 0.0, which leaves a sum of squares (never
+    # -0.0) as it is
+    err5, err3 = (
+        " + ".join(f"(e{p}_{i}.real * e{p}_{i}.real + e{p}_{i}.imag * e{p}_{i}.imag)" for i in comps)
+        for p in (5, 3)
+    )
+    lines.append(f"    return y_new, [{names(f'k{N_STAGES}_')}], {err5}, {err3}, ({kept})")
+
+    lines += [
+        "def dense(fun, t, h, y, y_new, stages):",
+        f"    {names('y')}= y",
+        f"    {names('z')}= y_new",
+        f"    {kept}= stages",
+    ]
+    lines += [stage(s) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
+    lines += [f"    d{i} = z{i} - y{i}" for i in comps]
+    rows = [
+        names("d"),
+        "".join(f"h * k0_{i} - d{i}, " for i in comps),
+        "".join(f"2 * d{i} - h * (k{N_STAGES}_{i} + k0_{i}), " for i in comps),
+    ] + ["".join(f"h * {_sum(row, i)}, " for i in comps) for row in _D_SPARSE]
+    lines.append("    return [" + ", ".join(f"[{row}]" for row in rows) + "]")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=8)
+def _stepper(n: int) -> tuple:
+    """(attempt, dense) for n components, compiled from ``_source`` on the
+    first run with n components.
+
+    ``attempt(fun, t, t_new, h, y, f)`` takes one step of size h = t_new - t
+    from y, whose rates are f: it returns y_new, f(t_new, y_new), the squared
+    order-5 and order-3 error sums over the components and the stages the
+    dense output reads.  ``dense(fun, t, h, y, y_new, stages)`` adds the
+    three extra stages and returns the step's seven dense-output rows.
+    """
+    namespace: dict = {}
+    exec(compile(_source(n), f"<dop853 step, {n} components>", "exec"), namespace)
+    return namespace["attempt"], namespace["dense"]
 
 
 def solve_ivp(
@@ -320,18 +401,19 @@ def solve_ivp(
     """Integrate y' = fun(t, y) from t_span[0] forward to t_span[1].
 
     ``fun`` takes a float time and a list of components and returns a
-    sequence of their rates.  Steps are accepted while the error estimate
-    keeps the local error below ATOL + RTOL |y|.  The run stops early (status
-    1) at the first step end where y[0] is outside the open ``band``
-    (lo, hi), and (status -1) when the step would have to shrink below ten
-    spacings of floats at t.
+    sequence of their rates, one per component.  Steps are accepted while
+    the error estimate keeps the local error below ATOL + RTOL |y|.  The run
+    stops early (status 1) at the first step end where y[0] is outside the
+    open ``band`` (lo, hi), and (status -1) when the step would have to
+    shrink below ten spacings of floats at t.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     y = list(y0)
     n = len(y)
     f = list(fun(t, y))
     h_abs = _initial_step(fun, t, y, f, t_end - t)
-    nfev = 2
+    attempt, dense = _stepper(n)
+    nfev, n_rejected = 2, 0
     ts, ys, rows = [t], [y], []
     status, message = 0, "the run reached the end of its interval"
     while t < t_end:
@@ -347,23 +429,8 @@ def solve_ivp(
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = h
-            # K[i]: the stages of component i
-            K = [[fi] for fi in f]
-            for s in range(1, N_STAGES):
-                for Ki, ki in zip(K, _stage(fun, t, y, K, s, h)):
-                    Ki.append(ki)
-            y_new = [yi + h * sum(map(mul, Ki, B)) for yi, Ki in zip(y, K)]
-            f_new = list(fun(t_new, y_new))
+            y_new, f_new, err5, err3, stages = attempt(fun, t, t_new, h, y, f)
             nfev += N_STAGES
-            for Ki, fi in zip(K, f_new):
-                Ki.append(fi)
-            scale = [ATOL + max(abs(a), abs(b)) * RTOL for a, b in zip(y, y_new)]
-            err5 = err3 = 0.0
-            for Ki, sc in zip(K, scale):
-                e5 = sum(map(mul, Ki, E5)) / sc
-                e3 = sum(map(mul, Ki, E3)) / sc
-                err5 += e5.real * e5.real + e5.imag * e5.imag
-                err3 += e3.real * e3.real + e3.imag * e3.imag
             if err5 == 0.0 and err3 == 0.0:
                 error_norm = 0.0
             else:
@@ -379,21 +446,11 @@ def solve_ivp(
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             rejected = True
+            n_rejected += 1
         if status:
             break
-        for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-            for Ki, ki in zip(K, _stage(fun, t, y, K, s, h)):
-                Ki.append(ki)
+        rows.append(dense(fun, t, h, y, y_new, stages))
         nfev += N_STAGES_EXTENDED - N_STAGES - 1
-        dy = [b - a for a, b in zip(y, y_new)]
-        rows.append(
-            [
-                dy,
-                [h * Ki[0] - d for Ki, d in zip(K, dy)],
-                [2 * d - h * (Ki[N_STAGES] + Ki[0]) for Ki, d in zip(K, dy)],
-            ]
-            + [[h * sum(map(mul, Ki, row)) for Ki in K] for row in D]
-        )
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
@@ -401,4 +458,4 @@ def solve_ivp(
             status = 1
             message = f"y[0] = {y[0]:.6g} left ({band[0]:.6g}, {band[1]:.6g}) at t = {t!r}"
             break
-    return Run(t=ts, y=ys, F=rows, nfev=nfev, status=status, message=message)
+    return Run(t=ts, y=ys, F=rows, nfev=nfev, n_rejected=n_rejected, status=status, message=message)

@@ -424,7 +424,9 @@ def build_operator_matrices(
     """All operator matrices (CSR) on the truncated two-mode basis at time t.
 
     Keys: a+, a-, a+dag, a-dag, x, y, px, py, Lz, I, H, J+, J-, J3,
-    K+, K-, K0.  Position and momentum come from the ladder inversion
+    K+, K-, K0, and the two sums of squares that H is formed from,
+    "x^2 + y^2" (x @ x + y @ y) and "px^2 + py^2", which the invariant check
+    reads too.  Position and momentum come from the ladder inversion
 
         x + i y    = (i rho / sqrt(kappa)) (a+dag - a-)
         p_x + i p_y = (i M rho' / sqrt(kappa)) (a+dag - a-)
@@ -433,7 +435,7 @@ def build_operator_matrices(
     and H is composed from x, y, p_x, p_y, L_z = n+ - n- with profile
     scalars, holding +(omega_c/2) L_z.  The time-independent matrices come
     from a skeleton built once per cutoff per process and are returned
-    read-only; x, y, px, py, I and H are new at each call.
+    read-only; x, y, px, py, I, H and the two sums are new at each call.
     """
     if cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
@@ -454,17 +456,20 @@ def build_operator_matrices(
     px_op = 0.5 * (v_plus + v_minus)
     py_op = (v_plus - v_minus) / 2j
 
+    q2 = x_op @ x_op + y_op @ y_op
+    p2 = px_op @ px_op + py_op @ py_op
     omega_c = float(profile.omega_c(t))
     Om = float(profile.Omega(t))
     ham = (
-        (px_op @ px_op + py_op @ py_op) / (2.0 * M)
-        + 0.5 * M * Om**2 * (x_op @ x_op + y_op @ y_op)
+        p2 / (2.0 * M)
+        + 0.5 * M * Om**2 * q2
         + 0.5 * omega_c * sk["Lz"]
         - _drive_energy(profile, t) * sk["identity"]
     ).tocsr()
 
     mats = {key: sk[key] for key in ("a+", "a-", "a+dag", "a-dag")}
     mats.update(x=x_op, y=y_op, px=px_op, py=py_op, Lz=sk["Lz"], I=kap * sk["n+ + n- + 1"], H=ham)
+    mats.update({"x^2 + y^2": q2, "px^2 + py^2": p2})
     mats.update((key, sk[key]) for key in ("J+", "J-", "J3", "K+", "K-", "K0"))
     return mats
 

@@ -318,12 +318,13 @@ def lr_invariant_check(
                       + rho'^2 (px^2 + py^2)
                       - M' rho' rho_dot' ({x,px} + {y,py}) ],
 
-    so the central time difference acts on scalar coefficients only.  I(t)
-    is diag(nu), so [I, H] is formed on H's stored entries as nu_i H_ij -
-    H_ij nu_j (the single products a sparse product forms; exact zeros not
-    stored), and [I, L_z], of two diagonal matrices, is zero by
-    construction: ``lz_commutator`` is reported as 0.  The residual is
-    reported relative to the Frobenius norm of I.
+    so the central time difference acts on scalar coefficients only.  The
+    sums x^2 + y^2 and px^2 + py^2 are the ones ``build_operator_matrices``
+    formed for H.  I(t) is diag(nu), so [I, H] is formed on H's stored
+    entries as nu_i H_ij - H_ij nu_j (the single products a sparse product
+    forms; exact zeros not stored), and [I, L_z], of two diagonal matrices,
+    is zero by construction: ``lz_commutator`` is reported as 0.  The
+    residual is reported relative to the Frobenius norm of I.
     """
     if cutoff < 10:
         raise CutoffTooSmall(f"cutoff must be >= 10, got {cutoff}")
@@ -331,10 +332,9 @@ def lr_invariant_check(
 
     mats = build_operator_matrices(profile, aux, t, cutoff)
     x, y, px, py, ham, inv = (mats[k] for k in ("x", "y", "px", "py", "H", "I"))
+    q2, p2 = mats["x^2 + y^2"], mats["px^2 + py^2"]
     kap = profile.kappa
 
-    q2 = x @ x + y @ y
-    p2 = px @ px + py @ py
     cross = x @ px + px @ x + y @ py + py @ y
     # sorted once, the sums below take scipy's canonical path and leave the
     # interior reader nothing to sort; no entry changes

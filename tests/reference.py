@@ -1,15 +1,20 @@
 """Shared test fixtures: one profile of each kind and a tight reference
 integrator that the numeric routes are measured against, the maximum of a
 pointwise residual, 60-digit mpmath values of the orthonormal Laguerre
-and Hermite functions, and the invariant transport check formed by general
-sparse products, which the package's check must match bit for bit."""
+and Hermite functions, the invariant transport check formed by general
+sparse products, and the generic DOP853 stepper, stage by stage over the
+dense tableau rows; the package's check and stepper must match these bit
+for bit."""
 
+import functools
 import math
+import operator
 
 import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from landau_td import dop853
 from landau_td.profiles import make_profile
 from landau_td.spectrum import build_operator_matrices, interior_mask
 
@@ -137,3 +142,111 @@ def lr_invariant_reference(prof, aux, t, cutoff):
         "lz_commutator": max_abs(inv @ lz - lz @ inv),
     }
     return frobenius(didt + commutator) / inv_norm, row
+
+
+# the DOP853 tableau as dense rows, zeros included: row s of A has the s
+# coefficients of the stages before it
+def _dense_row(row, size):
+    return [row.get(j, 0.0) for j in range(size)]
+
+
+_A = [_dense_row(dop853._A_SPARSE.get(s, {}), s) for s in range(dop853.N_STAGES_EXTENDED)]
+_B = _A[dop853.N_STAGES]
+_E5 = _dense_row(dop853._E5_SPARSE, dop853.N_STAGES + 1)
+_E3 = [b - dop853._E3_SHIFT.get(j, 0.0) for j, b in enumerate(_B)] + [0.0]
+_D = [_dense_row(row, dop853.N_STAGES_EXTENDED) for row in dop853._D_SPARSE]
+
+
+def _dot(values, coeffs):
+    """sum(map(mul, values, coeffs)): left to right from 0, on every Python
+    version (sum() of floats compensates from 3.12 on)."""
+    return functools.reduce(operator.add, map(operator.mul, values, coeffs), 0)
+
+
+def _stage(fun, t, y, K, s, h):
+    """Stage s: the right-hand side at t + C[s] h from the stages before it.
+    ``K`` holds the stages per component."""
+    a = _A[s]
+    return fun(t + dop853.C[s] * h, [yi + _dot(Ki, a) * h for yi, Ki in zip(y, K)])
+
+
+def dop853_reference(fun, t_span, y0, band=None):
+    """``dop853.solve_ivp`` as a generic loop: every stage, the solution,
+    the error estimates and the dense rows are sums over whole tableau rows,
+    zero coefficients included.  Same control, same ``Run``."""
+    ode = dop853
+    t, t_end = float(t_span[0]), float(t_span[1])
+    y = list(y0)
+    n = len(y)
+    f = list(fun(t, y))
+    h_abs = ode._initial_step(fun, t, y, f, t_end - t)
+    nfev, n_rejected = 2, 0
+    ts, ys, rows = [t], [y], []
+    status, message = 0, "the run reached the end of its interval"
+    while t < t_end:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                status = -1
+                message = f"the step size fell to {h_abs:.3g}, below {min_step:.3g}, at t = {t!r}"
+                break
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            K = [[fi] for fi in f]
+            for s in range(1, ode.N_STAGES):
+                for Ki, ki in zip(K, _stage(fun, t, y, K, s, h)):
+                    Ki.append(ki)
+            y_new = [yi + h * _dot(Ki, _B) for yi, Ki in zip(y, K)]
+            f_new = list(fun(t_new, y_new))
+            nfev += ode.N_STAGES
+            for Ki, fi in zip(K, f_new):
+                Ki.append(fi)
+            scale = [ode.ATOL + max(abs(a), abs(b)) * ode.RTOL for a, b in zip(y, y_new)]
+            err5 = err3 = 0.0
+            for Ki, sc in zip(K, scale):
+                e5 = _dot(Ki, _E5) / sc
+                e3 = _dot(Ki, _E3) / sc
+                err5 += e5.real * e5.real + e5.imag * e5.imag
+                err3 += e3.real * e3.real + e3.imag * e3.imag
+            if err5 == 0.0 and err3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * n)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = ode.MAX_FACTOR
+                else:
+                    factor = min(ode.MAX_FACTOR, ode.SAFETY * error_norm**ode.ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(ode.MIN_FACTOR, ode.SAFETY * error_norm**ode.ERROR_EXPONENT)
+            rejected = True
+            n_rejected += 1
+        if status:
+            break
+        for s in range(ode.N_STAGES + 1, ode.N_STAGES_EXTENDED):
+            for Ki, ki in zip(K, _stage(fun, t, y, K, s, h)):
+                Ki.append(ki)
+        nfev += ode.N_STAGES_EXTENDED - ode.N_STAGES - 1
+        dy = [b - a for a, b in zip(y, y_new)]
+        rows.append(
+            [
+                dy,
+                [h * Ki[0] - d for Ki, d in zip(K, dy)],
+                [2 * d - h * (Ki[ode.N_STAGES] + Ki[0]) for Ki, d in zip(K, dy)],
+            ]
+            + [[h * _dot(Ki, row) for Ki in K] for row in _D]
+        )
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+        if band is not None and not band[0] < y[0] < band[1]:
+            status = 1
+            message = f"y[0] = {y[0]:.6g} left ({band[0]:.6g}, {band[1]:.6g}) at t = {t!r}"
+            break
+    return ode.Run(t=ts, y=ys, F=rows, nfev=nfev, n_rejected=n_rejected, status=status, message=message)

@@ -406,7 +406,8 @@ class TestStepper:
         assert run.status == 0 and run.t[-1] == 12.0
         # the start, the initial-step probe, 12 per attempt, 3 dense stages per step
         assert run.nfev == len(calls)
-        assert (run.nfev - 2 - 3 * (len(run.t) - 1)) % 12 == 0
+        accepted = len(run.t) - 1
+        assert run.nfev == 2 + 12 * (accepted + run.n_rejected) + 3 * accepted
 
 
 class TestStackedDenseOutput:
@@ -433,6 +434,23 @@ class TestStackedDenseOutput:
         np.testing.assert_array_equal(
             evaluate(square), expected[:, : square.size].reshape(2, *square.shape)
         )
+
+    @pytest.mark.parametrize("which", ["auxiliary", "classical"])
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    def test_float_time_is_the_array_path(self, kind, which):
+        # a single float time, Python or numpy, takes the Python-arithmetic
+        # path: the bytes, dtype and shape of the array path at that time
+        _, pieces = _pieces(kind, which)
+        evaluate, ends = auxode._stacked_dense(pieces)
+        rng = np.random.default_rng(11)
+        times = np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1]), rng.uniform(0.0, 12.0, 200)])
+        for t in times:
+            want = evaluate(np.asarray(t))
+            assert want.shape == (2,) and want.dtype == (complex if which == "classical" else float)
+            for scalar in (float(t), t):
+                got = evaluate(scalar)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (t, got, want)
 
     @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
     def test_solution_reads_the_stacked_pieces(self, kind):

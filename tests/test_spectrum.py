@@ -443,7 +443,7 @@ class TestOperatorMatrices:
                 mat.data *= 3.0
             except ValueError:
                 continue
-            assert key in ("x", "y", "px", "py", "I", "H"), key
+            assert key in ("x", "y", "px", "py", "I", "H", "x^2 + y^2", "px^2 + py^2"), key
         later = spectrum.build_operator_matrices(self.prof, self.aux, self.t, self.N)
         for key, mat in later.items():
             assert np.array_equal(mat.toarray(), before[key]), key
