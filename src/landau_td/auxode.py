@@ -293,23 +293,26 @@ def _stacked_dense(pieces) -> tuple:
     """One evaluator over the dense outputs of consecutive solver runs.
 
     The step ends, the states at the step starts and the steps' dense-output
-    rows are read once into arrays (a step's h is the difference of its two
-    ends, as in the stepper).  The evaluator maps times of any shape to an
-    array of shape (n_state, *t.shape): it finds every time's step with one
-    sorted search (a time at a step end takes the earlier step) and runs the
-    DOP853 Horner scheme on all of them at once.  A single float time takes
-    the same search and Horner steps in Python arithmetic, which gives the
-    same bits without the array calls.  Each value is the same bits as the
-    one-step evaluation of its step.  Returns (evaluator, step ends).
+    rows are read once into C-contiguous tables with the step as the last
+    axis: the starts as (n_state, steps) and the rows, in Horner order (the
+    last coefficient row first), as (n_state, 7, steps); a step's h is the
+    difference of its two ends, as in the stepper.  The evaluator maps times
+    of any shape to an array of shape (n_state, *t.shape): it finds every
+    time's step k with one sorted search (a time at a step end takes the
+    earlier step), reads t_old, h, the rows and the starts at k with
+    ``take`` and runs the DOP853 Horner scheme on all of them at once.  A
+    single float time takes the same search and Horner steps in Python
+    arithmetic, which gives the same bits without the array calls.  Each
+    value is the same bits as the one-step evaluation of its step.  Returns
+    (evaluator, step ends).
     """
     ends_f = pieces[0].t[:1] + [t for run in pieces for t in run.t[1:]]
     starts_f = [y for run in pieces for y in run.y[:-1]]
     rows_f = [rows for run in pieces for rows in run.F]
     ends = np.array(ends_f)
     t_old, h = ends[:-1], np.diff(ends)
-    y_old = np.array(starts_f)
-    # Horner order: the last coefficient row first
-    F = np.array(rows_f)[:, ::-1]
+    y_old = np.ascontiguousarray(np.array(starts_f).T)
+    F = np.ascontiguousarray(np.array(rows_f)[:, ::-1].transpose(2, 1, 0))
     zero, last = y_old.dtype.type(0).item(), h.size - 1
 
     def evaluate(t):
@@ -328,13 +331,14 @@ def _stacked_dense(pieces) -> tuple:
         t = np.asarray(t, dtype=float)
         flat = t.reshape(-1)
         k = np.clip(np.searchsorted(ends, flat, side="left") - 1, 0, last)
-        x = ((flat - t_old[k]) / h[k])[:, None]
-        y = np.zeros((flat.size, y_old.shape[1]), dtype=y_old.dtype)
+        x = (flat - t_old.take(k)) / h.take(k)
+        factors = (x, 1 - x)
+        y = np.zeros((y_old.shape[0], flat.size), dtype=y_old.dtype)
         for i in range(F.shape[1]):
-            y += F[k, i]
-            y *= x if i % 2 == 0 else 1 - x
-        y += y_old[k]
-        return y.T.reshape(y_old.shape[1], *t.shape)
+            y += F[:, i].take(k, axis=1)
+            y *= factors[i % 2]
+        y += y_old.take(k, axis=1)
+        return y.reshape(y_old.shape[0], *t.shape)
 
     return evaluate, ends
 

@@ -273,9 +273,10 @@ class Run:
     each with one entry per component.  ``nfev`` counts every call of the
     right-hand side, dense-output stages included, and ``n_rejected`` the
     attempts whose error estimate failed, so nfev = 2 + 12 (len(t) - 1 +
-    n_rejected) + 3 (len(t) - 1).  ``status`` is 0 when the run reached the
-    end of its interval, 1 when y[0] left the band and -1 when the step
-    size collapsed; ``message`` says which.
+    n_rejected) + 3 (len(t) - 1); the 2 is 1 when no first step is probed
+    (NaN first rates, or rates that overflow the norm).  ``status`` is 0
+    when the run reached the end of its interval, 1 when y[0] left the band
+    and -1 when the step size collapsed; ``message`` says which.
     """
 
     t: List[float]
@@ -296,22 +297,23 @@ def _rms(values: Sequence, scale: Sequence) -> float:
     return math.sqrt(total) / len(scale) ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, interval) -> float:
-    """First step size (Hairer, Norsett & Wanner, Sec. II.4), from one
-    right-hand-side call."""
+def _initial_step(fun, t0, y0, f0, interval) -> tuple:
+    """First step size (Hairer, Norsett & Wanner, Sec. II.4) and the number
+    of right-hand-side calls it took: one probe, none when there is no step
+    to probe."""
     scale = [ATOL + abs(v) * RTOL for v in y0]
     d0, d1 = _rms(y0, scale), _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     if not h0 > 0.0:  # NaN rates, or rates that overflow the norm: no step
-        return h0
+        return h0, 0
     f1 = fun(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
     d2 = _rms([a - b for a, b in zip(f1, f0)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (-ERROR_EXPONENT)
-    return min(100 * h0, h1, interval)
+    return min(100 * h0, h1, interval), 1
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +413,9 @@ def solve_ivp(
     y = list(y0)
     n = len(y)
     f = list(fun(t, y))
-    h_abs = _initial_step(fun, t, y, f, t_end - t)
+    h_abs, probes = _initial_step(fun, t, y, f, t_end - t)
     attempt, dense = _stepper(n)
-    nfev, n_rejected = 2, 0
+    nfev, n_rejected = 1 + probes, 0
     ts, ys, rows = [t], [y], []
     status, message = 0, "the run reached the end of its interval"
     while t < t_end:

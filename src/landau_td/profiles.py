@@ -31,9 +31,15 @@ three-point rule at the two ends, turned into the cubic Hermite power
 series of each interval.  It is evaluated with scipy ``PPoly``'s interval
 rule (a time on an inner knot takes the later interval, the last sample
 time and later times the last one, earlier times the first) and its
-power-series operations, so the values are the same bits as scipy's.  The
-ODE right-hand sides call it at one float time per evaluation, so a float
-time is evaluated in plain Python floats; any other input as an array.
+power-series operations, so the values are the same bits as scipy's.
+
+The ODE right-hand sides read M, M' and omega at one float time per call,
+so every reader of every kind (``mass``, ``mass_rate``, ``omega``,
+``efield1``, ``efield2``) answers a float time (``np.float64`` included)
+in floats, with the bits of the array path at that time: the constants
+return their value, the exponential and sinusoidal readers apply the same
+``np.exp`` or ``np.sin`` to the float, and the PCHIP interpolants sum in
+plain Python floats.  Any other input is evaluated as an array.
 """
 
 from __future__ import annotations
@@ -345,9 +351,13 @@ def make_profile(
         alpha = _real(alpha, "alpha")
 
         def mass(t, M0=M0, alpha=alpha):
+            if isinstance(t, float):
+                return float(M0 * np.exp(-alpha * t))
             return M0 * np.exp(-alpha * np.asarray(t, dtype=float))
 
         def mass_rate(t, M0=M0, alpha=alpha):
+            if isinstance(t, float):
+                return float(-alpha * M0 * np.exp(-alpha * t))
             return -alpha * M0 * np.exp(-alpha * np.asarray(t, dtype=float))
 
         omega_fn = _const_fn(omega, "omega")
@@ -359,6 +369,8 @@ def make_profile(
         mass_rate = _const_fn(0.0, "mass_rate")
 
         def omega_fn(t, tau=tau, alpha=alpha):
+            if isinstance(t, float):
+                return float(tau * np.exp(alpha * t))
             return tau * np.exp(alpha * np.asarray(t, dtype=float))
 
     elif kind == "sinusoidal":
@@ -372,6 +384,8 @@ def make_profile(
         mass_rate = _const_fn(0.0, "mass_rate")
 
         def omega_fn(t, omega0=omega0, depth=depth, rate=rate):
+            if isinstance(t, float):
+                return float(omega0 * (1.0 + depth * np.sin(rate * t)))
             t = np.asarray(t, dtype=float)
             return omega0 * (1.0 + depth * np.sin(rate * t))
 

@@ -221,7 +221,8 @@ def schrodinger_residual_check(
     residual is evaluated under three phase conventions: the integrated
     phase (authoritative), the halved-first-term closed form (comparison),
     and gamma = 0 (control).  ``max_residual`` reports the integrated one;
-    all three appear in the details.
+    all three appear in the details.  The phase trace on (t - h, t, t + h)
+    depends on t alone, so samples at one time share one trace.
     """
     samples = list(sample_points)
     if not samples:
@@ -232,6 +233,7 @@ def schrodinger_residual_check(
     steps_r = []
     h_theta = 0.02
     h_t = None
+    traces = {}
 
     for (t, r, theta) in samples:
         t, r, theta = float(t), float(r), float(theta)
@@ -266,8 +268,9 @@ def schrodinger_residual_check(
             - drive * psi_0
         )
 
-        stencil_t = np.array([t - h_t, t, t + h_t])
-        trace = phase_gamma(q, profile, aux, stencil_t)
+        if t not in traces:
+            traces[t] = phase_gamma(q, profile, aux, np.array([t - h_t, t, t + h_t]))
+        trace = traces[t]
         psi_minus = wavefunction_polar(q, profile, aux, t - h_t, r, theta)
         psi_plus = wavefunction_polar(q, profile, aux, t + h_t, r, theta)
         phases = {

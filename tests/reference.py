@@ -2,8 +2,9 @@
 integrator that the numeric routes are measured against, the maximum of a
 pointwise residual, 60-digit mpmath values of the orthonormal Laguerre
 and Hermite functions, the invariant transport check formed by general
-sparse products, and the generic DOP853 stepper, stage by stage over the
-dense tableau rows; the package's check and stepper must match these bit
+sparse products, the generic DOP853 stepper, stage by stage over the dense
+tableau rows, and the stacked dense-output evaluator read by fancy
+indexing; the package's check, stepper and evaluator must match these bit
 for bit."""
 
 import functools
@@ -179,8 +180,8 @@ def dop853_reference(fun, t_span, y0, band=None):
     y = list(y0)
     n = len(y)
     f = list(fun(t, y))
-    h_abs = ode._initial_step(fun, t, y, f, t_end - t)
-    nfev, n_rejected = 2, 0
+    h_abs, probes = ode._initial_step(fun, t, y, f, t_end - t)
+    nfev, n_rejected = 1 + probes, 0
     ts, ys, rows = [t], [y], []
     status, message = 0, "the run reached the end of its interval"
     while t < t_end:
@@ -250,3 +251,31 @@ def dop853_reference(fun, t_span, y0, band=None):
             message = f"y[0] = {y[0]:.6g} left ({band[0]:.6g}, {band[1]:.6g}) at t = {t!r}"
             break
     return ode.Run(t=ts, y=ys, F=rows, nfev=nfev, n_rejected=n_rejected, status=status, message=message)
+
+
+def stacked_dense_reference(pieces):
+    """``auxode._stacked_dense`` as first written, array path only: the
+    steps' rows stacked as (steps, 7, n_state) in Horner order and read by
+    the fancy indices F[k, i], the states at the step starts by y_old[k].
+    Times of any shape, 0-d included, map to an array of shape
+    (n_state, *t.shape).  Returns (evaluator, step ends)."""
+    ends = np.array(pieces[0].t[:1] + [t for run in pieces for t in run.t[1:]])
+    t_old, h = ends[:-1], np.diff(ends)
+    y_old = np.array([y for run in pieces for y in run.y[:-1]])
+    # Horner order: the last coefficient row first
+    F = np.array([rows for run in pieces for rows in run.F])[:, ::-1]
+    last = h.size - 1
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        k = np.clip(np.searchsorted(ends, flat, side="left") - 1, 0, last)
+        x = ((flat - t_old[k]) / h[k])[:, None]
+        y = np.zeros((flat.size, y_old.shape[1]), dtype=y_old.dtype)
+        for i in range(F.shape[1]):
+            y += F[k, i]
+            y *= x if i % 2 == 0 else 1 - x
+        y += y_old[k]
+        return y.T.reshape(y_old.shape[1], *t.shape)
+
+    return evaluate, ends

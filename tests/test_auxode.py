@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from landau_td import auxode
+from landau_td import auxode, spectrum
 from landau_td.errors import (
     BlowUp,
     GridTooShort,
@@ -24,7 +24,14 @@ from landau_td.errors import (
     ZeroFrequencyParticular,
 )
 from landau_td.profiles import ParameterProfile, make_profile
-from reference import KIND_PARAMS, ep_rates, kind_profile, knot_restarted, max_residual
+from reference import (
+    KIND_PARAMS,
+    ep_rates,
+    kind_profile,
+    knot_restarted,
+    max_residual,
+    stacked_dense_reference,
+)
 
 
 def _const_profile(M=1.0, omega=1.0, q=0.0, B=0.0, kappa=1.0, E1=0.0, E2=0.0, t1=10.0):
@@ -410,8 +417,27 @@ class TestStepper:
         assert run.nfev == 2 + 12 * (accepted + run.n_rejected) + 3 * accepted
 
 
+def _node_times(ends, grid):
+    """Every time array that ``running_integral`` on panels at ``ends``
+    passes its integrand: the whole panels' nodes (30 per panel, unsorted
+    within one), then the partial panels up to the grid times and up to the
+    ends themselves (zero-width panels, whose nodes are all that end, but
+    at the last end, which closes the last panel)."""
+    asked = []
+
+    def f(t):
+        asked.append(t.copy())
+        return np.zeros_like(t)
+
+    F = auxode.running_integral(f, ends)
+    F(grid)
+    F(ends)
+    return asked
+
+
 class TestStackedDenseOutput:
-    """The stacked evaluator against each step's own dense output."""
+    """The stacked evaluator against each step's own dense output and
+    against the fancy-index evaluator it replaced."""
 
     @pytest.mark.parametrize("which", ["auxiliary", "classical"])
     @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
@@ -451,6 +477,50 @@ class TestStackedDenseOutput:
                 got = evaluate(scalar)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (t, got, want)
+
+    @pytest.mark.parametrize("which", ["auxiliary", "classical"])
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    def test_quadrature_nodes_are_the_reference_bits(self, kind, which):
+        # the times theta's panels ask for, flat, one row per panel (2-D)
+        # and one at a time as 0-d arrays
+        _, pieces = _pieces(kind, which)
+        evaluate, ends = auxode._stacked_dense(pieces)
+        reference, _ = stacked_dense_reference(pieces)
+        steps = [(run, k) for run in pieces for k in range(len(run.t) - 1)]
+        asked = _node_times(ends, np.linspace(0.0, 12.0, 401))
+        assert len(asked) == 3 and np.isin(ends[:-1], asked[2]).all()
+        for nodes in asked:
+            got = evaluate(nodes)
+            assert got.shape == (2, nodes.size)
+            assert got.tobytes() == reference(nodes).tobytes()
+            owner = np.clip(np.searchsorted(ends, nodes, side="left") - 1, 0, len(steps) - 1)
+            one_step = [_one_step(*steps[j], t) for j, t in zip(owner, nodes.tolist())]
+            assert got.tobytes() == np.array(one_step, dtype=got.dtype).T.tobytes()
+            panels = nodes.reshape(-1, auxode._PANEL_NODES.size)
+            square = evaluate(panels)
+            assert square.shape == (2, *panels.shape)
+            assert square.tobytes() == reference(panels).tobytes() == got.tobytes()
+            for j in range(0, nodes.size, 13):
+                zero_d = evaluate(nodes[j].reshape(()))
+                assert zero_d.shape == (2,)
+                assert zero_d.tobytes() == reference(nodes[j].reshape(())).tobytes()
+                assert zero_d.tobytes() == got[:, j].tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    def test_theta_and_gamma_are_the_reference_bits(self, kind, monkeypatch):
+        prof = kind_profile(kind)
+        grid = np.linspace(0.0, 12.0, 401)
+        q = spectrum.HelicityQuanta(2, 1)
+
+        def theta_and_gamma():
+            aux = auxode.solve_ep_numeric(prof, *auxode.default_initial_conditions(prof), grid)
+            return aux.theta_fn(grid), spectrum.phase_gamma(q, prof, aux, grid).gamma
+
+        got = theta_and_gamma()
+        monkeypatch.setattr(auxode, "_stacked_dense", stacked_dense_reference)
+        want = theta_and_gamma()
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
     def test_solution_reads_the_stacked_pieces(self, kind):

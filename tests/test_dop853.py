@@ -81,9 +81,18 @@ def test_step_collapse_at_a_blow_up(y0):
 
 
 def test_nan_rates():
-    # NaN from the start: no step at all
-    run = _same_run(lambda t, y: [math.nan, math.nan], (0.0, 1.0), [1.0, 0.0])
+    # NaN from the start: no step at all, and no initial-step probe either,
+    # so the one call at the start is all nfev counts
+    calls = []
+
+    def nan_rates(t, y):
+        calls.append(t)
+        return [math.nan, math.nan]
+
+    run = _same_run(nan_rates, (0.0, 1.0), [1.0, 0.0])
     assert run.status == -1 and run.t == [0.0]
+    # _same_run made two runs, the stepper's and the reference's
+    assert run.nfev == 1 and len(calls) == 2
     # NaN past t = 2.5: the steps shrink onto it and collapse there
     run = _same_run(
         lambda t, y: [math.nan, math.nan] if t > 2.5 else [y[1], -y[0]], (0.0, 5.0), [1.0, 0.0]

@@ -254,6 +254,20 @@ def test_constant_entries_answer_a_float_in_plain_floats(kind):
         assert _bits(fn(np.float64(2.0))) == _bits(fn(2.0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(KIND_PARAMS)), t=st.floats(-50.0, 50.0))
+def test_every_reader_answers_a_float_time_with_the_array_bits(kind, t):
+    # the ODE right-hand sides read the profile at one float time per call:
+    # floats come back, with the bits of the array path at that time
+    prof = kind_profile(kind)
+    for fn in (prof.mass, prof.mass_rate, prof.omega, prof.efield1, prof.efield2):
+        want = fn(np.array([t])).tobytes()
+        assert type(fn(t)) is float, fn
+        for scalar in (t, np.float64(t)):
+            got = fn(scalar)
+            assert isinstance(got, float) and _bits(got) == want, (fn, scalar)
+
+
 def test_tabulated_field_table_from_json():
     t = np.linspace(0.0, 6.0, 13)
     doc = {"t": t, "M": 1.0 + 0.0 * t, "omega": 1.0 + 0.0 * t, "E1": 0.1 * np.sin(t)}

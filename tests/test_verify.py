@@ -257,6 +257,40 @@ class TestSchrodingerResidual:
         )
         assert rep.max_residual < 1e-5
 
+    def test_one_phase_trace_per_sample_time(self, varying_pair, monkeypatch):
+        prof, aux = varying_pair
+        q = HelicityQuanta(1, 0)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3].copy())
+            return spectrum.phase_gamma(*args)
+
+        monkeypatch.setattr(verify, "phase_gamma", counting)
+
+        def report(samples):
+            return verify.schrodinger_residual_check(q, prof, aux, samples, tol=1e-3).to_dict()
+
+        # a sample given twice: one trace, and the report one trace per
+        # sample gives (the single sample's residuals, two stencils)
+        single = report([(6.0, 0.8, 0.3)])
+        twice = report([(6.0, 0.8, 0.3)] * 2)
+        assert len(calls) == 2
+        single["details"][-1].update(samples=2, step_r=2 * single["details"][-1]["step_r"])
+        assert twice == single
+        # two samples at one time read one trace, which a second call would
+        # build again bit for bit
+        report([(6.0, 0.8, 0.3), (6.0, 1.3, 2.1)])
+        assert len(calls) == 3
+        np.testing.assert_array_equal(calls[2], calls[0])
+        first = spectrum.phase_gamma(q, prof, aux, calls[0])
+        again = spectrum.phase_gamma(q, prof, aux, calls[0])
+        for name in ("gamma", "gamma_closed_form"):
+            assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
+        # one trace per distinct time
+        report([(5.0, 0.8, 0.3), (6.0, 1.3, 2.1), (5.0, 1.0, 1.0)])
+        assert len(calls) == 5
+
     def test_step_underflow(self):
         prof = make_profile(
             "constant",
